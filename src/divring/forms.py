@@ -23,6 +23,7 @@ from . import ratlin
 from .algebra import Algebra, Element, mul
 from .errors import (
     DimensionMismatch,
+    DivRingError,
     PivotConditionFailed,
     ZeroDiagonalEntry,
 )
@@ -396,7 +397,11 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
             for c in active:
                 hr, hc = cov[r], cov[c]
                 m[r][c] = m[r][c] - mul(dinv, (mul(hr, hc) + mul(hc, hr)).scale(_HALF))
-        assert all(m[p][t].is_zero() and m[t][p].is_zero() for t in active)
+        for t in active:
+            if not (m[p][t].is_zero() and m[t][p].is_zero()):
+                raise DivRingError(
+                    f"completing the square at pivot {p} left variable {t} coupled to it"
+                )
         # pull the covector back to original variables through Q^T
         pulled = [alg.zero] * n
         for cur, h in cov.items():

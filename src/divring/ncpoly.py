@@ -244,13 +244,6 @@ class NCPoly:
             _dict_add_scaled(out, cur, coeff)
         return NCPoly(alg, nv, out, _trusted=True)
 
-    def remap_vars(self, mapping: Mapping[int, int], nvars: int) -> "NCPoly":
-        terms = {}
-        for (vars_, bs), coeff in self.terms.items():
-            key = (tuple(mapping[v] for v in vars_), bs)
-            terms[key] = terms.get(key, _ZERO) + coeff
-        return NCPoly(self.algebra, nvars, terms)
-
     def __repr__(self):
         from .io import format_poly
 

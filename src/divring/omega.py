@@ -9,7 +9,8 @@ at construction time.
 
 Closure of a generating subset, derivation words, coordinates of
 endomorphisms, their superposition, regularity, basis extraction and
-morphism decomposition all live here; towers build on this module.
+morphism decomposition all live here, each written once for towers (see
+"the layered engine" below): a representation is the height-2 tower.
 
 Word equality throughout is evaluation equality, never syntactic: the word
 problem has no normal form in this generality, but all carriers are finite
@@ -115,11 +116,7 @@ class FiniteOmegaAlgebra:
 
     def is_endomorphism(self, h: Mapping) -> bool:
         """h: carrier -> carrier respecting every operation."""
-        for op, arity in self.signature.ops:
-            for args in itertools.product(self.carrier, repeat=arity):
-                if h[self.apply(op, args)] != self.apply(op, [h[x] for x in args]):
-                    return False
-        return True
+        return is_homomorphism(h, self, self)
 
     def __repr__(self):
         label = self.name or f"{len(self.carrier)} elements"
@@ -576,7 +573,172 @@ def word_generators(word) -> set:
 
 
 # ---------------------------------------------------------------------------
-# closure
+# the layered engine
+#
+# Closure, bases, endomorphism checks, coordinates and endomorphism
+# enumeration for a tower given by its representations: reps[k] acts level
+# k + 1 on level k + 2, levels counted from 1, and a representation is the
+# tower (rep,).  Level 1 is the whole first algebra, fixed by endomorphisms.
+# The public functions here and in towers wrap these routines.
+
+
+def _close(reps: Sequence, gens: Sequence) -> tuple:
+    """Layered breadth-first fixpoint; gens[k] generates level k + 2.
+
+    Returns the generators, members, word tables and breadth-first levels
+    of levels 2..n, each a tuple over the levels.  Level k + 2 is saturated
+    with the closed level k + 1 as its pool of actors.  Round d + 1 is
+    produced from the members of rounds <= d: first every operation in
+    signature order over argument tuples in carrier-lexicographic order,
+    then every action, actors in carrier order.  The first derivation of an
+    element wins, making the word tables deterministic.  An action records
+    its actor as a bare element at level 2 and as a lower-level word above.
+    """
+    if len(gens) != len(reps):
+        raise ValueError("need one generator set per level above the first")
+    actors, actor_words = reps[0].acting.carrier, None
+    out = []
+    for rep, level_gens in zip(reps, gens):
+        alg = rep.acted
+        gset = set(level_gens)
+        generators = tuple(x for x in alg.carrier if x in gset)
+        word_of = {x: Gen(x) for x in generators}
+        levels = dict.fromkeys(generators, 0)
+        depth = 0
+        while True:
+            current = [m for m in alg.carrier if m in word_of]
+            fresh = {}
+            for op, arity in alg.signature.ops:
+                for args in itertools.product(current, repeat=arity):
+                    val = alg.apply(op, args)
+                    if val not in word_of and val not in fresh:
+                        fresh[val] = App(op, tuple(word_of[a] for a in args))
+            for a in actors:
+                actor = a if actor_words is None else actor_words[a]
+                for m in current:
+                    val = rep.act(a, m)
+                    if val not in word_of and val not in fresh:
+                        fresh[val] = Act(actor, word_of[m])
+            if not fresh:
+                break
+            depth += 1
+            for m, w in fresh.items():
+                word_of[m] = w
+                levels[m] = depth
+        actors = tuple(m for m in alg.carrier if m in word_of)
+        actor_words = word_of
+        out.append((generators, actors, word_of, levels))
+    return tuple(zip(*out))
+
+
+def _generates(reps: Sequence, word_tables: Sequence) -> bool:
+    return all(len(w) == len(rep.acted.carrier) for rep, w in zip(reps, word_tables))
+
+
+def _basis(reps: Sequence, gens: Sequence) -> tuple:
+    """Greedy layered minimization of a generating tuple, lowest level first.
+
+    Within a level elements are tried for removal in descending carrier
+    order, so derived elements drop before the primitives that generate
+    them; once an element survives it stays necessary because closures only
+    shrink when the set does.  Removing any single element of the result
+    breaks generation.
+    """
+    keep, _, words, _ = _close(reps, gens)
+    if not _generates(reps, words):
+        raise NotGenerating("the generators do not generate every level")
+    for k, rep in enumerate(reps):
+        for x in sorted(keep[k], key=rep.acted.index, reverse=True):
+            trial = keep[:k] + (tuple(y for y in keep[k] if y != x),) + keep[k + 1:]
+            if _generates(reps, _close(reps, trial)[2]):
+                keep = trial
+    return keep
+
+
+def _is_level_endomorphism(rep: Representation, h: Mapping, lower: Mapping) -> bool:
+    """h is an endomorphism of the acted algebra with h(a m) = lower(a) h(m)."""
+    return rep.acted.is_endomorphism(h) and _commutes(h, lower, rep, rep)
+
+
+def _is_endomorphism(reps: Sequence, maps: Sequence) -> bool:
+    """maps[k] maps level k + 2 and passes the level check through the
+    map below it, the identity under level 2."""
+    lowers = [{a: a for a in reps[0].acting.carrier}, *maps]
+    return len(maps) == len(reps) and all(
+        map(_is_level_endomorphism, reps, maps, lowers))
+
+
+def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
+                 maps: Sequence, verified: bool) -> tuple:
+    """Per level, each generator mapped to the closure word of its image;
+    `verified=True` skips the endomorphism check."""
+    if not _generates(reps, word_tables):
+        raise NotGenerating("the generators do not generate every level")
+    if not verified and not _is_endomorphism(reps, maps):
+        raise NotRepEndomorphism("maps fail the endomorphism conditions")
+    return tuple(
+        {x: words[h[x]] for x in gens}
+        for gens, words, h in zip(generators, word_tables, maps)
+    )
+
+
+def _endomorphisms(owner, reps: Sequence) -> list:
+    """All endomorphisms (h_2, .., h_n), ordered by the basis images of the
+    lowest level first, each level's images in carrier-lexicographic order.
+
+    An endomorphism is determined by its images of a basis: h_k(m) is the
+    value of the closure word of m when the basis of every level j <= k
+    takes its images under h_j.  Each candidate is evaluated so, by the
+    shared evaluator under `owner`, and kept when it passes the level check
+    through the map chosen below it.  Basis and closure are computed once.
+    """
+    basis = _basis(reps, [rep.acted.carrier for rep in reps])
+    word_tables = _close(reps, basis)[2]
+    out = []
+
+    def extend(k, chosen, images):
+        if k == len(reps):
+            out.append(tuple(chosen))
+            return
+        rep, level, words = reps[k], k + 2, word_tables[k]
+        lower = chosen[-1] if chosen else {a: a for a in rep.acting.carrier}
+        for values in itertools.product(rep.acted.carrier, repeat=len(basis[k])):
+            level_images = {**images, level: dict(zip(basis[k], values))}
+            # candidates never repeat their images: no interning
+            val = _Valuation(owner, level_images)
+            h = {m: _evaluate(reps, level, words[m], val) for m in rep.acted.carrier}
+            if _is_level_endomorphism(rep, h, lower):
+                extend(k + 1, chosen + [h], level_images)
+
+    extend(0, [], {})
+    return out
+
+
+def _saturate(rep: Representation, actors: Iterable, gens: Iterable) -> frozenset:
+    """Set-only saturation of `gens` under the acted algebra's operations and
+    the actions of `actors`: the independent oracle for the closure words,
+    sharing no code with _close."""
+    result = set(gens) & set(rep.acted.carrier)
+    changed = True
+    while changed:
+        changed = False
+        for op, arity in rep.acted.signature.ops:
+            for args in itertools.product(list(result), repeat=arity):
+                v = rep.acted.apply(op, args)
+                if v not in result:
+                    result.add(v)
+                    changed = True
+        for a in actors:
+            for m in list(result):
+                v = rep.act(a, m)
+                if v not in result:
+                    result.add(v)
+                    changed = True
+    return frozenset(result)
+
+
+# ---------------------------------------------------------------------------
+# closure, endomorphisms, coordinates, superposition, bases
 
 
 @dataclass(frozen=True)
@@ -600,80 +762,21 @@ class ClosureResult:
 
 
 def closure(rep: Representation, gens: Iterable) -> ClosureResult:
-    """Breadth-first fixpoint of generators under operations and actions.
-
-    Level k+1 is produced from level <= k members: first every acted-algebra
-    operation in signature order over argument tuples in carrier-lexicographic
-    order, then every action in acting-carrier order.  The first derivation
-    of an element wins, making the word table deterministic.
-    """
-    acted = rep.acted
-    gens = [x for x in acted.carrier if x in set(gens)]
-    word_of = {}
-    levels = {}
-    for x in gens:
-        word_of[x] = Gen(x)
-        levels[x] = 0
-    level = 0
-    while True:
-        current = [m for m in acted.carrier if m in word_of]
-        fresh = {}
-        for op, arity in acted.signature.ops:
-            for args in itertools.product(current, repeat=arity):
-                val = acted.apply(op, args)
-                if val not in word_of and val not in fresh:
-                    fresh[val] = App(op, tuple(word_of[a] for a in args))
-        for a in rep.acting.carrier:
-            for m in current:
-                val = rep.act(a, m)
-                if val not in word_of and val not in fresh:
-                    fresh[val] = Act(a, word_of[m])
-        if not fresh:
-            break
-        level += 1
-        for m, w in fresh.items():
-            word_of[m] = w
-            levels[m] = level
-    members = tuple(m for m in acted.carrier if m in word_of)
-    return ClosureResult(rep, tuple(gens), members, word_of, levels)
+    """Breadth-first fixpoint of generators under operations and actions,
+    in the order of the layered closure (see _close)."""
+    (generators,), (members,), (word_of,), (levels,) = _close((rep,), [gens])
+    return ClosureResult(rep, generators, members, word_of, levels)
 
 
 def naive_closure(rep: Representation, gens: Iterable) -> frozenset:
     """Set-only saturation loop; the independent oracle for closure()."""
-    result = set(gens) & set(rep.acted.carrier)
-    changed = True
-    while changed:
-        changed = False
-        for op, arity in rep.acted.signature.ops:
-            for args in itertools.product(sorted(result, key=rep.acted.index),
-                                          repeat=arity):
-                v = rep.acted.apply(op, args)
-                if v not in result:
-                    result.add(v)
-                    changed = True
-        for a in rep.acting.carrier:
-            for m in list(result):
-                v = rep.act(a, m)
-                if v not in result:
-                    result.add(v)
-                    changed = True
-    return frozenset(result)
-
-
-# ---------------------------------------------------------------------------
-# endomorphisms, coordinates, superposition
+    return _saturate(rep, rep.acting.carrier, gens)
 
 
 def is_rep_endomorphism(rep: Representation, r: Mapping) -> bool:
     """r: M -> M an endomorphism of the acted algebra commuting with every
     action transformation."""
-    if not rep.acted.is_endomorphism(r):
-        return False
-    return all(
-        r[rep.act(a, m)] == rep.act(a, r[m])
-        for a in rep.acting.carrier
-        for m in rep.acted.carrier
-    )
+    return _is_endomorphism((rep,), (r,))
 
 
 def endo_coordinates(rep: Representation, gens: Iterable, r: Mapping,
@@ -688,11 +791,7 @@ def endo_coordinates(rep: Representation, gens: Iterable, r: Mapping,
     """
     if clo is None:
         clo = closure(rep, gens)
-    if not clo.is_full:
-        raise NotGenerating("the set does not generate the carrier")
-    if not verified and not is_rep_endomorphism(rep, r):
-        raise NotRepEndomorphism("map fails the endomorphism conditions")
-    return {x: clo.word_of[r[x]] for x in clo.generators}
+    return _coordinates((rep,), (clo.generators,), (clo.word_of,), (r,), verified)[0]
 
 
 def substitute(word, table: Mapping) -> Sub:
@@ -729,59 +828,19 @@ def is_regular(rep: Representation, gens: Iterable, r: Mapping) -> bool:
 
 
 def extract_basis(rep: Representation, gens: Iterable) -> tuple:
-    """Greedy minimization of a generating set.
-
-    Elements are tried for removal in descending carrier order, so derived
-    elements drop before the primitives that generate them; once an element
-    survives it stays necessary because closures only shrink when the set
-    does.  The result satisfies the basis characterization: removing any
-    single element breaks generation.
-    """
-    clo = closure(rep, gens)
-    if not clo.is_full:
-        raise NotGenerating("the set does not generate the carrier")
-    keep = list(clo.generators)
-    for x in sorted(keep, key=rep.acted.index, reverse=True):
-        trial = [y for y in keep if y != x]
-        if closure(rep, trial).is_full:
-            keep = trial
-    return tuple(keep)
+    """Greedy minimization of a generating set (see _basis): removing any
+    single element of the result breaks generation."""
+    return _basis((rep,), [gens])[0]
 
 
 def enumerate_rep_endomorphisms(rep: Representation) -> list:
-    """All endomorphisms of the representation, as carrier maps.
-
-    Determined by images of a basis: candidates extend basis images through
-    closure words and are then filtered by the exact endomorphism check, so
-    the enumeration stays far below |M|^|M| on structured carriers.
-    """
-    acted = rep.acted
-    basis = extract_basis(rep, acted.carrier)
-    clo = closure(rep, basis)
-    out = []
-    seen = set()
-    for images in itertools.product(acted.carrier, repeat=len(basis)):
-        assignment = dict(zip(basis, images))
-        try:
-            r = {m: eval_word(rep, clo.word_of[m], assignment)
-                 for m in acted.carrier}
-        except KeyError:
-            continue
-        key = tuple(r[m] for m in acted.carrier)
-        if key in seen:
-            continue
-        if is_rep_endomorphism(rep, r):
-            seen.add(key)
-            out.append(r)
-    return out
+    """All endomorphisms of the representation, as carrier maps, determined
+    by their images of a basis (see _endomorphisms)."""
+    return [maps[0] for maps in _endomorphisms(rep, (rep,))]
 
 
 def enumerate_rep_automorphisms(rep: Representation) -> list:
-    n = len(rep.acted.carrier)
-    return [
-        r for r in enumerate_rep_endomorphisms(rep)
-        if len(set(r.values())) == n
-    ]
+    return [r for r in enumerate_rep_endomorphisms(rep) if len(set(r.values())) == len(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -799,18 +858,21 @@ def is_homomorphism(h: Mapping, src: FiniteOmegaAlgebra,
     return True
 
 
-def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
-                   g: Representation) -> bool:
-    """(r, R) is a morphism of representations from f into g."""
-    if not is_homomorphism(r, f.acting, g.acting):
-        return False
-    if not is_homomorphism(big_r, f.acted, g.acted):
-        return False
+def _commutes(big_r: Mapping, r: Mapping, f: Representation, g: Representation) -> bool:
+    """R(f(a)(m)) = g(r(a))(R(m)) for every actor a and element m."""
     return all(
         big_r[f.act(a, m)] == g.act(r[a], big_r[m])
         for a in f.acting.carrier
         for m in f.acted.carrier
     )
+
+
+def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
+                   g: Representation) -> bool:
+    """(r, R) is a morphism of representations from f into g."""
+    return (is_homomorphism(r, f.acting, g.acting)
+            and is_homomorphism(big_r, f.acted, g.acted)
+            and _commutes(big_r, r, f, g))
 
 
 def _kernel_partition(h: Mapping, carrier: Sequence) -> dict:

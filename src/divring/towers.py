@@ -4,11 +4,14 @@ A tower holds algebras A_1 .. A_n and representations f_k of A_k in
 A_{k+1}.  Levels are spoken of 1-based as in the accompanying docs;
 indices into the `algebras` and `reps` tuples are plain 0-based Python.
 
-Tower closure proceeds strictly level by level: level 1 is always the full
-first algebra, level i is saturated using the already-closed level i-1 as
-the pool of actors.  Words at level i >= 3 record the acting element as a
-level-(i-1) word, so a tuple of words reconstructs the whole derivation;
-level-1 "words" are bare elements.
+The engine lives in `omega`: word evaluation and substitution, closure,
+bases, endomorphism checks, coordinates and endomorphism enumeration are
+written once there for towers of any height, a single representation being
+the height-2 tower.  Closure proceeds level by level, each level saturated
+with the closed level below as its pool of actors; words at level i >= 3
+record the acting element as a level-(i-1) word.  This module wraps the
+engine and adds what only towers have: tower morphisms, induced
+representations and effectiveness.
 """
 
 from __future__ import annotations
@@ -21,24 +24,22 @@ from .errors import (
     ChainMismatch,
     GeneratorMismatch,
     NoIdentityPreimage,
-    NotGenerating,
     NotSingleTransitive,
 )
 from .omega import (
-    Act,
-    App,
-    FiniteOmegaAlgebra,
-    Gen,
     Representation,
-    Signature,
+    _basis,
+    _close,
+    _coordinates,
+    _endomorphisms,
     _env,
     _evaluate_at,
+    _generates,
+    _is_endomorphism,
+    _saturate,
     _substitute,
     check_morphism,
     classify,
-    closure,
-    extract_basis,
-    is_homomorphism,
 )
 
 
@@ -110,10 +111,7 @@ class TowerClosure:
 
     @property
     def is_full(self) -> bool:
-        return all(
-            len(self.members[i]) == len(self.tower.algebras[i].carrier)
-            for i in range(len(self.members))
-        )
+        return _generates(self.tower.reps, self.word_of[1:])
 
     def identity_assignments(self) -> dict:
         return {
@@ -124,86 +122,23 @@ class TowerClosure:
 
 def tower_closure(tower: Tower, gens: Sequence[Iterable]) -> TowerClosure:
     """Layered fixpoint; `gens` holds one generating subset per level 2..n.
-
-    Within a level the iteration order matches the plain closure: operations
-    in signature order over lexicographic argument tuples, then actions with
-    actors in (already closed) lower-level carrier order.  First derivation
-    wins.
-    """
-    n = tower.height
-    if len(gens) != n - 1:
-        raise ValueError("need one generator set per level above the first")
-    members = [tuple(tower.algebras[0].carrier)]
-    word_tables = [None]
-    level_tables = [None]
-    gen_norm = []
-    for li in range(1, n):
-        alg = tower.algebras[li]
-        rep = tower.reps[li - 1]
-        gset = set(gens[li - 1])
-        ordered_gens = [x for x in alg.carrier if x in gset]
-        gen_norm.append(tuple(ordered_gens))
-        word_of = {x: Gen(x) for x in ordered_gens}
-        depth_of = {x: 0 for x in ordered_gens}
-        lower_words = word_tables[li - 1]
-        actors = [a for a in tower.algebras[li - 1].carrier if a in set(members[li - 1])]
-        depth = 0
-        while True:
-            current = [m for m in alg.carrier if m in word_of]
-            fresh = {}
-            for op, arity in alg.signature.ops:
-                for args in itertools.product(current, repeat=arity):
-                    val = alg.apply(op, args)
-                    if val not in word_of and val not in fresh:
-                        fresh[val] = App(op, tuple(word_of[a] for a in args))
-            for a in actors:
-                actor_word = a if lower_words is None else lower_words[a]
-                for m in current:
-                    val = rep.act(a, m)
-                    if val not in word_of and val not in fresh:
-                        fresh[val] = Act(actor_word, word_of[m])
-            if not fresh:
-                break
-            depth += 1
-            for m, w in fresh.items():
-                word_of[m] = w
-                depth_of[m] = depth
-        members.append(tuple(m for m in alg.carrier if m in word_of))
-        word_tables.append(word_of)
-        level_tables.append(depth_of)
+    Level 2 and the closure of a representation follow one order (see
+    omega._close)."""
+    generators, members, word_of, levels = _close(tower.reps, gens)
     return TowerClosure(
         tower=tower,
-        generators=tuple(gen_norm),
-        members=tuple(members),
-        word_of=tuple(word_tables),
-        levels=tuple(level_tables),
+        generators=generators,
+        members=(tuple(tower.algebras[0].carrier),) + members,
+        word_of=(None,) + word_of,
+        levels=(None,) + levels,
     )
 
 
 def naive_tower_closure(tower: Tower, gens: Sequence[Iterable]) -> tuple:
     """Layered set-only saturation; the oracle for tower_closure."""
-    n = tower.height
     members = [frozenset(tower.algebras[0].carrier)]
-    for li in range(1, n):
-        alg = tower.algebras[li]
-        rep = tower.reps[li - 1]
-        result = set(gens[li - 1]) & set(alg.carrier)
-        changed = True
-        while changed:
-            changed = False
-            for op, arity in alg.signature.ops:
-                for args in itertools.product(list(result), repeat=arity):
-                    v = alg.apply(op, args)
-                    if v not in result:
-                        result.add(v)
-                        changed = True
-            for a in members[li - 1]:
-                for m in list(result):
-                    v = rep.act(a, m)
-                    if v not in result:
-                        result.add(v)
-                        changed = True
-        members.append(frozenset(result))
+    for rep, level_gens in zip(tower.reps, gens):
+        members.append(_saturate(rep, members[-1], level_gens))
     return tuple(members)
 
 
@@ -213,23 +148,7 @@ def naive_tower_closure(tower: Tower, gens: Sequence[Iterable]) -> tuple:
 
 def is_tower_endomorphism(tower: Tower, maps: Sequence[Mapping]) -> bool:
     """maps holds h_2 .. h_n; level 1 is fixed to the identity."""
-    n = tower.height
-    if len(maps) != n - 1:
-        return False
-    prev = {a: a for a in tower.algebras[0].carrier}
-    for li in range(1, n):
-        h = maps[li - 1]
-        rep = tower.reps[li - 1]
-        if not is_homomorphism(h, rep.acted, rep.acted):
-            return False
-        if not all(
-            h[rep.act(a, m)] == rep.act(prev[a], h[m])
-            for a in rep.acting.carrier
-            for m in rep.acted.carrier
-        ):
-            return False
-        prev = h
-    return True
+    return _is_endomorphism(tower.reps, maps)
 
 
 def tower_endo_coordinates(tower: Tower, gens: Sequence[Iterable],
@@ -239,19 +158,12 @@ def tower_endo_coordinates(tower: Tower, gens: Sequence[Iterable],
     """Per-level coordinate words of a tower endomorphism.
 
     As with the plain representation version, a precomputed closure and
-    `verified=True` let bulk sweeps skip redundant work.
+    `verified=True` let bulk sweeps skip redundant work.  A generating tuple
+    with maps that are no tower endomorphism raises NotRepEndomorphism.
     """
     if clo is None:
         clo = tower_closure(tower, gens)
-    if not clo.is_full:
-        raise NotGenerating("the tuple does not generate the tower")
-    if not verified and not is_tower_endomorphism(tower, maps):
-        raise NotGenerating("maps are not a tower endomorphism")
-    out = []
-    for li in range(1, tower.height):
-        h = maps[li - 1]
-        out.append({x: clo.word_of[li][h[x]] for x in clo.generators[li - 1]})
-    return tuple(out)
+    return _coordinates(tower.reps, clo.generators, clo.word_of[1:], maps, verified)
 
 
 def _substitute_tower(coords: Sequence[Mapping], env) -> tuple:
@@ -291,67 +203,17 @@ def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -
 
 
 def enumerate_tower_endomorphisms(tower: Tower) -> list:
-    """All tower endomorphisms (id, h_2, .., h_n).
-
-    Candidates at each level are generated from images of a basis of that
-    level's representation, extended through closure words with actors
-    pushed through the lower-level map, then filtered by the exact laws.
-    """
-    n = tower.height
-
-    def eval_mapped(rep, word, assign, prev):
-        if isinstance(word, Gen):
-            return assign[word.key]
-        if isinstance(word, App):
-            return rep.acted.apply(
-                word.op, [eval_mapped(rep, c, assign, prev) for c in word.children]
-            )
-        if isinstance(word, Act):
-            return rep.act(prev[word.actor], eval_mapped(rep, word.child, assign, prev))
-        raise TypeError
-
-    def level_candidates(rep, prev):
-        basis = extract_basis(rep, rep.acted.carrier)
-        clo = closure(rep, basis)
-        cands = []
-        for images in itertools.product(rep.acted.carrier, repeat=len(basis)):
-            assign = dict(zip(basis, images))
-            h = {
-                m: eval_mapped(rep, clo.word_of[m], assign, prev)
-                for m in rep.acted.carrier
-            }
-            if not rep.acted.is_endomorphism(h):
-                continue
-            if all(
-                h[rep.act(a, m)] == rep.act(prev[a], h[m])
-                for a in rep.acting.carrier
-                for m in rep.acted.carrier
-            ):
-                cands.append(h)
-        return cands
-
-    out = []
-
-    def rec(li, chosen):
-        if li == n:
-            out.append(tuple(chosen))
-            return
-        prev = chosen[-1] if chosen else {a: a for a in tower.algebras[0].carrier}
-        for h in level_candidates(tower.reps[li - 1], prev):
-            rec(li + 1, chosen + [h])
-
-    rec(1, [])
-    return out
+    """All tower endomorphisms (h_2, .., h_n), level 1 fixed, determined by
+    their images of a basis; omega._endomorphisms enumerates them for every
+    height, a representation being the height-2 case."""
+    return _endomorphisms(tower, tower.reps)
 
 
 def enumerate_tower_automorphisms(tower: Tower) -> list:
     return [
         maps
         for maps in enumerate_tower_endomorphisms(tower)
-        if all(
-            len(set(h.values())) == len(tower.algebras[li + 1].carrier)
-            for li, h in enumerate(maps)
-        )
+        if all(len(set(h.values())) == len(h) for h in maps)
     ]
 
 
@@ -360,25 +222,8 @@ def enumerate_tower_automorphisms(tower: Tower) -> list:
 
 
 def tower_basis(tower: Tower, gens: Sequence[Iterable]) -> tuple:
-    """Greedy layered minimization, lowest layer first.
-
-    Within a layer candidates are tried for removal in descending carrier
-    order, mirroring the plain extract_basis rule; generation is re-checked
-    with the full tower closure because removing a level-i generator can
-    only affect levels >= i.
-    """
-    clo = tower_closure(tower, gens)
-    if not clo.is_full:
-        raise NotGenerating("the tuple does not generate the tower")
-    current = [list(g) for g in clo.generators]
-    for li in range(len(current)):
-        alg = tower.algebras[li + 1]
-        for x in sorted(current[li], key=alg.index, reverse=True):
-            trial = [list(g) for g in current]
-            trial[li] = [y for y in current[li] if y != x]
-            if tower_closure(tower, trial).is_full:
-                current = trial
-    return tuple(tuple(g) for g in current)
+    """Greedy layered minimization, lowest level first (see omega._basis)."""
+    return _basis(tower.reps, gens)
 
 
 # ---------------------------------------------------------------------------

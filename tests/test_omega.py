@@ -142,6 +142,8 @@ def test_closure_examples(c6_generation):
     full = closure(c6_generation, range(6))
     assert full.is_full
     assert all(isinstance(full.word_of[m], Gen) for m in full.members)
+    # a one-shot iterable is read once, not once per carrier element
+    assert closure(c6_generation, iter([2, 3])).generators == (2, 3)
 
 
 def test_closure_levels_are_breadth_first(c6_generation):

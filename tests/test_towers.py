@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -8,11 +9,27 @@ from divring.errors import (
     MissingGenerator,
     NoIdentityPreimage,
     NotGenerating,
+    NotRepEndomorphism,
 )
-from divring.omega import Act, App, Gen, Representation, classify
+from divring.io import load_representation
+from divring.omega import (
+    Act,
+    App,
+    Gen,
+    Representation,
+    classify,
+    closure,
+    endo_coordinates,
+    enumerate_rep_automorphisms,
+    enumerate_rep_endomorphisms,
+    extract_basis,
+    is_rep_endomorphism,
+    naive_closure,
+)
 from divring.samples import (
     cyclic_group,
     f3_point_set,
+    generation_rep,
     point_set,
     scalar_rep,
     toy_affine_tower,
@@ -130,6 +147,54 @@ def test_tower_words_reproduce_members(affine_tower):
 
 
 # ---------------------------------------------------------------------------
+# a representation is a height-2 tower
+
+
+def height_two_cases():
+    c6 = load_representation(
+        os.path.join(os.path.dirname(__file__), "..", "demos", "data", "c6.json"))
+    return [generation_rep(8), translation_rep(12), c6]
+
+
+@pytest.mark.parametrize("rep", height_two_cases(),
+                         ids=["generation8", "translation12", "c6"])
+def test_representation_is_height_two_tower(rep, rng):
+    tower = Tower([rep])
+    carrier = rep.acted.carrier
+    subsets = [list(carrier), [], [carrier[-1]]]
+    subsets += [rng.sample(carrier, rng.randint(1, 3)) for _ in range(6)]
+    for gens in subsets:
+        clo = closure(rep, gens)
+        tclo = tower_closure(tower, [gens])
+        assert clo.generators == tclo.generators[0]
+        assert clo.members == tclo.members[1]
+        assert list(clo.word_of.items()) == list(tclo.word_of[1].items())
+        assert list(clo.levels.items()) == list(tclo.levels[1].items())
+        assert clo.is_full == tclo.is_full
+        assert naive_closure(rep, gens) == naive_tower_closure(tower, [gens])[1]
+        if clo.is_full:
+            assert (extract_basis(rep, gens),) == tower_basis(tower, [gens])
+        else:
+            with pytest.raises(NotGenerating):
+                extract_basis(rep, gens)
+            with pytest.raises(NotGenerating):
+                tower_basis(tower, [gens])
+    endos = enumerate_rep_endomorphisms(rep)
+    assert [list(r.items()) for r in endos] == [
+        list(maps[0].items()) for maps in enumerate_tower_endomorphisms(tower)]
+    assert enumerate_rep_automorphisms(rep) == [
+        maps[0] for maps in enumerate_tower_automorphisms(tower)]
+    basis = extract_basis(rep, carrier)
+    for r in endos:
+        assert is_rep_endomorphism(rep, r) and is_tower_endomorphism(tower, [r])
+        assert (endo_coordinates(rep, basis, r),) == tower_endo_coordinates(
+            tower, [basis], [r])
+    for _ in range(10):
+        r = {m: rng.choice(carrier) for m in carrier}
+        assert is_rep_endomorphism(rep, r) == is_tower_endomorphism(tower, [r])
+
+
+# ---------------------------------------------------------------------------
 # endomorphisms and superposition
 
 
@@ -139,6 +204,15 @@ def test_endomorphism_count(affine_tower):
     assert len(endos) == 729
     for maps in endos[:20]:
         assert is_tower_endomorphism(affine_tower, maps)
+
+
+def test_coordinates_reject_non_endomorphism(affine_tower):
+    gens = [[E1, E2], [P0]]
+    shift = {v: ((v[0] + 1) % 3, v[1]) for v in affine_tower.algebras[1].carrier}
+    ident = {p: p for p in affine_tower.algebras[2].carrier}
+    assert not is_tower_endomorphism(affine_tower, [shift, ident])
+    with pytest.raises(NotRepEndomorphism):
+        tower_endo_coordinates(affine_tower, gens, [shift, ident])
 
 
 def test_identity_superposition_is_fixed_point(affine_tower):
