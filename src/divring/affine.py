@@ -111,41 +111,56 @@ def identity_matrix(alg: Algebra, n: int):
     )
 
 
+def _gauss_jordan(work: list, ncols: int, hand: str = "right", stop_at_gap: bool = False) -> int:
+    """Gauss-Jordan elimination over the ring on the rows `work`, in place.
+
+    Pivots are the first nonzero entry scanning the first `ncols` columns
+    left to right; each pivot row is normalized by the pivot's inverse and
+    cleared from every other row with row_s <- row_s - d row_r.  Under the
+    right-hand convention the multipliers act from the left, under the
+    left-hand one from the right.  With `stop_at_gap` the elimination ends
+    at the first column without a pivot.  Returns the number of pivots; a
+    nonzero pivot without an inverse raises NotInvertible.
+    """
+
+    def lmul(d, x):
+        return mul(d, x) if hand == "right" else mul(x, d)
+
+    rank = 0
+    for c in range(ncols):
+        pr = next((r for r in range(rank, len(work)) if not work[r][c].is_zero()), None)
+        if pr is None:
+            if stop_at_gap:
+                break
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        inv = work[rank][c].inverse()
+        work[rank] = [lmul(inv, x) for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and not work[r][c].is_zero():
+                d = work[r][c]
+                work[r] = [x - lmul(d, y) for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
 def nc_rank(rows: Sequence[Sequence[Element]]) -> int:
     """Rank by row elimination with left multipliers.
 
     Pivots are the first nonzero entry scanning columns left to right; each
-    pivot row is normalized by a left inverse and cleared downward with
+    pivot row is normalized by a left inverse and cleared with
     row_s <- row_s - d row_r.  A nonzero entry without an inverse aborts
     with NotDivisionRing.
     """
     work = [list(r) for r in rows]
     if not work:
         return 0
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        pr = None
-        for r in range(rank, len(work)):
-            if not work[r][c].is_zero():
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        try:
-            inv = work[rank][c].inverse()
-        except NotInvertible as exc:
-            raise NotDivisionRing(str(exc)) from exc
-        work[rank] = [mul(inv, x) for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][c].is_zero():
-                d = work[r][c]
-                work[r] = [x - mul(d, y) for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    try:
+        return _gauss_jordan(work, len(work[0]))
+    except NotInvertible as exc:
+        raise NotDivisionRing(str(exc)) from exc
 
 
 def invert_matrix(m, hand: str = "right"):
@@ -156,30 +171,17 @@ def invert_matrix(m, hand: str = "right"):
     """
     n = len(m)
     alg = m[0][0].algebra
-    work = [list(row) + list(identity_matrix(alg, n)[r]) for r, row in enumerate(m)]
-
-    def lmul(d, x):
-        return mul(d, x) if hand == "right" else mul(x, d)
-
-    rank = 0
-    for c in range(n):
-        pr = next((r for r in range(rank, n) if not work[r][c].is_zero()), None)
-        if pr is None:
-            raise SingularLinearPart("matrix has no inverse over the ring")
-        work[rank], work[pr] = work[pr], work[rank]
-        try:
-            inv = work[rank][c].inverse()
-        except NotInvertible as exc:
-            raise SingularLinearPart(str(exc)) from exc
-        work[rank] = [lmul(inv, x) for x in work[rank]]
-        for r in range(n):
-            if r != rank and not work[r][c].is_zero():
-                d = work[r][c]
-                work[r] = [x - lmul(d, y) for x, y in zip(work[r], work[rank])]
-        rank += 1
+    unit = identity_matrix(alg, n)
+    work = [list(row) + list(unit[r]) for r, row in enumerate(m)]
+    try:
+        rank = _gauss_jordan(work, n, hand, stop_at_gap=True)
+    except NotInvertible as exc:
+        raise SingularLinearPart(str(exc)) from exc
+    if rank < n:
+        raise SingularLinearPart("matrix has no inverse over the ring")
     out = tuple(tuple(work[r][n:]) for r in range(n))
     check = matrix_mul(m, out, hand)
-    if check != identity_matrix(alg, n):
+    if check != unit:
         raise SingularLinearPart("one-sided inverse only")
     return out
 

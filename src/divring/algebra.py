@@ -1,10 +1,18 @@
 """Finite-dimensional algebras over the rationals given by structural constants.
 
 An algebra of dimension n is stored as the rank-3 tensor C[i][j][k] with
-basis products e_i e_j = sum_k C[i][j][k] e_k.  Scalars are exact rationals
-(fractions.Fraction), so every operation in this module is exact.  The
-associativity constraint on C and the two-sided unit are validated eagerly
-at construction: an invalid table never circulates.
+basis products e_i e_j = sum_k C[i][j][k] e_k.  Scalars are exact
+rationals, so every operation in this module is exact.  The associativity
+constraint on C and the two-sided unit are validated eagerly at
+construction: an invalid table never circulates.
+
+Arithmetic runs on integers.  An element stores a tuple of integer
+numerators over one positive denominator, in lowest terms, so equal
+elements store equal integers; `Element.coords` is the tuple of
+`fractions.Fraction` coordinates derived from them on each read.  An
+algebra keeps, besides its Fraction tensor `constants`, the same table as
+integer numerators over one common denominator.  A product, sum or
+scaling is then integer work with one gcd reduction of the result.
 
 Normally the unit is a basis vector (`unit_index`); after an arbitrary
 change of basis it becomes a rational combination of basis vectors, which
@@ -17,9 +25,10 @@ division rings exercised throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import ratlin
@@ -48,7 +57,8 @@ class Algebra:
     holds the unit element's coordinates.
     """
 
-    __slots__ = ("dim", "constants", "unit_index", "unit_coords", "name", "_pair_rows")
+    __slots__ = ("dim", "constants", "unit_index", "unit_coords", "name",
+                 "_rows", "_terms", "_den", "_unit", "_hash")
 
     def __init__(self, dim, constants, unit_index=0, unit_coords=None, name=None):
         if dim <= 0:
@@ -77,30 +87,47 @@ class Algebra:
             self.unit_index = _delta_index(unit_coords)
         self.unit_coords = unit_coords
         self.name = name
-        # sparse rows: (i, j) -> tuple of (k, C[i][j][k]) over nonzero c
-        self._pair_rows = {
-            (i, j): tuple((k, tensor[i][j][k]) for k in range(dim) if tensor[i][j][k])
+        self._hash = None
+        flat, self._den = ratlin.over_common_denominator(
+            [c for plane in tensor for row in plane for c in row]
+        )
+        # integer rows over the common denominator: _rows[i * dim + j] holds
+        # the pairs (k, C[i][j][k] * _den) over the nonzero constants
+        self._rows = tuple(
+            tuple((k, c) for k, c in enumerate(flat[p * dim:(p + 1) * dim]) if c)
+            for p in range(dim * dim)
+        )
+        # the same integers as one flat tuple of (i, j, k, C[i][j][k] * _den),
+        # for the contractions that visit every constant once
+        self._terms = tuple(
+            (i, j, k, c)
             for i in range(dim)
             for j in range(dim)
-        }
+            for k, c in self._rows[i * dim + j]
+        )
+        self._unit = ratlin.over_common_denominator(unit_coords)
         self._validate_unit()
         self._validate_associativity()
 
     # -- validation ----------------------------------------------------------
 
     def _validate_unit(self):
+        # sum_i u_i C[i][j][.] = e_j = sum_i u_i C[j][i][.]; over integers
+        # both sides carry the factor unit denominator * table denominator
         n = self.dim
-        u = self.unit_coords
+        rows = self._rows
+        u, du = self._unit
+        one = du * self._den
         for j in range(n):
-            left = [_ZERO] * n
-            right = [_ZERO] * n
+            left = [0] * n
+            right = [0] * n
             for i in range(n):
                 if u[i]:
-                    for k, c in self._pair_rows[(i, j)]:
+                    for k, c in rows[i * n + j]:
                         left[k] += u[i] * c
-                    for k, c in self._pair_rows[(j, i)]:
+                    for k, c in rows[j * n + i]:
                         right[k] += u[i] * c
-            delta = [_ONE if k == j else _ZERO for k in range(n)]
+            delta = [one if k == j else 0 for k in range(n)]
             if left != delta or right != delta:
                 raise UnitViolation(f"stored unit does not fix basis vector {j}")
 
@@ -108,16 +135,17 @@ class Algebra:
         # (e_i e_m) e_n = e_i (e_m e_n), i.e. for every (i, m, n, k):
         # sum_j C[i][m][j] C[j][n][k] = sum_j C[m][n][j] C[i][j][k]
         n = self.dim
+        rows = self._rows
         for i in range(n):
             for m in range(n):
                 for nn in range(n):
-                    left = [_ZERO] * n
-                    right = [_ZERO] * n
-                    for j, c in self._pair_rows[(i, m)]:
-                        for k, d in self._pair_rows[(j, nn)]:
+                    left = [0] * n
+                    right = [0] * n
+                    for j, c in rows[i * n + m]:
+                        for k, d in rows[j * n + nn]:
                             left[k] += c * d
-                    for j, c in self._pair_rows[(m, nn)]:
-                        for k, d in self._pair_rows[(i, j)]:
+                    for j, c in rows[m * n + nn]:
+                        for k, d in rows[i * n + j]:
                             right[k] += c * d
                     for k in range(n):
                         if left[k] != right[k]:
@@ -129,20 +157,19 @@ class Algebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        return Element(self, [_ONE if j == i else _ZERO for j in range(self.dim)])
+        return _element(self, tuple(int(j == i) for j in range(self.dim)), 1)
 
     @property
     def zero(self) -> "Element":
-        return Element(self, [_ZERO] * self.dim)
+        return _element(self, (0,) * self.dim, 1)
 
     @property
     def unit(self) -> "Element":
-        return Element(self, self.unit_coords)
+        return _element(self, *self._unit)
 
     def scalar(self, q) -> "Element":
         """The central element q * unit."""
-        q = Fraction(q)
-        return Element(self, [q * c for c in self.unit_coords])
+        return self.unit.scale(q)
 
     def basis(self) -> list["Element"]:
         return [self.basis_element(i) for i in range(self.dim)]
@@ -161,7 +188,9 @@ class Algebra:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.unit_coords, self.constants))
+        if self._hash is None:
+            self._hash = hash((self.dim, self.unit_coords, self.constants))
+        return self._hash
 
     def __repr__(self):
         label = self.name or f"dim-{self.dim}"
@@ -175,33 +204,79 @@ def _delta_index(coords) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
 class Element:
-    """An element of an Algebra, held as exact rational coordinates."""
+    """An element of an Algebra, held as exact rational coordinates.
 
-    algebra: Algebra
-    coords: tuple
+    Stored as integer numerators over one positive denominator in lowest
+    terms; `coords` builds the tuple of Fraction coordinates when read.
+    Immutable.
+    """
+
+    __slots__ = ("algebra", "_num", "_den")
 
     def __init__(self, algebra, coords):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in coords))
-        if len(self.coords) != algebra.dim:
+        coords = [Fraction(x) for x in coords]
+        if len(coords) != algebra.dim:
             raise ValueError("coordinate length does not match algebra dimension")
+        num, den = ratlin.over_common_denominator(coords)
+        _set_algebra(self, algebra)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the element without __setattr__
+        return (_element, (self.algebra, self._num, self._den))
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as a tuple of lowest-terms Fractions."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("elements live in different algebras")
 
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return (
+            self._den == other._den
+            and self._num == other._num
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
     def __add__(self, other):
         self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        da, db = self._den, other._den
+        if da == db:
+            num = [x + y for x, y in zip(self._num, other._num)]
+        else:
+            num = [x * db + y * da for x, y in zip(self._num, other._num)]
+            da *= db
+        return _reduced(self.algebra, num, da)
 
     def __sub__(self, other):
         self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        da, db = self._den, other._den
+        if da == db:
+            num = [x - y for x, y in zip(self._num, other._num)]
+        else:
+            num = [x * db - y * da for x, y in zip(self._num, other._num)]
+            da *= db
+        return _reduced(self.algebra, num, da)
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords])
+        return _element(self.algebra, tuple(-x for x in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -214,21 +289,23 @@ class Element:
 
     def scale(self, q) -> "Element":
         q = Fraction(q)
-        return Element(self.algebra, [q * a for a in self.coords])
+        p = q.numerator
+        return _reduced(self.algebra, [p * x for x in self._num], self._den * q.denominator)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self._num)
 
     def rational_part(self) -> Optional[Fraction]:
         """The Fraction q with self == q * unit, or None."""
         alg = self.algebra
+        coords = self.coords
         for q in set(
-            self.coords[i] / alg.unit_coords[i]
+            coords[i] / alg.unit_coords[i]
             for i in range(alg.dim)
             if alg.unit_coords[i]
         ):
             if all(
-                self.coords[i] == q * alg.unit_coords[i] for i in range(alg.dim)
+                coords[i] == q * alg.unit_coords[i] for i in range(alg.dim)
             ):
                 return q
         return None
@@ -238,6 +315,29 @@ class Element:
 
     def __repr__(self):
         return f"Element({list(self.coords)})"
+
+
+_set_algebra = Element.algebra.__set__
+_set_num = Element._num.__set__
+_set_den = Element._den.__set__
+
+
+def _element(algebra: Algebra, num: tuple, den: int) -> Element:
+    """An Element from numerators and a positive denominator in lowest terms."""
+    e = object.__new__(Element)
+    _set_algebra(e, algebra)
+    _set_num(e, num)
+    _set_den(e, den)
+    return e
+
+
+def _reduced(algebra: Algebra, num: list, den: int) -> Element:
+    """An Element from integer numerators over a positive denominator."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return _element(algebra, tuple(num), den)
 
 
 def build_algebra(dim, constants, unit_index=0, name=None) -> Algebra:
@@ -253,18 +353,11 @@ def mul(a: Element, b: Element) -> Element:
     """Product via the structural constants, coords_k = sum C[i][j][k] a_i b_j."""
     a._check(b)
     alg = a.algebra
-    out = [_ZERO] * alg.dim
-    rows = alg._pair_rows
-    for i, ai in enumerate(a.coords):
-        if not ai:
-            continue
-        for j, bj in enumerate(b.coords):
-            if not bj:
-                continue
-            f = ai * bj
-            for k, c in rows[(i, j)]:
-                out[k] += f * c
-    return Element(alg, out)
+    out = [0] * alg.dim
+    anum, bnum = a._num, b._num
+    for i, j, k, c in alg._terms:
+        out[k] += anum[i] * bnum[j] * c
+    return _reduced(alg, out, a._den * b._den * alg._den)
 
 
 def left_regular_matrix(a: Element) -> list[list[Fraction]]:
@@ -310,10 +403,11 @@ class BasisChange:
     """An invertible rational basis change.
 
     Row i of `matrix` holds the old-basis coordinates of the new basis
-    vector e'_i.  The inverse matrix is computed once and cached.
+    vector e'_i.  The inverse matrix is computed once and cached, and both
+    are also kept as integer numerators over one denominator each.
     """
 
-    __slots__ = ("matrix", "inverse")
+    __slots__ = ("matrix", "inverse", "_int_matrix", "_int_inverse")
 
     def __init__(self, matrix: Sequence[Sequence]):
         self.matrix = ratlin.mat(matrix)
@@ -323,6 +417,8 @@ class BasisChange:
         if inv is None:
             raise SingularBasisChange("basis-change matrix is singular")
         self.inverse = inv
+        self._int_matrix = _int_matrix(self.matrix)
+        self._int_inverse = _int_matrix(inv)
 
     @property
     def dim(self) -> int:
@@ -331,6 +427,13 @@ class BasisChange:
     def compose(self, other: "BasisChange") -> "BasisChange":
         """First change by self, then by other (stated relative to self's basis)."""
         return BasisChange(ratlin.mat_mul(other.matrix, self.matrix))
+
+
+def _int_matrix(m) -> tuple[list[tuple[int, ...]], int]:
+    """A rational matrix as integer rows over one common denominator."""
+    n = len(m)
+    flat, den = ratlin.over_common_denominator([x for row in m for x in row])
+    return [flat[r * n:(r + 1) * n] for r in range(n)], den
 
 
 def change_basis(alg: Algebra, bc: BasisChange) -> Algebra:
@@ -344,30 +447,28 @@ def change_basis(alg: Algebra, bc: BasisChange) -> Algebra:
     if bc.dim != alg.dim:
         raise ValueError("basis change has wrong dimension")
     n = alg.dim
-    m = bc.matrix
-    minv = bc.inverse
-    new = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+    m, dm = bc._int_matrix
+    minv, dinv = bc._int_inverse
+    den = dm * dm * alg._den * dinv
+    new = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = [_ZERO] * n
-            for p in range(n):
-                mip = m[i][p]
-                if not mip:
-                    continue
-                for q in range(n):
-                    f = mip * m[j][q]
-                    if not f:
-                        continue
-                    for k, c in alg._pair_rows[(p, q)]:
-                        prod[k] += f * c
+            mi, mj = m[i], m[j]
+            prod = [0] * n
+            for p, q, k, c in alg._terms:
+                prod[k] += mi[p] * mj[q] * c
+            out = [0] * n
             for k in range(n):
                 if prod[k]:
                     row = minv[k]
                     for el in range(n):
                         if row[el]:
-                            new[i][j][el] += prod[k] * row[el]
+                            out[el] += prod[k] * row[el]
+            new[i][j] = [Fraction(x, den) for x in out]
+    u, du = alg._unit
+    unit_den = du * dinv
     unit_new = [
-        sum(alg.unit_coords[j] * minv[j][i] for j in range(n)) for i in range(n)
+        Fraction(sum(u[j] * minv[j][i] for j in range(n)), unit_den) for i in range(n)
     ]
     return Algebra(n, new, unit_coords=unit_new)
 
@@ -382,11 +483,13 @@ def transform_vector(a: Element, bc: BasisChange, target: Optional[Algebra] = No
     if bc.dim != a.algebra.dim:
         raise ValueError("basis change has wrong dimension")
     n = bc.dim
+    if target is not None and target.dim != n:
+        raise ValueError("coordinate length does not match algebra dimension")
+    minv, dinv = bc._int_inverse
     # old row vector = new row vector . matrix, hence new = old . inverse
-    new = [
-        sum(a.coords[j] * bc.inverse[j][i] for j in range(n)) for i in range(n)
-    ]
-    return Element(target if target is not None else a.algebra, new)
+    num = a._num
+    new = [sum(num[j] * minv[j][i] for j in range(n)) for i in range(n)]
+    return _reduced(target if target is not None else a.algebra, new, a._den * dinv)
 
 
 # ---------------------------------------------------------------------------

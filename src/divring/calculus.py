@@ -134,9 +134,9 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
             probe = list(zero)
             probe[v] = alg.basis_element(s)
             for j, c in enumerate(components):
-                w = c.evaluate(probe) - t[j]
+                w = (c.evaluate(probe) - t[j]).coords
                 for r in range(m):
-                    big[j * m + r][v * m + s] = w.coords[r]
+                    big[j * m + r][v * m + s] = w[r]
     binv = ratlin.invert(big)
     if binv is None:
         return None

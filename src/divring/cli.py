@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import affine as aff
@@ -296,7 +297,10 @@ def _cmd_calc_geodesic(args) -> int:
 # parser
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="divring",
         description="exact geometry over finite-dimensional division rings",

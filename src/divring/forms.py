@@ -28,7 +28,6 @@ from .errors import (
     ZeroDiagonalEntry,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
@@ -256,16 +255,13 @@ def two_sided_matrix(a: Element) -> list[list[Fraction]]:
     S[k][j] = sum_i a^i (C[i][j][k] + C[j][i][k])."""
     alg = a.algebra
     n = alg.dim
-    s = [[_ZERO] * n for _ in range(n)]
-    for i, ai in enumerate(a.coords):
-        if not ai:
-            continue
-        for j in range(n):
-            for k, c in alg._pair_rows[(i, j)]:
-                s[k][j] += ai * c
-            for k, c in alg._pair_rows[(j, i)]:
-                s[k][j] += ai * c
-    return s
+    num = a._num
+    s = [[0] * n for _ in range(n)]
+    for i, j, k, c in alg._terms:
+        s[k][j] += num[i] * c
+        s[k][i] += num[j] * c
+    den = a._den * alg._den
+    return [[Fraction(x, den) for x in row] for row in s]
 
 
 def solve_axxa(a: Element, b: Element) -> SylvesterSolution:

@@ -19,7 +19,6 @@ from .algebra import (
     Algebra,
     BUILTIN_ALGEBRAS,
     Element,
-    build_algebra,
     quaternion_algebra,
 )
 from .errors import ParseError
@@ -292,24 +291,34 @@ def load_algebra(source: str) -> Algebra:
     try:
         dim = int(doc["dim"])
         unit = int(doc.get("unit", 0))
+        unit_coords = doc.get("unit_coords")
+        if unit_coords is not None:
+            unit_coords = [parse_rational(str(x)) for x in unit_coords]
         constants = [
             [[parse_rational(str(x)) for x in row] for row in plane]
             for plane in doc["constants"]
         ]
-    except (KeyError, TypeError) as exc:
+        # a table or unit of the wrong shape raises ValueError
+        return Algebra(dim, constants, unit, unit_coords)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed algebra file ({exc})") from exc
-    return build_algebra(dim, constants, unit)
 
 
 def algebra_payload(alg: Algebra) -> dict:
-    return {
+    """The JSON document load_algebra reads back.  A unit that is not a
+    basis vector is written as its coordinates, `unit_coords`."""
+    payload = {
         "dim": alg.dim,
-        "unit": alg.unit_index if alg.unit_index is not None else 0,
         "constants": [
             [[format_rational(c) for c in row] for row in plane]
             for plane in alg.constants
         ],
     }
+    if alg.unit_index is not None:
+        payload["unit"] = alg.unit_index
+    else:
+        payload["unit_coords"] = [format_rational(c) for c in alg.unit_coords]
+    return payload
 
 
 def load_form(source: str) -> tuple[Algebra, BilinearMatrix]:

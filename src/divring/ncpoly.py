@@ -33,21 +33,25 @@ TermKey = tuple  # (vars: tuple[int, ...], basis: tuple[int, ...])
 def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
     """Product of two canonical term dicts; zeros are dropped."""
     out = {}
-    rows = alg._pair_rows
+    n = alg.dim
+    rows = alg._rows
     for (v1, b1), c1 in t1.items():
         head = b1[:-1]
-        last = b1[-1]
+        last = b1[-1] * n
         for (v2, b2), c2 in t2.items():
             f = c1 * c2
             joint = v1 + v2
             tail = b2[1:]
-            for k, c in rows[(last, b2[0])]:
+            for k, c in rows[last + b2[0]]:
                 key = (joint, head + (k,) + tail)
                 s = out.get(key, _ZERO) + f * c
                 if s:
                     out[key] = s
                 elif key in out:
                     del out[key]
+    # the integer rows carry the table's common denominator
+    if alg._den != 1:
+        out = {key: s / alg._den for key, s in out.items()}
     return out
 
 

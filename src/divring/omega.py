@@ -355,6 +355,8 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 #   _USES        id(word) -> (word, generators it reaches)
 #   _VALUATIONS  (owner, generator images) -> _Valuation
 #   _VALUES      (valuation, id(word)) -> (word, value), for App and Act
+#                under interned valuations; a valuation used once (an
+#                enumeration candidate) keeps its values in its own memo
 # The first is dropped after _SUB_LIMIT new envs and Sub nodes, the other
 # three together after _VALUE_LIMIT new entries, which bounds their memory.
 _SUB_LIMIT = 1 << 10
@@ -391,13 +393,16 @@ def _trim_values() -> None:
 
 class _Valuation:
     """Generator images of one owner (a tower, or a representation taken as
-    a height-2 tower): images[level][generator]."""
+    a height-2 tower): images[level][generator].  `memo` holds the App/Act
+    values computed under it: the shared _VALUES by default, or a dict of
+    its own that is dropped with it."""
 
-    __slots__ = ("owner", "images")
+    __slots__ = ("owner", "images", "memo")
 
-    def __init__(self, owner, images):
+    def __init__(self, owner, images, memo=None):
         self.owner = owner
         self.images = images
+        self.memo = _VALUES if memo is None else memo
 
 
 def _valuation(owner, images: dict) -> _Valuation:
@@ -523,7 +528,8 @@ def _evaluate(reps: Sequence, level: int, word, val: _Valuation):
             raise MissingGenerator(f"level {level}: {word.key!r}")
         return images[word.key]
     key = (val, id(word))
-    hit = _VALUES.get(key)
+    memo = val.memo
+    hit = memo.get(key)
     if hit is not None:
         return hit[1]
     rep = reps[level - 2]
@@ -540,8 +546,9 @@ def _evaluate(reps: Sequence, level: int, word, val: _Valuation):
         value = rep.act(actor, _evaluate(reps, level, word.child, val))
     else:
         raise TypeError(f"not a word: {word!r}")
-    _trim_values()
-    _VALUES[key] = (word, value)
+    if memo is _VALUES:
+        _trim_values()
+    memo[key] = (word, value)
     return value
 
 
@@ -704,9 +711,12 @@ def _endomorphisms(owner, reps: Sequence) -> list:
         lower = chosen[-1] if chosen else {a: a for a in rep.acting.carrier}
         for values in itertools.product(rep.acted.carrier, repeat=len(basis[k])):
             level_images = {**images, level: dict(zip(basis[k], values))}
-            # candidates never repeat their images: no interning
-            val = _Valuation(owner, level_images)
+            # candidates never repeat their images: no interning, and
+            # their values stay out of the shared memo
+            memo = {}
+            val = _Valuation(owner, level_images, memo)
             h = {m: _evaluate(reps, level, words[m], val) for m in rep.acted.carrier}
+            memo.clear()  # its keys refer back to val: drop the cycle now
             if _is_level_endomorphism(rep, h, lower):
                 extend(k + 1, chosen + [h], level_images)
 

@@ -1,16 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on lists of lists of Fraction; everything here is
-plain Gauss elimination with exact pivots, no scaling heuristics needed.
+Small dense routines on lists of lists of Fraction.  Elimination is
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+scaled to integers, and every update p * row_i - f * row_r is divided
+exactly by the previous pivot, so every entry stays an integer minor of
+the scaled input.  Fractions are formed once, from the final integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+
+_ZERO = Fraction(0)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -40,29 +47,56 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
+def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the least common denominator of rationals.
+
+    The values are Fractions or ints.  Over the least common denominator
+    of lowest-terms fractions the numerators share no factor with it, so
+    the pair is in lowest terms.
+    """
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in m]
-    rows = len(m)
+    """Reduced row echelon form and the list of pivot columns.
+
+    Fraction-free Gauss-Jordan elimination, pivots chosen as the first
+    nonzero entry scanning columns left to right.  After k pivots every
+    pivot row holds the same pivot value d_k at its pivot column and zero
+    at the others, and the rows below hold zeros in all pivot columns;
+    dividing by d_k gives the reduced form, which is unique.
+    """
+    work = [over_common_denominator(row)[0] for row in m]
+    rows = len(work)
     cols = len(m[0]) if rows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if work[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        work[r], work[pr] = work[pr], work[r]
+        top = work[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            if i == r:
+                continue
+            row = work[i]
+            f = row[c]
+            if f:
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                work[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = [[Fraction(x, prev) if x else _ZERO for x in work[i]] for i in range(r)]
+    out += [[_ZERO] * cols for _ in range(r, rows)]
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -84,7 +118,7 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
     ech, pivots = row_echelon(aug)
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [_ZERO] * cols
     for r, c in enumerate(pivots):
         x[c] = ech[r][cols]
     return x, cols - len(pivots)
@@ -93,7 +127,8 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
 def invert(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse, or None when the matrix is singular."""
     n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
+    unit = identity(n)
+    aug = [m[i][:] + unit[i] for i in range(n)]
     ech, pivots = row_echelon(aug)
     if pivots != list(range(n)):
         return None

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from divring.algebra import quaternion_algebra, rational_algebra
+from divring.algebra import BasisChange, change_basis, quaternion_algebra, rational_algebra
 from divring.cli import main
 from divring.errors import ParseError
 from divring.io import (
@@ -69,10 +69,27 @@ def test_vector_round_trip(rng):
 
 
 def test_algebra_payload_round_trip(tmp_path):
-    path = tmp_path / "alg.json"
-    dump_json(str(path), algebra_payload(H))
-    again = load_algebra(str(path))
-    assert again == H
+    # after this basis change the constants are fractional and the unit is
+    # no longer a basis vector
+    moved = change_basis(H, BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]))
+    assert moved.unit_index is None
+    assert any(c.denominator != 1 for plane in moved.constants for row in plane for c in row)
+    for alg in (H, moved):
+        path = tmp_path / "alg.json"
+        dump_json(str(path), algebra_payload(alg))
+        again = load_algebra(str(path))
+        assert again == alg
+
+
+def test_algebra_file_with_malformed_unit_is_parse_error(tmp_path):
+    payload = algebra_payload(H)
+    del payload["unit"]
+    for unit_coords in (["1", "0"], 5):
+        payload["unit_coords"] = unit_coords
+        path = tmp_path / "alg.json"
+        dump_json(str(path), payload)
+        with pytest.raises(ParseError):
+            load_algebra(str(path))
 
 
 # ---------------------------------------------------------------------------
