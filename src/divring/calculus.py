@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from . import ratlin
 from .algebra import Algebra, Element, mul
 from .errors import NoInverseChart
-from .ncpoly import NCPoly, gateaux, gateaux2
+from .ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
 from functools import lru_cache
 
 _SIGNS = ("8.2", "9.1")
@@ -202,19 +202,12 @@ def _directional_poly(f: NCPoly, x: Sequence[Element], slot: int) -> NCPoly:
     """d f at the point x, in the direction with a formal h in one slot,
     as a polynomial in the single variable h."""
     alg = f.algebra
-    basis = alg.basis()
+    n = f.nvars
     h = NCPoly.var(alg, 1, 0)
-    acc = NCPoly.zero(alg, 1)
-    for (vars_, bs), coeff in f.terms.items():
-        for p, v in enumerate(vars_):
-            if v != slot:
-                continue
-            cur = NCPoly.const(alg, 1, basis[bs[0]])
-            for pos, var in enumerate(vars_):
-                step = h if pos == p else NCPoly.const(alg, 1, x[var])
-                cur = cur * step * NCPoly.const(alg, 1, basis[bs[pos + 1]])
-            acc = acc + cur.scale(coeff)
-    return acc
+    zero = NCPoly.zero(alg, 1)
+    point = [NCPoly.const(alg, 1, x[i]) for i in range(n)]
+    direction = [h if j == slot else zero for j in range(n)]
+    return gateaux_poly(f).substitute(point + direction)
 
 
 def apply_oneform(matrix, increments: Sequence[Element]) -> tuple:
@@ -320,25 +313,12 @@ def express_constant_field(chart: Chart, w: Sequence[Element]) -> tuple:
     constantly w in the old coordinates: v'^p(x') = d(forward^p) at
     x(x') in direction w."""
     alg = chart.algebra
-    n = chart.n
     inverse = chart.require_inverse()
-    out = []
-    for comp in chart.components:
-        acc = NCPoly.zero(alg, n)
-        basis = alg.basis()
-        for (vars_, bs), coeff in comp.terms.items():
-            for p, v in enumerate(vars_):
-                cur = NCPoly.const(alg, n, basis[bs[0]])
-                for pos, var in enumerate(vars_):
-                    step = (
-                        NCPoly.const(alg, n, w[var])
-                        if pos == p
-                        else inverse[var]
-                    )
-                    cur = cur * step * NCPoly.const(alg, n, basis[bs[pos + 1]])
-                acc = acc + cur.scale(coeff)
-        out.append(acc)
-    return tuple(out)
+    direction = [NCPoly.const(alg, chart.n, w[j]) for j in range(chart.n)]
+    return tuple(
+        gateaux_poly(comp).substitute(list(inverse) + direction)
+        for comp in chart.components
+    )
 
 
 def _field_values(field: Sequence[NCPoly], xp: Sequence[Element]) -> list:

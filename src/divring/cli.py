@@ -249,7 +249,9 @@ def _cmd_calc_connection(args) -> int:
     return 0
 
 
-def _cmd_calc_parallel(args) -> int:
+def _cmd_calc_field(args) -> int:
+    """`calc parallel` and `calc covariant`: `args.op` names the calculus
+    function, looked up when called, and `args.label` the output line."""
     chart = dio.load_chart(args.chart)
     gamma = calc.chart_connection(chart)
     field = [
@@ -258,24 +260,9 @@ def _cmd_calc_parallel(args) -> int:
     ]
     point = dio.parse_vector(chart.algebra, args.point)
     direction = dio.parse_vector(chart.algebra, args.direction)
-    res = calc.parallel_residual(gamma, field, point, direction,
+    res = getattr(calc, args.op)(gamma, field, point, direction,
                                  sign=args.sign_convention)
-    print(f"residual: {dio.format_vector(res)}")
-    return 0
-
-
-def _cmd_calc_covariant(args) -> int:
-    chart = dio.load_chart(args.chart)
-    gamma = calc.chart_connection(chart)
-    field = [
-        dio.parse_poly(chart.algebra, chart.n, s)
-        for s in _split_outside_parens(args.field, ";")
-    ]
-    point = dio.parse_vector(chart.algebra, args.point)
-    direction = dio.parse_vector(chart.algebra, args.direction)
-    res = calc.covariant_derivative(gamma, field, point, direction,
-                                    sign=args.sign_convention)
-    print(f"derivative: {dio.format_vector(res)}")
+    print(f"{args.label}: {dio.format_vector(res)}")
     return 0
 
 
@@ -380,18 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--a", required=True)
     p.set_defaults(func=_cmd_calc_connection)
-    p = calcp.add_parser("parallel")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--direction", required=True)
-    p.set_defaults(func=_cmd_calc_parallel)
-    p = calcp.add_parser("covariant")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--direction", required=True)
-    p.set_defaults(func=_cmd_calc_covariant)
+    for verb, op, label in (
+        ("parallel", "parallel_residual", "residual"),
+        ("covariant", "covariant_derivative", "derivative"),
+    ):
+        p = calcp.add_parser(verb)
+        p.add_argument("--chart", required=True)
+        p.add_argument("--field", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--direction", required=True)
+        p.set_defaults(func=_cmd_calc_field, op=op, label=label)
     p = calcp.add_parser("geodesic")
     p.add_argument("--chart", required=True)
     p.add_argument("--path", required=True)

@@ -15,24 +15,50 @@ Directional derivatives of polynomials are exact positional sums: the
 first derivative at x in direction a replaces one variable occurrence by
 the matching direction component, the second derivative replaces an
 ordered pair of distinct occurrences.
+
+Arithmetic runs on integers.  `NCPoly.terms` is the public form, a dict
+from monomial keys to nonzero lowest-terms Fractions.  Products,
+substitution, evaluation and the directional derivatives put those
+coefficients over one common denominator (`ratlin.over_common_denominator`),
+work on integer term dicts (monomial key -> numerator) or on `Element`
+numerators against the algebra's integer tables, and build one Fraction
+per output term, or one Element per value, at the end.  Substitution and
+evaluation walk each monomial left to right and compute every prefix
+e_{b0} x_{v1} e_{b1} ... once per call, shared by all monomials that
+start with it (`_prefix_values`); extending a prefix by a basis constant
+is one table-row lookup per term.  The two directional derivatives are
+one positional sum (`_positional`) evaluated the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import permutations
+from math import lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Algebra, Element, mul
+from . import ratlin
+from .algebra import Algebra, Element, _reduced, mul
 
 _ZERO = Fraction(0)
 
 TermKey = tuple  # (vars: tuple[int, ...], basis: tuple[int, ...])
 
 
+def _int_terms(terms: Mapping) -> tuple[dict, int]:
+    """A Fraction term dict as integer numerators over one common denominator."""
+    nums, den = ratlin.over_common_denominator(terms.values())
+    return dict(zip(terms, nums)), den
+
+
 def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
-    """Product of two canonical term dicts; zeros are dropped."""
+    """Product of two integer term dicts; zeros are dropped.
+
+    The table rows carry the algebra's common denominator, so the result
+    is over the product of the operands' denominators times `alg._den`.
+    """
     out = {}
+    get = out.get
     n = alg.dim
     rows = alg._rows
     for (v1, b1), c1 in t1.items():
@@ -44,24 +70,75 @@ def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
             tail = b2[1:]
             for k, c in rows[last + b2[0]]:
                 key = (joint, head + (k,) + tail)
-                s = out.get(key, _ZERO) + f * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    # the integer rows carry the table's common denominator
-    if alg._den != 1:
-        out = {key: s / alg._den for key, s in out.items()}
+                out[key] = get(key, 0) + f * c
+    return {key: s for key, s in out.items() if s}
+
+
+def _fractions(terms: Mapping, den: int) -> dict:
+    """Integer term dict over `den` as the public lowest-terms Fraction dict."""
+    return {key: Fraction(s, den) for key, s in terms.items() if s}
+
+
+def _prefix_values(items: Iterable, first: Callable, times_var: Callable,
+                   times_basis: Callable) -> list:
+    """(coefficient, value) of every monomial, sharing monomial prefixes.
+
+    `items` yields ((vars, basis), coefficient) pairs.  `first(b)` is the
+    value of e_b; `times_var(value, v)` and `times_basis(value, b)` extend
+    a prefix by variable v or basis constant e_b.  Each prefix is computed once per
+    call, in a trie keyed by the alternating sequence b0, v1, b1, ...
+    """
+    trie = {}
+    out = []
+    for (vars_, bs), c in items:
+        node = trie.get(bs[0])
+        if node is None:
+            node = trie[bs[0]] = (first(bs[0]), {})
+        for pos, v in enumerate(vars_):
+            kids = node[1]
+            mid = kids.get(v)
+            if mid is None:
+                mid = kids[v] = (times_var(node[0], v), {})
+            kids = mid[1]
+            b = bs[pos + 1]
+            node = kids.get(b)
+            if node is None:
+                node = kids[b] = (times_basis(mid[0], b), {})
+        out.append((c, node[0]))
     return out
 
 
-def _dict_add_scaled(target: dict, source: Mapping, factor) -> None:
-    for key, c in source.items():
-        s = target.get(key, _ZERO) + factor * c
-        if s:
-            target[key] = s
-        elif key in target:
-            del target[key]
+def _evaluate(alg: Algebra, items: Iterable, coeff_den: int,
+              value: Callable) -> Element:
+    """Sum of coefficient-weighted monomial values in the algebra.
+
+    `items` yields ((vars, basis), numerator) over `coeff_den`;
+    `value(v)` is the Element taking variable slot v.  A prefix times a
+    value is one `mul`, which raises AlgebraMismatch for a value of
+    another algebra; a prefix times e_b is one table-row lookup.
+    """
+    n = alg.dim
+    rows = alg._rows
+    tden = alg._den
+
+    def times_basis(e, b):
+        a = e._num
+        out = [0] * n
+        for i in range(n):
+            if a[i]:
+                for k, c in rows[i * n + b]:
+                    out[k] += a[i] * c
+        return _reduced(alg, out, e._den * tden)
+
+    parts = _prefix_values(items, alg.basis_element,
+                           lambda e, v: mul(e, value(v)), times_basis)
+    den = lcm(*[e._den for _, e in parts])
+    acc = [0] * n
+    for c, e in parts:
+        f = c * (den // e._den)
+        for k, x in enumerate(e._num):
+            acc[k] += f * x
+    return _reduced(alg, acc, den * coeff_den)
 
 
 class NCPoly:
@@ -99,7 +176,7 @@ class NCPoly:
     @staticmethod
     def const(algebra: Algebra, nvars: int, value: Element) -> "NCPoly":
         terms = {((), (s,)): c for s, c in enumerate(value.coords) if c}
-        return NCPoly(algebra, nvars, terms)
+        return NCPoly(algebra, nvars, terms, _trusted=True)
 
     @staticmethod
     def scalar_const(algebra: Algebra, nvars: int, q) -> "NCPoly":
@@ -107,6 +184,8 @@ class NCPoly:
 
     @staticmethod
     def var(algebra: Algebra, nvars: int, v: int) -> "NCPoly":
+        if not 0 <= v < nvars:
+            raise ValueError("variable index out of range")
         u = algebra.unit_coords
         terms = {}
         for s, us in enumerate(u):
@@ -115,7 +194,7 @@ class NCPoly:
             for t, ut in enumerate(u):
                 if ut:
                     terms[((v,), (s, t))] = us * ut
-        return NCPoly(algebra, nvars, terms)
+        return NCPoly(algebra, nvars, terms, _trusted=True)
 
     # -- ring operations ----------------------------------------------------
 
@@ -154,8 +233,11 @@ class NCPoly:
 
     def __mul__(self, other):
         other = self._like(other)
-        out = _dict_mul(self.algebra, self.terms, other.terms)
-        return NCPoly(self.algebra, self.nvars, out, _trusted=True)
+        alg = self.algebra
+        t1, d1 = _int_terms(self.terms)
+        t2, d2 = _int_terms(other.terms)
+        out = _fractions(_dict_mul(alg, t1, t2), d1 * d2 * alg._den)
+        return NCPoly(alg, self.nvars, out, _trusted=True)
 
     def __rmul__(self, other):
         return self._like(other) * self
@@ -209,21 +291,11 @@ class NCPoly:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def _basis_elements(self):
-        return self.algebra.basis()
-
     def evaluate(self, values: Sequence[Element]) -> Element:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        alg = self.algebra
-        basis = self._basis_elements()
-        acc = alg.zero
-        for (vars_, bs), coeff in self.terms.items():
-            cur = basis[bs[0]]
-            for pos, v in enumerate(vars_):
-                cur = mul(mul(cur, values[v]), basis[bs[pos + 1]])
-            acc = acc + cur.scale(coeff)
-        return acc
+        coeffs, den = _int_terms(self.terms)
+        return _evaluate(self.algebra, coeffs.items(), den, values.__getitem__)
 
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
         """Plug a polynomial into every variable slot; replacements share a
@@ -235,18 +307,31 @@ class NCPoly:
             nv = replacements[0].nvars
         else:
             alg, nv = self.algebra, 0
-        basis_dicts = [
-            {((), (s,)): c for s, c in enumerate(alg.basis_element(i).coords) if c}
-            for i in range(alg.dim)
-        ]
-        out: dict = {}
-        for (vars_, bs), coeff in self.terms.items():
-            cur = basis_dicts[bs[0]]
-            for pos, v in enumerate(vars_):
-                cur = _dict_mul(alg, cur, replacements[v].terms)
-                cur = _dict_mul(alg, cur, basis_dicts[bs[pos + 1]])
-            _dict_add_scaled(out, cur, coeff)
-        return NCPoly(alg, nv, out, _trusted=True)
+        tden = alg._den
+        operands = {}
+
+        def first(b):
+            return {((), (b,)): 1}, 1
+
+        def times_var(val, v):
+            r = operands.get(v)
+            if r is None:
+                r = operands[v] = _int_terms(replacements[v].terms)
+            return _dict_mul(alg, val[0], r[0]), val[1] * r[1] * tden
+
+        def times_basis(val, b):
+            return _dict_mul(alg, val[0], {((), (b,)): 1}), val[1] * tden
+
+        coeffs, coeff_den = _int_terms(self.terms)
+        parts = _prefix_values(coeffs.items(), first, times_var, times_basis)
+        den = lcm(*[d for _, (_, d) in parts])
+        out = {}
+        get = out.get
+        for c, (terms, d) in parts:
+            f = c * (den // d)
+            for key, s in terms.items():
+                out[key] = get(key, 0) + f * s
+        return NCPoly(alg, nv, _fractions(out, den * coeff_den), _trusted=True)
 
     def __repr__(self):
         from .io import format_poly
@@ -258,6 +343,29 @@ class NCPoly:
 # exact directional derivatives
 
 
+def _shifted_terms(terms: Mapping, n: int, k: int):
+    """Every term once per ordered k-tuple of distinct variable positions.
+
+    The j-th position of the tuple (j = 1 .. k) moves its variable v to
+    slot j * n + v; the key's constants and the coefficient are kept.
+    """
+    for (vars_, bs), c in terms.items():
+        for picks in permutations(range(len(vars_)), k):
+            moved = list(vars_)
+            for j, p in enumerate(picks, 1):
+                moved[p] += j * n
+            yield (tuple(moved), bs), c
+
+
+def _positional(f: NCPoly, sources: Sequence) -> Element:
+    """The positional sum behind the directional derivatives: slot
+    j * n + v of the shifted terms reads sources[j][v]."""
+    n = f.nvars
+    coeffs, den = _int_terms(f.terms)
+    return _evaluate(f.algebra, _shifted_terms(coeffs, n, len(sources) - 1), den,
+                     lambda slot: sources[slot // n][slot % n])
+
+
 def gateaux(f: NCPoly, x: Sequence[Element], a: Sequence[Element]) -> Element:
     """First directional derivative at x in direction a.
 
@@ -265,50 +373,14 @@ def gateaux(f: NCPoly, x: Sequence[Element], a: Sequence[Element]) -> Element:
     variable replaced by the matching component of a; exact for
     polynomials.
     """
-    alg = f.algebra
-    basis = alg.basis()
-    acc = alg.zero
-    for (vars_, bs), coeff in f.terms.items():
-        m = len(vars_)
-        if m == 0:
-            continue
-        # prefixes[p] = e_{b0} x .. x e_{bp}; suffixes[p] = x e_{bp+1} .. e_{bm}
-        prefixes = [basis[bs[0]]]
-        for pos in range(m - 1):
-            prefixes.append(mul(mul(prefixes[-1], x[vars_[pos]]), basis[bs[pos + 1]]))
-        suffixes = [basis[bs[m]]]
-        for pos in range(m - 1, 0, -1):
-            suffixes.append(mul(basis[bs[pos]], mul(x[vars_[pos]], suffixes[-1])))
-        suffixes.reverse()
-        for p in range(m):
-            acc = acc + mul(mul(prefixes[p], a[vars_[p]]), suffixes[p]).scale(coeff)
-    return acc
+    return _positional(f, (x, a))
 
 
 def gateaux2(f: NCPoly, x: Sequence[Element], v: Sequence[Element],
              a: Sequence[Element]) -> Element:
     """Second directional derivative: sum over ordered pairs of distinct
     variable positions carrying v and a.  Symmetric in (v, a)."""
-    alg = f.algebra
-    basis = alg.basis()
-    acc = alg.zero
-    for (vars_, bs), coeff in f.terms.items():
-        m = len(vars_)
-        for p in range(m):
-            for q in range(m):
-                if p == q:
-                    continue
-                cur = basis[bs[0]]
-                for pos, var in enumerate(vars_):
-                    if pos == p:
-                        val = v[var]
-                    elif pos == q:
-                        val = a[var]
-                    else:
-                        val = x[var]
-                    cur = mul(mul(cur, val), basis[bs[pos + 1]])
-                acc = acc + cur.scale(coeff)
-    return acc
+    return _positional(f, (x, v, a))
 
 
 def gateaux_poly(f: NCPoly) -> NCPoly:
@@ -317,14 +389,4 @@ def gateaux_poly(f: NCPoly) -> NCPoly:
     The result lives in 2 * nvars variables: indices < nvars are the base
     point, index nvars + v is the direction component for variable v.
     """
-    n = f.nvars
-    terms = {}
-    for (vars_, bs), coeff in f.terms.items():
-        shifted = tuple(v for v in vars_)
-        for p in range(len(vars_)):
-            key_vars = tuple(
-                (v + n) if pos == p else v for pos, v in enumerate(shifted)
-            )
-            key = (key_vars, bs)
-            terms[key] = terms.get(key, _ZERO) + coeff
-    return NCPoly(f.algebra, 2 * n, terms)
+    return NCPoly(f.algebra, 2 * f.nvars, dict(_shifted_terms(f.terms, f.nvars, 1)))

@@ -54,18 +54,20 @@ def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     of lowest-terms fractions the numerators share no factor with it, so
     the pair is in lowest terms.
     """
-    den = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (den // x.denominator) for x in values), den
+    # lists, not generators: tuple(gen) and lcm(*gen) grow their argument
+    # tuple step by step, which raised the peak memory of hot loops
+    den = lcm(*[x.denominator for x in values])
+    return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
-def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on the integer-scaled rows.
 
-    Fraction-free Gauss-Jordan elimination, pivots chosen as the first
-    nonzero entry scanning columns left to right.  After k pivots every
-    pivot row holds the same pivot value d_k at its pivot column and zero
-    at the others, and the rows below hold zeros in all pivot columns;
-    dividing by d_k gives the reduced form, which is unique.
+    Pivots are the first nonzero entry scanning columns left to right.
+    Returns the work rows, the pivot columns and the last pivot value d:
+    after elimination every pivot row holds d at its pivot column and zero
+    at the others, the rows below hold zeros in all pivot columns, and the
+    reduced row echelon form is the work rows divided by d.
     """
     work = [over_common_denominator(row)[0] for row in m]
     rows = len(work)
@@ -94,8 +96,25 @@ def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    out = [[Fraction(x, prev) if x else _ZERO for x in work[i]] for i in range(r)]
-    out += [[_ZERO] * cols for _ in range(r, rows)]
+    return work, pivots, prev
+
+
+def _quotients(nums, den: int) -> Vector:
+    return [Fraction(x, den) if x else _ZERO for x in nums]
+
+
+def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    Fraction-free Gauss-Jordan elimination (`_eliminate`), pivots chosen
+    as the first nonzero entry scanning columns left to right; dividing by
+    the last pivot gives the reduced form, which is unique.
+    """
+    work, pivots, d = _eliminate(m)
+    r = len(pivots)
+    cols = len(m[0]) if m else 0
+    out = [_quotients(work[i], d) for i in range(r)]
+    out += [[_ZERO] * cols for _ in range(r, len(work))]
     return out, pivots
 
 
@@ -114,13 +133,12 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    ech, pivots = row_echelon(aug)
+    work, pivots, d = _eliminate([a[i][:] + [b[i]] for i in range(rows)])
     if cols in pivots:
         return None
     x = [_ZERO] * cols
     for r, c in enumerate(pivots):
-        x[c] = ech[r][cols]
+        x[c] = Fraction(work[r][cols], d)
     return x, cols - len(pivots)
 
 
@@ -128,8 +146,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse, or None when the matrix is singular."""
     n = len(m)
     unit = identity(n)
-    aug = [m[i][:] + unit[i] for i in range(n)]
-    ech, pivots = row_echelon(aug)
+    work, pivots, d = _eliminate([m[i][:] + unit[i] for i in range(n)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in ech]
+    return [_quotients(row[n:], d) for row in work]

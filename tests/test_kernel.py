@@ -206,3 +206,35 @@ def test_solve_and_invert_match_gauss_oracle():
                              for i, row in enumerate(m)])
         want = [row[n:] for row in ech] if pivots == list(range(n)) else None
         assert ratlin.invert(m) == want
+
+
+def test_solve_several_right_hand_sides_and_singular_inverts():
+    """`solve` and `invert` read their answer from the integer elimination;
+    it must equal the column of the reduced form `row_echelon` returns."""
+    a = ratlin.mat([[1, 2, 0, Fraction(1, 3)],
+                    [2, 4, 1, 0],
+                    [3, 6, 1, Fraction(1, 3)]])  # row 3 = row 1 + row 2, column 2 = 2 * column 1
+    consistent = [[1, 1, 2], [0, 0, 0], [Fraction(5, 7), -3, Fraction(-16, 7)]]
+    inconsistent = [[1, 1, 1], [0, 0, 1]]
+    for b, solvable in [(b, True) for b in consistent] + [(b, False) for b in inconsistent]:
+        b = [Fraction(x) for x in b]
+        ech, pivots = ratlin.row_echelon([row + [x] for row, x in zip(a, b)])
+        got = ratlin.solve(a, b)
+        if not solvable:
+            assert 4 in pivots and got is None
+            continue
+        x, nullity = got
+        assert nullity == 2 and pivots == [0, 2]
+        assert x == [ech[0][4], 0, ech[1][4], 0]
+        assert all(type(v) is Fraction for v in x)
+        assert ratlin.mat_vec(a, x) == b
+    singular = [ratlin.mat([[1, 2], [2, 4]]), ratlin.mat([[0, 0], [0, 0]]),
+                ratlin.mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])]
+    for m in singular:
+        assert ratlin.invert(m) is None
+    m = ratlin.mat([[0, 2, 1], [Fraction(1, 2), 0, 0], [3, 1, Fraction(-1, 4)]])
+    inv = ratlin.invert(m)
+    assert ratlin.mat_mul(m, inv) == ratlin.identity(3) == ratlin.mat_mul(inv, m)
+    ech, _ = ratlin.row_echelon([row + unit for row, unit in zip(m, ratlin.identity(3))])
+    assert inv == [row[3:] for row in ech]
+    assert ratlin.solve([], []) == ([], 0) and ratlin.invert([]) == []

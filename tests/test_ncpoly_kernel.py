@@ -1,0 +1,285 @@
+"""Differential tests of the integer polynomial kernel.
+
+`NCPoly` products, substitution, evaluation and directional derivatives
+run on integer numerators over common denominators, sharing monomial
+prefixes.  Every result here is compared with inline oracles that never
+call `ncpoly`: monomials are evaluated term by term with `algebra.mul`,
+`+` and `scale`, and products of term dicts are read straight from the
+public `constants` tensor.  The two calculus derivative helpers are
+compared with inline copies of their former loop implementations.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from divring.algebra import (
+    BasisChange,
+    change_basis,
+    complex_algebra,
+    mul,
+    quaternion_algebra,
+    rational_algebra,
+)
+from divring.calculus import Chart, _directional_poly, express_constant_field
+from divring.errors import AlgebraMismatch
+from divring.ncpoly import NCPoly, gateaux, gateaux2
+
+# non-integer constants (table denominator 2) and a composite unit
+MOVED = change_basis(
+    quaternion_algebra(),
+    BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]),
+)
+ALGEBRAS = [rational_algebra(), complex_algebra(), quaternion_algebra(), MOVED]
+IDS = ["rational", "complex", "quaternion", "moved-quaternion"]
+
+
+def draw_q(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def draw_element(rng, alg):
+    return alg.element([draw_q(rng) if rng.randrange(4) else 0 for _ in range(alg.dim)])
+
+
+def draw_terms(rng, alg, nvars, count=5, max_deg=3):
+    """A raw term dict of degree 0..max_deg; like keys repeat on purpose,
+    so the constructor merges and may cancel them."""
+    keys = []
+    for _ in range(count):
+        d = rng.randint(0, max_deg)
+        keys.append((tuple(rng.randrange(nvars) for _ in range(d)),
+                     tuple(rng.randrange(alg.dim) for _ in range(d + 1))))
+    terms = {}
+    for key in keys + keys[:2]:
+        terms[key] = terms.get(key, 0) + draw_q(rng)
+    return terms
+
+
+def cases(alg, seed, count=25):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(1, 3)
+        yield rng, nvars, draw_terms(rng, alg, nvars)
+
+
+# ---------------------------------------------------------------------------
+# oracles: no ncpoly calls
+
+
+def oracle_monomial(alg, vars_, bs, value):
+    cur = alg.basis_element(bs[0])
+    for pos, v in enumerate(vars_):
+        cur = mul(mul(cur, value(pos, v)), alg.basis_element(bs[pos + 1]))
+    return cur
+
+
+def oracle_value(alg, terms, values):
+    acc = alg.zero
+    for (vars_, bs), c in terms.items():
+        acc = acc + oracle_monomial(alg, vars_, bs, lambda pos, v: values[v]).scale(c)
+    return acc
+
+
+def oracle_gateaux(alg, terms, x, a):
+    acc = alg.zero
+    for (vars_, bs), c in terms.items():
+        for p in range(len(vars_)):
+            term = oracle_monomial(alg, vars_, bs,
+                                   lambda pos, v: a[v] if pos == p else x[v])
+            acc = acc + term.scale(c)
+    return acc
+
+
+def oracle_gateaux2(alg, terms, x, v, a):
+    acc = alg.zero
+    for (vars_, bs), c in terms.items():
+        for p in range(len(vars_)):
+            for q in range(len(vars_)):
+                if p != q:
+                    pick = (lambda pos, w, p=p, q=q:
+                            v[w] if pos == p else a[w] if pos == q else x[w])
+                    acc = acc + oracle_monomial(alg, vars_, bs, pick).scale(c)
+    return acc
+
+
+def oracle_product(alg, t1, t2):
+    """Term-dict product read from the Fraction `constants` tensor."""
+    out = {}
+    for (v1, b1), c1 in t1.items():
+        for (v2, b2), c2 in t2.items():
+            for k in range(alg.dim):
+                c = alg.constants[b1[-1]][b2[0]][k]
+                if c:
+                    key = (v1 + v2, b1[:-1] + (k,) + b2[1:])
+                    out[key] = out.get(key, 0) + c1 * c2 * c
+    return {key: c for key, c in out.items() if c}
+
+
+def assert_canonical(p):
+    for (vars_, bs), c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        assert len(bs) == len(vars_) + 1
+        assert all(0 <= v < p.nvars for v in vars_)
+        assert all(0 <= b < p.algebra.dim for b in bs)
+
+
+# ---------------------------------------------------------------------------
+# products, evaluation, substitution, derivatives
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_product_matches_table_oracle(alg):
+    for rng, nvars, raw in cases(alg, 5100 + alg.dim):
+        p = NCPoly(alg, nvars, raw)
+        q = NCPoly(alg, nvars, draw_terms(rng, alg, nvars))
+        assert (p * q).terms == oracle_product(alg, p.terms, q.terms)
+        assert_canonical(p * q)
+        assert (p * (-p) + p * p).is_zero()
+        assert (p * NCPoly.zero(alg, nvars)).is_zero()
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_evaluate_matches_term_by_term_oracle(alg):
+    for rng, nvars, raw in cases(alg, 5200 + alg.dim):
+        p = NCPoly(alg, nvars, raw)
+        values = [draw_element(rng, alg) for _ in range(nvars)]
+        assert p.evaluate(values) == oracle_value(alg, raw, values)
+        assert p.constant_term() == oracle_value(alg, raw, [alg.zero] * nvars)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_substitute_then_evaluate_matches_oracle(alg):
+    for rng, nvars, raw in cases(alg, 5300 + alg.dim):
+        p = NCPoly(alg, nvars, raw)
+        inner_vars = rng.randint(1, 3)
+        raws = [draw_terms(rng, alg, inner_vars, count=3, max_deg=2) for _ in range(nvars)]
+        reps = [NCPoly(alg, inner_vars, r) for r in raws]
+        composed = p.substitute(reps)
+        assert composed.nvars == inner_vars
+        assert_canonical(composed)
+        point = [draw_element(rng, alg) for _ in range(inner_vars)]
+        inner = [oracle_value(alg, r, point) for r in raws]
+        assert composed.evaluate(point) == oracle_value(alg, raw, inner)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_derivatives_match_positional_oracle(alg):
+    for rng, nvars, raw in cases(alg, 5400 + alg.dim):
+        p = NCPoly(alg, nvars, raw)
+        x, v, a = ([draw_element(rng, alg) for _ in range(nvars)] for _ in range(3))
+        assert gateaux(p, x, a) == oracle_gateaux(alg, raw, x, a)
+        assert gateaux2(p, x, v, a) == oracle_gateaux2(alg, raw, x, v, a)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_const_and_var_terms(alg):
+    rng = random.Random(5500 + alg.dim)
+    u = alg.unit_coords
+    for nvars in (1, 2, 3):
+        e = draw_element(rng, alg)
+        c = NCPoly.const(alg, nvars, e)
+        assert c.terms == {((), (s,)): q for s, q in enumerate(e.coords) if q}
+        assert c == NCPoly(alg, nvars, {((), (s,)): q for s, q in enumerate(e.coords)})
+        assert_canonical(c)
+        for v in range(nvars):
+            x = NCPoly.var(alg, nvars, v)
+            want = {((v,), (s, t)): u[s] * u[t]
+                    for s in range(alg.dim) for t in range(alg.dim) if u[s] and u[t]}
+            assert x.terms == want
+            assert_canonical(x)
+            point = [draw_element(rng, alg) for _ in range(nvars)]
+            assert x.evaluate(point) == point[v]
+        for bad in (-1, nvars):
+            with pytest.raises(ValueError, match="variable index out of range"):
+                NCPoly.var(alg, nvars, bad)
+
+
+def test_errors_are_raised_in_the_same_cases():
+    H, C = quaternion_algebra(), complex_algebra()
+    x0, x1 = NCPoly.var(H, 2, 0), NCPoly.var(H, 2, 1)
+    p = NCPoly.const(H, 2, H.basis_element(1)) * x0 * x0 + x0
+    point = [H.basis_element(2), H.basis_element(3)]
+    with pytest.raises(ValueError, match="wrong number of values"):
+        p.evaluate(point[:1])
+    with pytest.raises(ValueError, match="wrong number of replacements"):
+        p.substitute([x0])
+    with pytest.raises(ValueError, match="negative powers"):
+        p ** -1
+    # a value of another algebra raises only when a term uses it
+    alien = C.basis_element(1)
+    with pytest.raises(AlgebraMismatch):
+        p.evaluate([alien, point[1]])
+    with pytest.raises(AlgebraMismatch):
+        gateaux(p, point, [alien, point[1]])
+    with pytest.raises(AlgebraMismatch):
+        gateaux(p, [alien, point[1]], point)
+    with pytest.raises(AlgebraMismatch):
+        gateaux2(p, point, [alien, point[1]], point)
+    with pytest.raises(AlgebraMismatch):
+        gateaux2(p, point, point, [alien, point[1]])
+    assert p.evaluate([point[0], alien]) == oracle_value(H, p.terms, point)
+    assert gateaux(p, [point[0], alien], [point[1], alien]) == \
+        oracle_gateaux(H, p.terms, point, [point[1], point[1]])
+    # constant terms use no value at all
+    assert (x1 - x1 + 3).evaluate([alien, alien]) == H.scalar(3)
+
+
+# ---------------------------------------------------------------------------
+# calculus helpers against their former loops
+
+
+def loop_directional_poly(f, x, slot):
+    alg = f.algebra
+    basis = alg.basis()
+    h = NCPoly.var(alg, 1, 0)
+    acc = NCPoly.zero(alg, 1)
+    for (vars_, bs), coeff in f.terms.items():
+        for p, v in enumerate(vars_):
+            if v != slot:
+                continue
+            cur = NCPoly.const(alg, 1, basis[bs[0]])
+            for pos, var in enumerate(vars_):
+                step = h if pos == p else NCPoly.const(alg, 1, x[var])
+                cur = cur * step * NCPoly.const(alg, 1, basis[bs[pos + 1]])
+            acc = acc + cur.scale(coeff)
+    return acc
+
+
+def loop_constant_field(chart, w):
+    alg = chart.algebra
+    n = chart.n
+    basis = alg.basis()
+    out = []
+    for comp in chart.components:
+        acc = NCPoly.zero(alg, n)
+        for (vars_, bs), coeff in comp.terms.items():
+            for p in range(len(vars_)):
+                cur = NCPoly.const(alg, n, basis[bs[0]])
+                for pos, var in enumerate(vars_):
+                    step = NCPoly.const(alg, n, w[var]) if pos == p else chart.inverse[var]
+                    cur = cur * step * NCPoly.const(alg, n, basis[bs[pos + 1]])
+                acc = acc + cur.scale(coeff)
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_derivative_helpers_equal_their_loop_versions(alg):
+    rng = random.Random(5600 + alg.dim)
+    for _ in range(6):
+        x1, x2 = NCPoly.var(alg, 2, 0), NCPoly.var(alg, 2, 1)
+        c = NCPoly.const(alg, 2, draw_element(rng, alg))
+        chart = Chart([x1, x2 + x1 * c * x1], [x1, x2 - x1 * c * x1])
+        point = [draw_element(rng, alg) for _ in range(2)]
+        for comp in chart.components + (NCPoly(alg, 2, draw_terms(rng, alg, 2)),):
+            for slot in range(2):
+                assert _directional_poly(comp, point, slot) == \
+                    loop_directional_poly(comp, point, slot)
+        w = [draw_element(rng, alg) for _ in range(2)]
+        assert express_constant_field(chart, w) == loop_constant_field(chart, w)
