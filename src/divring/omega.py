@@ -64,9 +64,15 @@ class Signature:
 
 
 class FiniteOmegaAlgebra:
-    """A finite carrier with a total table for every signature operation."""
+    """A finite carrier with a total table for every signature operation.
 
-    __slots__ = ("carrier", "signature", "tables", "name", "_index")
+    The engine reads the carrier as indices 0..n-1 and each table as one
+    flat tuple of value indices, (a_1, .., a_r) at sum a_k n^(r-k), the
+    itertools.product order; `tables` is the label-level view.  Neither
+    may be mutated after construction.
+    """
+
+    __slots__ = ("carrier", "signature", "tables", "name", "_index", "_flat")
 
     def __init__(self, carrier, signature, tables, name=None,
                  carrier_bound=DEFAULT_CARRIER_BOUND):
@@ -81,9 +87,8 @@ class FiniteOmegaAlgebra:
             signature = Signature(signature)
         self.signature = signature
         self.name = name
-        self._index = {m: i for i, m in enumerate(self.carrier)}
-        cset = set(self.carrier)
-        norm = {}
+        index = self._index = {m: i for i, m in enumerate(self.carrier)}
+        norm, self._flat = {}, {}
         for op, arity in signature.ops:
             table = tables[op]
             if callable(table):
@@ -93,12 +98,14 @@ class FiniteOmegaAlgebra:
                 }
             else:
                 table = dict(table)
+            flat = []
             for args in itertools.product(self.carrier, repeat=arity):
                 if args not in table:
                     raise ValueError(f"table for {op!r} is not total at {args!r}")
-                if table[args] not in cset:
+                if table[args] not in index:
                     raise ValueError(f"table for {op!r} leaves the carrier at {args!r}")
-            norm[op] = table
+                flat.append(index[table[args]])
+            norm[op], self._flat[op] = table, tuple(flat)
         self.tables = norm
 
     def apply(self, op: str, args: Sequence) -> object:
@@ -138,10 +145,15 @@ class Representation:
     """An algebra A acting on an algebra M by endomorphisms.
 
     handedness only affects printing (left actions read a*m, right ones
-    m*a); the action function itself is side-agnostic.
+    m*a); the action function itself is side-agnostic.  The action must be
+    total; `validate=False` skips only the endomorphism and law checks.  The
+    engine reads one image row of acted-carrier indices per actor, in
+    acting-carrier order; `action` is the label-level view.  Neither may be
+    mutated after construction.
     """
 
-    __slots__ = ("acting", "acted", "action", "rep_kind", "handedness", "name")
+    __slots__ = ("acting", "acted", "action", "rep_kind", "handedness", "name",
+                 "_rows")
 
     def __init__(self, acting, acted, action, rep_kind="raw", handedness="left",
                  name=None, validate=True):
@@ -158,6 +170,13 @@ class Representation:
                 for m in acted.carrier
             }
         self.action = dict(action)
+        index, rows = acted._index, []
+        for a in acting.carrier:
+            for m in acted.carrier:
+                if (a, m) not in self.action or self.action[(a, m)] not in index:
+                    raise ValueError(f"action is not total at ({a!r}, {m!r})")
+            rows.append(tuple(index[self.action[(a, m)]] for m in acted.carrier))
+        self._rows = tuple(rows)
         self.rep_kind = rep_kind
         self.handedness = handedness
         self.name = name
@@ -174,11 +193,6 @@ class Representation:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        mset = set(self.acted.carrier)
-        for a in self.acting.carrier:
-            for m in self.acted.carrier:
-                if (a, m) not in self.action or self.action[(a, m)] not in mset:
-                    raise ValueError(f"action is not total at ({a!r}, {m!r})")
         # every transformation must respect the acted algebra's operations
         for a in self.acting.carrier:
             for op, arity in self.acted.signature.ops:
@@ -355,8 +369,6 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 #   _USES        id(word) -> (word, generators it reaches)
 #   _VALUATIONS  (owner, generator images) -> _Valuation
 #   _VALUES      (valuation, id(word)) -> (word, value), for App and Act
-#                under interned valuations; a valuation used once (an
-#                enumeration candidate) keeps its values in its own memo
 # The first is dropped after _SUB_LIMIT new envs and Sub nodes, the other
 # three together after _VALUE_LIMIT new entries, which bounds their memory.
 _SUB_LIMIT = 1 << 10
@@ -393,16 +405,13 @@ def _trim_values() -> None:
 
 class _Valuation:
     """Generator images of one owner (a tower, or a representation taken as
-    a height-2 tower): images[level][generator].  `memo` holds the App/Act
-    values computed under it: the shared _VALUES by default, or a dict of
-    its own that is dropped with it."""
+    a height-2 tower): images[level][generator]."""
 
-    __slots__ = ("owner", "images", "memo")
+    __slots__ = ("owner", "images")
 
-    def __init__(self, owner, images, memo=None):
+    def __init__(self, owner, images):
         self.owner = owner
         self.images = images
-        self.memo = _VALUES if memo is None else memo
 
 
 def _valuation(owner, images: dict) -> _Valuation:
@@ -528,8 +537,7 @@ def _evaluate(reps: Sequence, level: int, word, val: _Valuation):
             raise MissingGenerator(f"level {level}: {word.key!r}")
         return images[word.key]
     key = (val, id(word))
-    memo = val.memo
-    hit = memo.get(key)
+    hit = _VALUES.get(key)
     if hit is not None:
         return hit[1]
     rep = reps[level - 2]
@@ -546,9 +554,8 @@ def _evaluate(reps: Sequence, level: int, word, val: _Valuation):
         value = rep.act(actor, _evaluate(reps, level, word.child, val))
     else:
         raise TypeError(f"not a word: {word!r}")
-    if memo is _VALUES:
-        _trim_values()
-    memo[key] = (word, value)
+    _trim_values()
+    _VALUES[key] = (word, value)
     return value
 
 
@@ -586,55 +593,115 @@ def word_generators(word) -> set:
 # enumeration for a tower given by its representations: reps[k] acts level
 # k + 1 on level k + 2, levels counted from 1, and a representation is the
 # tower (rep,).  Level 1 is the whole first algebra, fixed by endomorphisms.
-# The public functions here and in towers wrap these routines.
+# The engine runs on carrier indices, the flat operation tables and the
+# action rows; labels and words are made only for results.  One semi-naive
+# round loop (_rounds) yields the closure words, the membership trials of
+# basis extraction and the straight-line programs that enumeration runs
+# once per candidate.  The public functions here and in towers wrap these
+# routines.
+
+
+def _rounds(rep: Representation, actors: Sequence, start: Sequence):
+    """Breadth-first rounds from the acted-carrier indices `start`
+    (ascending), `actors` being acting-carrier indices in carrier order.
+
+    Yields each round's new members in first-derivation order as steps
+    (v, op, args): v is op at the argument indices args, or, with op None
+    and args (a, m), actor a's image of m.  A round applies every operation,
+    in signature order, to argument tuples over the members in
+    lexicographic order, then every actor's row to the members.  Semi-naive:
+    tuples of older members gave their values in an earlier round, so only
+    tuples holding a member new in the round before are generated, and
+    actors read only the new members; the first round takes every tuple,
+    the nullary one too.  Rounds and first derivations are the full loop's.
+    """
+    alg, rows = rep.acted, rep._rows
+    n = len(alg.carrier)
+    seen = bytearray(n)
+    for m in start:
+        seen[m] = 1
+    current = new = list(start)
+    first = True
+    while True:
+        chunks, fresh = {}, []
+        for op, arity in alg.signature.ops:
+            if arity not in chunks:
+                chunks[arity] = _chunks(n, current, new, arity, first)
+            table = alg._flat[op]
+            for base, lasts in chunks[arity]:
+                for last in lasts:
+                    v = table[base + last]
+                    if not seen[v]:
+                        seen[v], pos = 1, base + last
+                        args = [pos // n ** k % n for k in range(arity - 1, -1, -1)]
+                        fresh.append((v, op, tuple(args)))
+        for a in actors:
+            row = rows[a]
+            for m in new:
+                v = row[m]
+                if not seen[v]:
+                    seen[v] = 1
+                    fresh.append((v, None, (a, m)))
+        if not fresh:
+            return
+        yield fresh
+        new = sorted([v for v, _, _ in fresh])
+        current, first = sorted(current + new), False
+
+
+def _chunks(n: int, current: list, new: list, arity: int, first: bool) -> list:
+    """The flat positions of the argument tuples over `current` that hold a
+    member of `new`, ascending (lexicographic in the tuples), as pairs
+    (base, lasts) giving base + last, one per prefix of arity - 1 arguments;
+    a prefix without a new member takes its last argument from `new`."""
+    if arity == 0:
+        return [(0, (0,))] if first else []
+    out, newset = [], set(new)
+    for prefix in itertools.product(current, repeat=arity - 1):
+        base = 0
+        for a in prefix:
+            base = base * n + a
+        out.append((base * n, new if newset.isdisjoint(prefix) else current))
+    return out
 
 
 def _close(reps: Sequence, gens: Sequence) -> tuple:
     """Layered breadth-first fixpoint; gens[k] generates level k + 2.
 
     Returns the generators, members, word tables and breadth-first levels
-    of levels 2..n, each a tuple over the levels.  Level k + 2 is saturated
-    with the closed level k + 1 as its pool of actors.  Round d + 1 is
-    produced from the members of rounds <= d: first every operation in
-    signature order over argument tuples in carrier-lexicographic order,
-    then every action, actors in carrier order.  The first derivation of an
-    element wins, making the word tables deterministic.  An action records
-    its actor as a bare element at level 2 and as a lower-level word above.
+    of levels 2..n, each a tuple over the levels.  Level k + 2 runs the
+    rounds of _rounds with the closed level k + 1 as its actors.  The first
+    derivation of an element wins, making the word tables deterministic:
+    generators in carrier order, then each round in derivation order.  An
+    action records its actor as a bare element at level 2 and as a
+    lower-level word above.
     """
     if len(gens) != len(reps):
         raise ValueError("need one generator set per level above the first")
-    actors, actor_words = reps[0].acting.carrier, None
+    actors = range(len(reps[0].acting.carrier))
+    actor_words = reps[0].acting.carrier
     out = []
     for rep, level_gens in zip(reps, gens):
-        alg = rep.acted
+        carrier = rep.acted.carrier
         gset = set(level_gens)
-        generators = tuple(x for x in alg.carrier if x in gset)
-        word_of = {x: Gen(x) for x in generators}
-        levels = dict.fromkeys(generators, 0)
-        depth = 0
-        while True:
-            current = [m for m in alg.carrier if m in word_of]
-            fresh = {}
-            for op, arity in alg.signature.ops:
-                for args in itertools.product(current, repeat=arity):
-                    val = alg.apply(op, args)
-                    if val not in word_of and val not in fresh:
-                        fresh[val] = App(op, tuple(word_of[a] for a in args))
-            for a in actors:
-                actor = a if actor_words is None else actor_words[a]
-                for m in current:
-                    val = rep.act(a, m)
-                    if val not in word_of and val not in fresh:
-                        fresh[val] = Act(actor, word_of[m])
-            if not fresh:
-                break
-            depth += 1
-            for m, w in fresh.items():
-                word_of[m] = w
-                levels[m] = depth
-        actors = tuple(m for m in alg.carrier if m in word_of)
-        actor_words = word_of
-        out.append((generators, actors, word_of, levels))
+        start = [i for i, x in enumerate(carrier) if x in gset]
+        words = [None] * len(carrier)
+        word_of, levels = {}, {}
+        for i in start:
+            words[i] = word_of[carrier[i]] = Gen(carrier[i])
+            levels[carrier[i]] = 0
+        for depth, fresh in enumerate(_rounds(rep, actors, start), 1):
+            for v, op, args in fresh:
+                if op is None:
+                    word = Act(actor_words[args[0]], words[args[1]])
+                else:
+                    word = App(op, tuple([words[i] for i in args]))
+                words[v] = word_of[carrier[v]] = word
+                levels[carrier[v]] = depth
+        actors = [i for i, w in enumerate(words) if w is not None]
+        actor_words = words
+        out.append((tuple([carrier[i] for i in start]),
+                    tuple([carrier[i] for i in actors]), word_of, levels))
     return tuple(zip(*out))
 
 
@@ -649,30 +716,55 @@ def _basis(reps: Sequence, gens: Sequence) -> tuple:
     order, so derived elements drop before the primitives that generate
     them; once an element survives it stays necessary because closures only
     shrink when the set does.  Removing any single element of the result
-    breaks generation.
+    breaks generation.  Removing x from level k keeps the full levels below,
+    and those above too while level k stays full, i.e. while the rest of
+    level k reaches x: a trial is one set-only closure of level k under all
+    of level k - 1, stopped at the round that reaches x.
     """
     keep, _, words, _ = _close(reps, gens)
     if not _generates(reps, words):
         raise NotGenerating("the generators do not generate every level")
-    for k, rep in enumerate(reps):
-        for x in sorted(keep[k], key=rep.acted.index, reverse=True):
-            trial = keep[:k] + (tuple(y for y in keep[k] if y != x),) + keep[k + 1:]
-            if _generates(reps, _close(reps, trial)[2]):
-                keep = trial
-    return keep
+    out = []
+    for rep, level in zip(reps, keep):
+        carrier, actors = rep.acted.carrier, range(len(rep.acting.carrier))
+        rest = [rep.acted._index[x] for x in level]
+        for x in rest[::-1]:
+            trial = [y for y in rest if y != x]
+            if any(v == x for fresh in _rounds(rep, actors, trial) for v, _, _ in fresh):
+                rest = trial
+        out.append(tuple([carrier[i] for i in rest]))
+    return tuple(out)
 
 
-def _is_level_endomorphism(rep: Representation, h: Mapping, lower: Mapping) -> bool:
-    """h is an endomorphism of the acted algebra with h(a m) = lower(a) h(m)."""
-    return rep.acted.is_endomorphism(h) and _commutes(h, lower, rep, rep)
+def _is_level_endomorphism(rep: Representation, h: Sequence, lower: Sequence) -> bool:
+    """The index row h is an endomorphism of the acted algebra with
+    h(a m) = lower(a) h(m), lower an index row of the acting carrier: each
+    flat table at the h-images of its tuples is h of the table, and each
+    actor row through h is the row of lower(a) at h."""
+    n, image = len(h), h.__getitem__
+    for op, arity in rep.acted.signature.ops:
+        table, pos = rep.acted._flat[op], [0]
+        for _ in range(arity):
+            pos = [p * n + x for p in pos for x in h]
+        if list(map(table.__getitem__, pos)) != list(map(image, table)):
+            return False
+    rows = rep._rows
+    return [h[v] for row in rows for v in row] == [rows[b][x] for b in lower for x in h]
 
 
 def _is_endomorphism(reps: Sequence, maps: Sequence) -> bool:
     """maps[k] maps level k + 2 and passes the level check through the
-    map below it, the identity under level 2."""
-    lowers = [{a: a for a in reps[0].acting.carrier}, *maps]
-    return len(maps) == len(reps) and all(
-        map(_is_level_endomorphism, reps, maps, lowers))
+    map below it, the identity under level 2.  A map that is not total on
+    its level's carrier, or that leaves it, is none."""
+    if len(maps) != len(reps):
+        return False
+    try:
+        rows = [[rep.acted._index[h[m]] for m in rep.acted.carrier]
+                for rep, h in zip(reps, maps)]
+    except KeyError:
+        return False
+    lowers = [range(len(reps[0].acting.carrier)), *rows]
+    return all(map(_is_level_endomorphism, reps, rows, lowers))
 
 
 def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
@@ -689,38 +781,48 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
     )
 
 
-def _endomorphisms(owner, reps: Sequence) -> list:
+def _endomorphisms(reps: Sequence) -> list:
     """All endomorphisms (h_2, .., h_n), ordered by the basis images of the
     lowest level first, each level's images in carrier-lexicographic order.
 
     An endomorphism is determined by its images of a basis: h_k(m) is the
     value of the closure word of m when the basis of every level j <= k
-    takes its images under h_j.  Each candidate is evaluated so, by the
-    shared evaluator under `owner`, and kept when it passes the level check
-    through the map chosen below it.  Basis and closure are computed once.
+    takes its images under h_j.  Each level's closure of its basis is
+    compiled once into a straight-line program over indices, one step per
+    derived member in word-table order: (m, flat table, argument slots) for
+    an operation, (m, actor row, slot) for an action, with the row of
+    h_{k-1}(actor) for the index map h_{k-1} chosen one level down (the
+    identity under level 2).  Each candidate runs the program into an index
+    row, kept when it passes the level check.
     """
     basis = _basis(reps, [rep.acted.carrier for rep in reps])
-    word_tables = _close(reps, basis)[2]
+    gens = [[rep.acted._index[x] for x in level] for rep, level in zip(reps, basis)]
+    programs = [[s for fresh in _rounds(rep, range(len(rep.acting.carrier)), g) for s in fresh]
+                for rep, g in zip(reps, gens)]
     out = []
 
-    def extend(k, chosen, images):
+    def extend(k, chosen, lower):
         if k == len(reps):
             out.append(tuple(chosen))
             return
-        rep, level, words = reps[k], k + 2, word_tables[k]
-        lower = chosen[-1] if chosen else {a: a for a in rep.acting.carrier}
-        for values in itertools.product(rep.acted.carrier, repeat=len(basis[k])):
-            level_images = {**images, level: dict(zip(basis[k], values))}
-            # candidates never repeat their images: no interning, and
-            # their values stay out of the shared memo
-            memo = {}
-            val = _Valuation(owner, level_images, memo)
-            h = {m: _evaluate(reps, level, words[m], val) for m in rep.acted.carrier}
-            memo.clear()  # its keys refer back to val: drop the cycle now
+        rep, level_gens = reps[k], gens[k]
+        carrier, rows, flat = rep.acted.carrier, rep._rows, rep.acted._flat
+        n = len(carrier)
+        steps = [(v, rows[lower[args[0]]], args[1:]) if op is None else (v, flat[op], args)
+                 for v, op, args in programs[k]]
+        for values in itertools.product(range(n), repeat=len(level_gens)):
+            h = [0] * n
+            for g, x in zip(level_gens, values):
+                h[g] = x
+            for v, table, slots in steps:
+                p = 0
+                for s in slots:
+                    p = p * n + h[s]
+                h[v] = table[p]
             if _is_level_endomorphism(rep, h, lower):
-                extend(k + 1, chosen + [h], level_images)
+                extend(k + 1, chosen + [dict(zip(carrier, [carrier[i] for i in h]))], h)
 
-    extend(0, [], {})
+    extend(0, [], range(len(reps[0].acting.carrier)))
     return out
 
 
@@ -846,7 +948,7 @@ def extract_basis(rep: Representation, gens: Iterable) -> tuple:
 def enumerate_rep_endomorphisms(rep: Representation) -> list:
     """All endomorphisms of the representation, as carrier maps, determined
     by their images of a basis (see _endomorphisms)."""
-    return [maps[0] for maps in _endomorphisms(rep, (rep,))]
+    return [maps[0] for maps in _endomorphisms((rep,))]
 
 
 def enumerate_rep_automorphisms(rep: Representation) -> list:

@@ -43,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
 def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators over the least common denominator of rationals.
 

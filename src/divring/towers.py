@@ -206,7 +206,7 @@ def enumerate_tower_endomorphisms(tower: Tower) -> list:
     """All tower endomorphisms (h_2, .., h_n), level 1 fixed, determined by
     their images of a basis; omega._endomorphisms enumerates them for every
     height, a representation being the height-2 case."""
-    return _endomorphisms(tower, tower.reps)
+    return _endomorphisms(tower.reps)
 
 
 def enumerate_tower_automorphisms(tower: Tower) -> list:

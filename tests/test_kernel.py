@@ -227,7 +227,7 @@ def test_solve_several_right_hand_sides_and_singular_inverts():
         assert nullity == 2 and pivots == [0, 2]
         assert x == [ech[0][4], 0, ech[1][4], 0]
         assert all(type(v) is Fraction for v in x)
-        assert ratlin.mat_vec(a, x) == b
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
     singular = [ratlin.mat([[1, 2], [2, 4]]), ratlin.mat([[0, 0], [0, 0]]),
                 ratlin.mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])]
     for m in singular:

@@ -221,6 +221,23 @@ def test_coordinates_reject_non_endomorphism(c6_generation):
         endo_coordinates(c6_generation, [1], bogus)
 
 
+def test_partial_map_is_no_endomorphism(c6_generation, c6_translation):
+    # the verdict must not depend on which carrier element is looked up first
+    for rep in (c6_translation, c6_generation):
+        for r in ({0: 1}, {0: 0}, {m: m for m in range(5)}):
+            assert is_rep_endomorphism(rep, r) is False
+
+
+def test_coordinates_reject_map_leaving_the_carrier(c6_generation, c6_translation):
+    off = {m: m + 6 for m in range(6)}
+    for rep, gens in ((c6_generation, [1]), (c6_translation, [0])):
+        assert is_rep_endomorphism(rep, off) is False
+        with pytest.raises(NotRepEndomorphism):
+            endo_coordinates(rep, gens, off)
+        with pytest.raises(NotRepEndomorphism):
+            endo_coordinates(rep, gens, {0: 0})
+
+
 def test_coordinates_require_generating_set(c6_generation):
     ident = {m: m for m in range(6)}
     with pytest.raises(NotGenerating):

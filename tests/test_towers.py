@@ -215,6 +215,27 @@ def test_coordinates_reject_non_endomorphism(affine_tower):
         tower_endo_coordinates(affine_tower, gens, [shift, ident])
 
 
+def test_bad_maps_are_no_tower_endomorphisms(affine_tower):
+    gens = [[E1, E2], [P0]]
+    vectors, points = affine_tower.algebras[1].carrier, affine_tower.algebras[2].carrier
+    ident = [{v: v for v in vectors}, {p: p for p in points}]
+    bad = [
+        [ident[0], {P0: P0}],                 # not total on the points
+        [{E1: E1}, ident[1]],                 # not total on the vectors
+        [ident[0], {**ident[1], P0: (5, 5)}],  # leaves the points
+        [{**ident[0], E1: "x"}, ident[1]],    # leaves the vectors
+    ]
+    assert is_tower_endomorphism(affine_tower, ident)
+    for maps in bad:
+        assert is_tower_endomorphism(affine_tower, maps) is False
+        with pytest.raises(NotRepEndomorphism):
+            tower_endo_coordinates(affine_tower, gens, maps)
+    translation = Tower([translation_rep(6)])
+    assert is_tower_endomorphism(translation, [{0: 1}]) is False
+    with pytest.raises(NotRepEndomorphism):
+        tower_endo_coordinates(translation, [[0]], [{0: 1}])
+
+
 def test_identity_superposition_is_fixed_point(affine_tower):
     gens = [[E1, E2], [P0]]
     clo = tower_closure(affine_tower, gens)
