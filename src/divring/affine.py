@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .algebra import Algebra, Element, mul
 from .errors import (
@@ -33,41 +32,6 @@ from .omega import FiniteOmegaAlgebra, Representation, one_and_only_one
 
 Point = tuple
 Vector = tuple
-
-
-def _astuple(items, n=None) -> tuple:
-    t = tuple(items)
-    if n is not None and len(t) != n:
-        raise DimensionMismatch(f"expected {n} coordinates, got {len(t)}")
-    return t
-
-
-@dataclass(frozen=True)
-class AffineSpace:
-    """D^n with componentwise vector addition and right scalar action."""
-
-    algebra: Algebra
-    n: int
-
-    def point(self, coords) -> Point:
-        return _astuple((self.algebra.element(c) if not isinstance(c, Element) else c
-                         for c in coords), self.n)
-
-    vector = point
-
-    @property
-    def zero_vector(self) -> Vector:
-        return tuple(self.algebra.zero for _ in range(self.n))
-
-    def add_vectors(self, u: Vector, v: Vector) -> Vector:
-        if len(u) != len(v):
-            raise DimensionMismatch("vector lengths differ")
-        return tuple(a + b for a, b in zip(u, v))
-
-    def scale_vector(self, v: Vector, d: Element, hand: str = "right") -> Vector:
-        if hand == "right":
-            return tuple(mul(c, d) for c in v)
-        return tuple(mul(d, c) for c in v)
 
 
 def shift(point: Point, vector: Vector) -> Point:
@@ -91,7 +55,7 @@ def vec_between(a: Point, b: Point) -> Vector:
 def matrix_mul(a, b, hand: str = "right"):
     """Product of element matrices; (a b)[r][c] = sum_k a[r][k] b[k][c]
     with factors swapped under the left-hand convention."""
-    rows, inner, cols = len(a), len(b), len(b[0])
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = []
     for r in range(rows):
         row = []
@@ -230,52 +194,30 @@ def identity_map(alg: Algebra, n: int, hand: str = "right") -> AffineMap:
                      tuple(alg.zero for _ in range(n)), hand)
 
 
+def apply_linear(m: AffineMap, vector: Vector) -> Vector:
+    """Linear part only; used for vectors, which ignore the displacement."""
+    return matrix_mul((vector,), m.linear, m.hand)[0]
+
+
 def apply_affine(m: AffineMap, point: Point) -> Point:
     if len(point) != m.n:
         raise DimensionMismatch("point dimension differs from the map")
-    out = []
-    for i in range(m.n):
-        acc = m.shift[i]
-        for j in range(m.n):
-            term = (mul(point[j], m.linear[j][i]) if m.hand == "right"
-                    else mul(m.linear[j][i], point[j]))
-            acc = acc + term
-        out.append(acc)
-    return tuple(out)
+    return shift(apply_linear(m, point), m.shift)
 
 
 def compose_affine(m1: AffineMap, m2: AffineMap) -> AffineMap:
     """The map acting as m1 followed by m2: (P Q, R Q + S)."""
     if m1.n != m2.n or m1.hand != m2.hand:
         raise DimensionMismatch("maps are not composable")
-    hand = m1.hand
-    linear = matrix_mul(m1.linear, m2.linear, hand)
-    shifted = apply_linear(m2, m1.shift)
-    new_shift = tuple(a + b for a, b in zip(shifted, m2.shift))
-    return AffineMap(linear, new_shift, hand, _checked=True)
-
-
-def apply_linear(m: AffineMap, vector: Vector) -> Vector:
-    """Linear part only; used for vectors, which ignore the displacement."""
-    out = []
-    for i in range(m.n):
-        acc = None
-        for j in range(m.n):
-            term = (mul(vector[j], m.linear[j][i]) if m.hand == "right"
-                    else mul(m.linear[j][i], vector[j]))
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    linear = matrix_mul(m1.linear, m2.linear, m1.hand)
+    return AffineMap(linear, apply_affine(m2, m1.shift), m1.hand, _checked=True)
 
 
 def inverse_affine(m: AffineMap) -> AffineMap:
     """The group inverse: composing either way gives the identity."""
     pinv = invert_matrix(m.linear, m.hand)
     minus = tuple(-x for x in m.shift)
-    tmp = AffineMap(pinv, tuple(m.algebra.zero for _ in range(m.n)), m.hand,
-                    _checked=True)
-    new_shift = apply_linear(tmp, minus)
-    return AffineMap(pinv, new_shift, m.hand, _checked=True)
+    return AffineMap(pinv, matrix_mul((minus,), pinv, m.hand)[0], m.hand, _checked=True)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ class Chart:
     __slots__ = ("algebra", "n", "components", "inverse")
 
     def __init__(self, components: Sequence[NCPoly],
-                 inverse: Optional[Sequence[NCPoly]] = None,
-                 auto_invert: bool = True):
+                 inverse: Optional[Sequence[NCPoly]] = None):
         components = tuple(components)
         if not components:
             raise ValueError("chart needs at least one component")
@@ -61,7 +60,7 @@ class Chart:
         self.algebra = alg
         self.n = n
         self.components = components
-        if inverse is None and auto_invert and all(
+        if inverse is None and all(
             c.degree() <= 1 for c in components
         ):
             inverse = _invert_affine_components(components)
@@ -141,10 +140,12 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     if binv is None:
         return None
     sandwich = _sandwich_matrix(alg)
-    basis = alg.basis()
+    tc = [x for tj in t for x in tj.coords]
     out = []
     for v in range(n):
-        poly = NCPoly.zero(alg, n)
+        # x_v = sum_j sum_pq c_pq e_p (y_j - t_j) e_q: the linear terms are
+        # the c_pq, the constant is -(B^-1 t)_v
+        terms = {}
         for j in range(n):
             rhs = [
                 binv[v * m + r][j * m + s] for r in range(m) for s in range(m)
@@ -152,18 +153,12 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
             sol = ratlin.solve(sandwich, rhs)
             if sol is None:
                 return None
-            coeffs = sol[0]
-            arg = NCPoly.var(alg, n, j) - NCPoly.const(alg, n, t[j])
-            for p in range(m):
-                for q in range(m):
-                    cpq = coeffs[p * m + q]
-                    if cpq:
-                        poly = poly + (
-                            NCPoly.const(alg, n, basis[p])
-                            * arg
-                            * NCPoly.const(alg, n, basis[q])
-                        ).scale(cpq)
-        out.append(poly)
+            terms.update({((j,), divmod(pq, m)): c for pq, c in enumerate(sol[0]) if c})
+        for r in range(m):
+            c = -sum(x * y for x, y in zip(binv[v * m + r], tc))
+            if c:
+                terms[((), (r,))] = c
+        out.append(NCPoly(alg, n, terms, _trusted=True))
     return tuple(out)
 
 
@@ -341,15 +336,10 @@ def parallel_residual(gamma: ConnectionCoefficients, field: Sequence[NCPoly],
 def covariant_derivative(gamma: ConnectionCoefficients, field: Sequence[NCPoly],
                          xp: Sequence[Element], a: Sequence[Element],
                          sign: str = "9.1") -> tuple:
-    """dv(a) -/+ Gamma(v)(a); the default is the literal derivative-minus-
-    connection form, the "8.2" flag flips the connection sign."""
-    _check_sign(sign)
-    v = _field_values(field, xp)
-    gv = gamma.apply(xp, v, a)
-    dv = [gateaux(f, list(xp), list(a)) for f in field]
-    if sign == "9.1":
-        return tuple(d - g for d, g in zip(dv, gv))
-    return tuple(d + g for d, g in zip(dv, gv))
+    """dv(a) -/+ Gamma(v)(a), the parallel residual; the default is the
+    literal derivative-minus-connection form, the "8.2" flag flips the
+    connection sign."""
+    return parallel_residual(gamma, field, xp, a, sign)
 
 
 def geodesic_residual(gamma: ConnectionCoefficients, path: Sequence[NCPoly],

@@ -217,19 +217,8 @@ def quadratic_from_bilinear(g: BilinearMatrix) -> QuadraticMatrix:
 
 
 def eval_quadratic(f: QuadraticMatrix, a: Sequence) -> Element:
-    n = f.var_count
-    if len(a) != n:
-        raise DimensionMismatch("coordinate length does not match the form")
-    acc = f.algebra.zero
-    for i, ai in enumerate(a):
-        ai = Fraction(ai)
-        if not ai:
-            continue
-        for j, aj in enumerate(a):
-            aj = Fraction(aj)
-            if aj:
-                acc = acc + f.entries[i][j].scale(ai * aj)
-    return acc
+    """f(a) = g(a, a) for the matrix of f read as a bilinear form."""
+    return eval_bilinear(f, a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -736,32 +736,52 @@ def _basis(reps: Sequence, gens: Sequence) -> tuple:
     return tuple(out)
 
 
-def _is_level_endomorphism(rep: Representation, h: Sequence, lower: Sequence) -> bool:
-    """The index row h is an endomorphism of the acted algebra with
-    h(a m) = lower(a) h(m), lower an index row of the acting carrier: each
-    flat table at the h-images of its tuples is h of the table, and each
-    actor row through h is the row of lower(a) at h."""
-    n, image = len(h), h.__getitem__
-    for op, arity in rep.acted.signature.ops:
-        table, pos = rep.acted._flat[op], [0]
+def _index_row(h: Mapping, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
+    """The label map h: src -> dst as dst-carrier indices in src order, or
+    None when h is not total on src, leaves dst, or dst lacks an operation
+    of src at its arity."""
+    if set(src.signature.ops) <= set(dst.signature.ops):
+        try:
+            return [dst._index[h[m]] for m in src.carrier]
+        except KeyError:
+            pass
+    return None
+
+
+def _maps_ops(h: Sequence, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra) -> bool:
+    """The index row h respects every operation of src: dst's flat table
+    at the h-images of each tuple is h of src's value there."""
+    n, image = len(dst.carrier), h.__getitem__
+    for op, arity in src.signature.ops:
+        pos = [0]
         for _ in range(arity):
             pos = [p * n + x for p in pos for x in h]
-        if list(map(table.__getitem__, pos)) != list(map(image, table)):
+        if list(map(dst._flat[op].__getitem__, pos)) != list(map(image, src._flat[op])):
             return False
-    rows = rep._rows
-    return [h[v] for row in rows for v in row] == [rows[b][x] for b in lower for x in h]
+    return True
+
+
+def _maps_action(h: Sequence, lower: Sequence, f: Representation,
+                 g: Representation) -> bool:
+    """h(f(a)(m)) = g(lower(a))(h(m)) for index rows h of the acted carrier
+    and lower of the acting one: each actor row of f through h is g's row
+    of lower(a) read at h."""
+    rows = g._rows
+    return [h[v] for row in f._rows for v in row] == [rows[b][x] for b in lower for x in h]
+
+
+def _is_level_endomorphism(rep: Representation, h: Sequence, lower: Sequence) -> bool:
+    """The index row h is an endomorphism of the acted algebra with
+    h(a m) = lower(a) h(m), lower an index row of the acting carrier."""
+    return _maps_ops(h, rep.acted, rep.acted) and _maps_action(h, lower, rep, rep)
 
 
 def _is_endomorphism(reps: Sequence, maps: Sequence) -> bool:
     """maps[k] maps level k + 2 and passes the level check through the
     map below it, the identity under level 2.  A map that is not total on
     its level's carrier, or that leaves it, is none."""
-    if len(maps) != len(reps):
-        return False
-    try:
-        rows = [[rep.acted._index[h[m]] for m in rep.acted.carrier]
-                for rep, h in zip(reps, maps)]
-    except KeyError:
+    rows = [_index_row(h, rep.acted, rep.acted) for rep, h in zip(reps, maps)]
+    if len(maps) != len(reps) or None in rows:
         return False
     lowers = [range(len(reps[0].acting.carrier)), *rows]
     return all(map(_is_level_endomorphism, reps, rows, lowers))
@@ -961,30 +981,19 @@ def enumerate_rep_automorphisms(rep: Representation) -> list:
 
 def is_homomorphism(h: Mapping, src: FiniteOmegaAlgebra,
                     dst: FiniteOmegaAlgebra) -> bool:
-    for op, arity in src.signature.ops:
-        if op not in dst.signature.names or dst.signature.arity(op) != arity:
-            return False
-        for args in itertools.product(src.carrier, repeat=arity):
-            if h[src.apply(op, args)] != dst.apply(op, [h[x] for x in args]):
-                return False
-    return True
-
-
-def _commutes(big_r: Mapping, r: Mapping, f: Representation, g: Representation) -> bool:
-    """R(f(a)(m)) = g(r(a))(R(m)) for every actor a and element m."""
-    return all(
-        big_r[f.act(a, m)] == g.act(r[a], big_r[m])
-        for a in f.acting.carrier
-        for m in f.acted.carrier
-    )
+    """h: src -> dst, total on src's carrier and into dst's, respecting
+    every operation of src."""
+    row = _index_row(h, src, dst)
+    return row is not None and _maps_ops(row, src, dst)
 
 
 def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
                    g: Representation) -> bool:
-    """(r, R) is a morphism of representations from f into g."""
-    return (is_homomorphism(r, f.acting, g.acting)
-            and is_homomorphism(big_r, f.acted, g.acted)
-            and _commutes(big_r, r, f, g))
+    """(r, R) is a morphism of representations from f into g:
+    R(f(a)(m)) = g(r(a))(R(m)) for every actor a and element m."""
+    lower, row = _index_row(r, f.acting, g.acting), _index_row(big_r, f.acted, g.acted)
+    return (lower is not None and row is not None and _maps_ops(lower, f.acting, g.acting)
+            and _maps_ops(row, f.acted, g.acted) and _maps_action(row, lower, f, g))
 
 
 def _kernel_partition(h: Mapping, carrier: Sequence) -> dict:

@@ -115,9 +115,8 @@ def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return len(row_echelon(m)[1])
+    """The pivot count of the integer elimination."""
+    return len(_eliminate(m)[1])
 
 
 def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:

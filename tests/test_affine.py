@@ -4,7 +4,6 @@ import pytest
 
 from divring.affine import (
     AffineMap,
-    AffineSpace,
     Plane,
     apply_affine,
     apply_linear,
@@ -102,13 +101,35 @@ def test_apply_affine_examples():
 
 
 def test_compose_matches_pointwise(rng):
-    for n in (1, 2, 3):
-        m1 = random_affine_map(rng, n)
-        m2 = random_affine_map(rng, n)
-        comp = compose_affine(m1, m2)
-        for _ in range(40):
-            pt = random_point(rng, n)
-            assert apply_affine(comp, pt) == apply_affine(m2, apply_affine(m1, pt))
+    """apply_linear, apply_affine, compose_affine and inverse_affine against
+    per-entry loops, for n = 1..4 under both hands."""
+    for hand in ("right", "left"):
+
+        def times(x, p):  # x times a matrix entry p under the hand
+            return mul(x, p) if hand == "right" else mul(p, x)
+
+        def lin(m, v):
+            return tuple(sum((times(v[j], m.linear[j][i]) for j in range(n)), ZERO)
+                         for i in range(n))
+
+        for n in (1, 2, 3, 4):
+            m1 = random_affine_map(rng, n, hand)
+            m2 = random_affine_map(rng, n, hand)
+            comp = compose_affine(m1, m2)
+            assert comp.linear == tuple(
+                tuple(sum((times(m1.linear[r][k], m2.linear[k][c]) for k in range(n)), ZERO)
+                      for c in range(n))
+                for r in range(n))
+            assert comp.shift == tuple(a + b for a, b in zip(lin(m2, m1.shift), m2.shift))
+            inv = inverse_affine(m1)
+            assert inv.shift == tuple(-x for x in lin(inv, m1.shift))
+            for _ in range(40):
+                pt = random_point(rng, n)
+                assert apply_linear(m1, pt) == lin(m1, pt)
+                assert apply_affine(m1, pt) == tuple(a + b for a, b in zip(lin(m1, pt), m1.shift))
+                assert apply_affine(comp, pt) == apply_affine(m2, apply_affine(m1, pt))
+                assert lin(inv, lin(m1, pt)) == pt
+                assert apply_affine(inv, apply_affine(m1, pt)) == pt
 
 
 def test_composition_component_example():

@@ -1,11 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from divring.algebra import mul, quaternion_algebra
+from divring import ratlin
+from divring.algebra import (
+    BasisChange,
+    change_basis,
+    complex_algebra,
+    mul,
+    quaternion_algebra,
+    rational_algebra,
+)
 from divring.calculus import (
     Chart,
     ConnectionCoefficients,
+    _invert_affine_components,
     apply_oneform,
     chart_connection,
     covariant_derivative,
@@ -119,6 +129,81 @@ def test_nonlinear_chart_needs_supplied_inverse():
     assert ch.inverse is None
     full = quadratic_chart()
     assert full.inverse is not None
+
+
+def sandwich_inverse(components):
+    """The inverse of an affine chart assembled term by term: invert the
+    rational Jacobian, write each block as sum_pq c_pq e_p h e_q and add
+    c_pq * const(e_p) * (var_j - const(t_j)) * const(e_q)."""
+    alg = components[0].algebra
+    n, m, basis = len(components), alg.dim, alg.basis()
+    zero = [alg.zero] * n
+    t = [c.evaluate(zero) for c in components]
+    big = [[Fraction(0)] * (n * m) for _ in range(n * m)]
+    for v in range(n):
+        for s in range(m):
+            probe = list(zero)
+            probe[v] = basis[s]
+            for j, c in enumerate(components):
+                w = (c.evaluate(probe) - t[j]).coords
+                for r in range(m):
+                    big[j * m + r][v * m + s] = w[r]
+    binv = ratlin.invert(big)
+    if binv is None:
+        return None
+    sandwich = [[mul(mul(basis[p], basis[s]), basis[q]).coords[r]
+                 for p in range(m) for q in range(m)]
+                for r in range(m) for s in range(m)]
+    out = []
+    for v in range(n):
+        poly = NCPoly.zero(alg, n)
+        for j in range(n):
+            sol = ratlin.solve(sandwich, [binv[v * m + r][j * m + s]
+                                          for r in range(m) for s in range(m)])
+            if sol is None:
+                return None
+            arg = NCPoly.var(alg, n, j) - NCPoly.const(alg, n, t[j])
+            for p in range(m):
+                for q in range(m):
+                    c = sol[0][p * m + q]
+                    if c:
+                        poly = poly + (NCPoly.const(alg, n, basis[p]) * arg
+                                       * NCPoly.const(alg, n, basis[q])).scale(c)
+        out.append(poly)
+    return tuple(out)
+
+
+# a basis-changed quaternion algebra: table denominator 2, composite unit
+MOVED = change_basis(
+    quaternion_algebra(),
+    BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]),
+)
+
+
+@pytest.mark.parametrize("alg", [rational_algebra(), complex_algebra(), MOVED],
+                         ids=["rational", "complex", "moved-quaternion"])
+def test_auto_inverse_matches_sandwich_assembly(alg):
+    rng = random.Random(5150)
+    for trial in range(12):
+        n = 1 + trial % 2
+        comps = []
+        for _ in range(n):
+            poly = NCPoly.const(alg, n, random_element(rng, alg, 3))
+            for v in range(n):
+                for _ in range(1 + rng.randrange(2)):
+                    a, b = (random_element(rng, alg, 3) for _ in range(2))
+                    poly = poly + (NCPoly.const(alg, n, a) * NCPoly.var(alg, n, v)
+                                   * NCPoly.const(alg, n, b))
+            comps.append(poly)
+        if trial % 4 == 3:  # a repeated component or a constant chart
+            comps = [comps[0]] * n if n == 2 else [NCPoly.const(alg, 1, alg.unit)]
+        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
+        if trial % 4 == 3:
+            assert want is None and got is None and Chart(comps).inverse is None
+        elif want is None:  # a random singular chart
+            assert got is None
+        else:
+            assert [p.terms for p in got] == [p.terms for p in want]
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +341,10 @@ def test_transported_constant_field_is_parallel(rng):
         lit = covariant_derivative(gamma, field, xp, a, sign="9.1")
         dv = tuple(gateaux(f, list(xp), list(a)) for f in field)
         assert lit == tuple(d.scale(2) for d in dv)
+        # per sign the covariant derivative is the parallel residual
+        for s in ("8.2", "9.1"):
+            assert covariant_derivative(gamma, field, xp, a, sign=s) == \
+                parallel_residual(gamma, field, xp, a, sign=s)
 
 
 def test_varying_field_has_residual_witness():

@@ -28,6 +28,7 @@ from divring.omega import (
     enumerate_rep_endomorphisms,
     eval_word,
     extract_basis,
+    is_homomorphism,
     is_regular,
     is_rep_endomorphism,
     naive_closure,
@@ -387,6 +388,19 @@ def test_mod3_reduction_is_morphism(c6_translation):
     assert check_morphism(r, big_r, c6_translation, t3)
     constant = {m: 0 for m in range(6)}
     assert not check_morphism(r, constant, c6_translation, t3)
+
+
+def test_morphism_checks_reject_partial_and_off_carrier_maps(c6_translation):
+    c6, c3 = cyclic_group(6), cyclic_group(3)
+    # the identity on C6 leaves the carrier of C3 at 3, 4 and 5
+    assert not is_homomorphism({a: a for a in c6.carrier}, c6, c3)
+    t3 = translation_rep(3)
+    r = {a: a % 3 for a in range(6)}
+    partial = {0: 0}
+    assert not check_morphism(r, partial, c6_translation, t3)
+    assert not c6.is_endomorphism(partial)
+    with pytest.raises(NotMorphism):
+        decompose_morphism(r, partial, c6_translation, t3)
 
 
 def test_decompose_identity(c6_translation):
