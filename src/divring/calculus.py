@@ -17,16 +17,14 @@ literal "9.1" formula; every operation accepts sign="8.2"|"9.1" to flip.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
 from .algebra import Algebra, Element, mul
 from .errors import NoInverseChart
-from .ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
-from functools import lru_cache
+from .ncpoly import NCPoly, _poly, gateaux, gateaux2, gateaux_poly
 
 _SIGNS = ("8.2", "9.1")
 
@@ -70,10 +68,9 @@ class Chart:
                 c.algebra != alg or c.nvars != n for c in inverse
             ):
                 raise NoInverseChart("inverse has wrong shape")
-            idp = _identity_polys(alg, n)
             fwd_then_back = tuple(c.substitute(inverse) for c in self.components)
             back_then_fwd = tuple(c.substitute(self.components) for c in inverse)
-            if fwd_then_back != idp or back_then_fwd != idp:
+            if not (_is_identity(fwd_then_back) and _is_identity(back_then_fwd)):
                 raise NoInverseChart("compositions do not normalize to the identity")
         self.inverse = inverse
 
@@ -89,76 +86,104 @@ class Chart:
         return tuple(c.evaluate(list(xp)) for c in self.require_inverse())
 
 
-def _identity_polys(alg: Algebra, n: int) -> tuple:
-    return tuple(NCPoly.var(alg, n, v) for v in range(n))
+def _probes(alg: Algebra, n: int) -> list:
+    """The point 0, then e_s in slot v for v < n and s < dim, in that order."""
+    zero = [alg.zero] * n
+    return [zero] + [zero[:v] + [e] + zero[v + 1:] for v in range(n) for e in alg.basis()]
+
+
+def _is_identity(polys: tuple) -> bool:
+    """Whether a composition is the identity map.  Equal canonical forms
+    decide it; where one affine map has several forms (over the complex
+    numbers e_0 x e_1 and e_1 x e_0 agree as maps), a composition of
+    degree at most 1 is compared at `_probes`, which is exact."""
+    alg, n = polys[0].algebra, len(polys)
+    if polys == tuple(NCPoly.var(alg, n, v) for v in range(n)):
+        return True
+    return all(p.degree() <= 1 for p in polys) and all(
+        [p.evaluate(x) for p in polys] == x for x in _probes(alg, n))
 
 
 @lru_cache(maxsize=None)
 def _sandwich_matrix(alg: Algebra):
     """Rows (r, s), columns (p, q): coordinate r of e_p e_s e_q.
 
-    Inverting this system expresses an arbitrary rational-linear map of
-    the ring as sum_pq T[p][q] e_p h e_q, which is how inverse Jacobian
-    blocks become polynomials again.
+    Solving this system expresses an arbitrary rational-linear map of the
+    ring as sum_pq T[p][q] e_p h e_q, which is how inverse Jacobian blocks
+    become polynomials again.  It is eliminated once per algebra, and that
+    elimination is cached beside it (`_sandwich_solve`).
     """
     m = alg.dim
     basis = alg.basis()
-    rows = []
-    for r in range(m):
-        for s in range(m):
-            row = []
-            for p in range(m):
-                for q in range(m):
-                    row.append(mul(mul(basis[p], basis[s]), basis[q]).coords[r])
-            rows.append(row)
-    return rows
+    return [[mul(mul(basis[p], basis[s]), basis[q]).coords[r]
+             for p in range(m) for q in range(m)]
+            for r in range(m) for s in range(m)]
+
+
+@lru_cache(maxsize=None)
+def _sandwich_elimination(alg: Algebra) -> tuple:
+    return ratlin._row_operations(_sandwich_matrix(alg))
+
+
+def _sandwich_solve(alg: Algebra, rhs: Sequence[int]) -> Optional[tuple]:
+    """`ratlin.solve(_sandwich_matrix(alg), rhs)` for an integer rhs, as
+    one integer matrix-vector product: ({column: numerator}, d) with the
+    solution numerators / d at the pivot columns and zero at the free
+    ones, or None when inconsistent.  S may be singular (it is over the
+    complex numbers)."""
+    ops, pivots, d = _sandwich_elimination(alg)
+    y = [sum(a * b for a, b in zip(row, rhs)) for row in ops]
+    if any(y[len(pivots):]):
+        return None
+    return dict(zip(pivots, y)), d
 
 
 def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     """Solve for the inverse of an affine polynomial tuple.
 
     The forward map is y_j = L_j(x) + t_j with L_j linear over the
-    rationals in the ring coordinates of x.  The big rational Jacobian is
-    inverted and each block of the inverse is re-expressed in sandwich
-    form; failure at any step simply leaves the chart without an inverse.
+    rationals in the ring coordinates of x.  The big rational Jacobian B
+    is inverted by one integer elimination, each block of the inverse is
+    re-expressed in sandwich form (`_sandwich_solve`), and the inverse
+    polynomials are written as integer terms; failure at any step simply
+    leaves the chart without an inverse.
     """
     alg = components[0].algebra
     n = len(components)
     m = alg.dim
-    zero = [alg.zero] * n
+    zero, *probes = _probes(alg, n)
     t = [c.evaluate(zero) for c in components]
-    big = [[Fraction(0)] * (n * m) for _ in range(n * m)]
-    for v in range(n):
-        for s in range(m):
-            probe = list(zero)
-            probe[v] = alg.basis_element(s)
-            for j, c in enumerate(components):
-                w = (c.evaluate(probe) - t[j]).coords
-                for r in range(m):
-                    big[j * m + r][v * m + s] = w[r]
-    binv = ratlin.invert(big)
-    if binv is None:
+    big = [[0] * (n * m) for _ in range(n * m)]
+    for vs, probe in enumerate(probes):
+        for j, c in enumerate(components):
+            w = (c.evaluate(probe) - t[j]).coords
+            for r in range(m):
+                big[j * m + r][vs] = w[r]
+    binv, pivots, dbig = ratlin._row_operations(big)  # B^-1 = binv / dbig
+    if len(pivots) < n * m:
         return None
-    sandwich = _sandwich_matrix(alg)
-    tc = [x for tj in t for x in tj.coords]
+    tn, td = ratlin.over_common_denominator([x for tj in t for x in tj.coords])
+    ds = _sandwich_elimination(alg)[2]
+    # every term over |dbig| * lcm(ds, td): the sandwich coefficients are
+    # over dbig * ds, the constant over dbig * td, and pivots may be negative
+    den = abs(dbig) * lcm(ds, td)
+    fs, ft = den // (dbig * ds), den // (dbig * td)
     out = []
     for v in range(n):
         # x_v = sum_j sum_pq c_pq e_p (y_j - t_j) e_q: the linear terms are
         # the c_pq, the constant is -(B^-1 t)_v
-        terms = {}
+        num = {}
         for j in range(n):
-            rhs = [
-                binv[v * m + r][j * m + s] for r in range(m) for s in range(m)
-            ]
-            sol = ratlin.solve(sandwich, rhs)
+            rhs = [binv[v * m + r][j * m + s] for r in range(m) for s in range(m)]
+            sol = _sandwich_solve(alg, rhs)
             if sol is None:
                 return None
-            terms.update({((j,), divmod(pq, m)): c for pq, c in enumerate(sol[0]) if c})
+            num.update({((j,), divmod(pq, m)): c * fs for pq, c in sol[0].items() if c})
         for r in range(m):
-            c = -sum(x * y for x, y in zip(binv[v * m + r], tc))
+            c = -sum(x * y for x, y in zip(binv[v * m + r], tn))
             if c:
-                terms[((), (r,))] = c
-        out.append(NCPoly(alg, n, terms, _trusted=True))
+                num[((), (r,))] = c * ft
+        out.append(_poly(alg, n, num, den))
     return tuple(out)
 
 
@@ -316,16 +341,12 @@ def express_constant_field(chart: Chart, w: Sequence[Element]) -> tuple:
     )
 
 
-def _field_values(field: Sequence[NCPoly], xp: Sequence[Element]) -> list:
-    return [f.evaluate(list(xp)) for f in field]
-
-
 def parallel_residual(gamma: ConnectionCoefficients, field: Sequence[NCPoly],
                       xp: Sequence[Element], a: Sequence[Element],
                       sign: str = "8.2") -> tuple:
     """Defect of the parallel-transport equation at one point/direction."""
     _check_sign(sign)
-    v = _field_values(field, xp)
+    v = [f.evaluate(list(xp)) for f in field]
     gv = gamma.apply(xp, v, a)
     dv = [gateaux(f, list(xp), list(a)) for f in field]
     if sign == "8.2":

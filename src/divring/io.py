@@ -242,7 +242,8 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
 
 
 def format_poly(p: NCPoly) -> str:
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     alg = p.algebra
     basis = alg.basis()
@@ -254,7 +255,7 @@ def format_poly(p: NCPoly) -> str:
         return f"({body})"
 
     parts = []
-    for (vars_, bs), coeff in sorted(p.terms.items()):
+    for (vars_, bs), coeff in sorted(terms.items()):
         factors = [const_str(bs[0], coeff)]
         for pos, v in enumerate(vars_):
             factors.append(f"x{v + 1}")

@@ -16,39 +16,31 @@ first derivative at x in direction a replaces one variable occurrence by
 the matching direction component, the second derivative replaces an
 ordered pair of distinct occurrences.
 
-Arithmetic runs on integers.  `NCPoly.terms` is the public form, a dict
-from monomial keys to nonzero lowest-terms Fractions.  Products,
-substitution, evaluation and the directional derivatives put those
-coefficients over one common denominator (`ratlin.over_common_denominator`),
-work on integer term dicts (monomial key -> numerator) or on `Element`
-numerators against the algebra's integer tables, and build one Fraction
-per output term, or one Element per value, at the end.  Substitution and
+Arithmetic runs on integers.  An `NCPoly` stores integer numerators
+(monomial key -> nonzero int) over one positive denominator in lowest
+terms; `terms`, the public dict of lowest-terms Fractions, is built from
+them on each read.  Every operation reads only the integer form, on
+integer term dicts or on `Element` numerators against the algebra's
+integer tables, and reduces once, at the end.  Substitution and
 evaluation walk each monomial left to right and compute every prefix
 e_{b0} x_{v1} e_{b1} ... once per call, shared by all monomials that
 start with it (`_prefix_values`); extending a prefix by a basis constant
-is one table-row lookup per term.  The two directional derivatives are
-one positional sum (`_positional`) evaluated the same way.
+is one table-row lookup per term and leaves it unreduced.  The two
+directional derivatives are one positional sum (`_positional`)
+evaluated the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, _reduced, mul
+from .algebra import Algebra, Element, _element, _reduced, mul
 
 _ZERO = Fraction(0)
-
-TermKey = tuple  # (vars: tuple[int, ...], basis: tuple[int, ...])
-
-
-def _int_terms(terms: Mapping) -> tuple[dict, int]:
-    """A Fraction term dict as integer numerators over one common denominator."""
-    nums, den = ratlin.over_common_denominator(terms.values())
-    return dict(zip(terms, nums)), den
 
 
 def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
@@ -74,9 +66,15 @@ def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
     return {key: s for key, s in out.items() if s}
 
 
-def _fractions(terms: Mapping, den: int) -> dict:
-    """Integer term dict over `den` as the public lowest-terms Fraction dict."""
-    return {key: Fraction(s, den) for key, s in terms.items() if s}
+def _poly(alg: Algebra, nvars: int, num: dict, den: int) -> "NCPoly":
+    """NCPoly of nonzero numerators over a positive denominator, in lowest terms."""
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {key: c // g for key, c in num.items()}
+        den //= g
+    p = object.__new__(NCPoly)
+    p.algebra, p.nvars, p._num, p._den = alg, nvars, num, den
+    return p
 
 
 def _prefix_values(items: Iterable, first: Callable, times_var: Callable,
@@ -122,13 +120,15 @@ def _evaluate(alg: Algebra, items: Iterable, coeff_den: int,
     tden = alg._den
 
     def times_basis(e, b):
+        # the prefix stays over an unreduced denominator: `mul` and the
+        # final sum read numerators and denominator, never lowest terms
         a = e._num
         out = [0] * n
         for i in range(n):
             if a[i]:
                 for k, c in rows[i * n + b]:
                     out[k] += a[i] * c
-        return _reduced(alg, out, e._den * tden)
+        return _element(alg, tuple(out), e._den * tden)
 
     parts = _prefix_values(items, alg.basis_element,
                            lambda e, v: mul(e, value(v)), times_basis)
@@ -142,18 +142,18 @@ def _evaluate(alg: Algebra, items: Iterable, coeff_den: int,
 
 
 class NCPoly:
-    """Immutable noncommutative polynomial in canonical basis form."""
+    """Immutable noncommutative polynomial in canonical basis form.
 
-    __slots__ = ("algebra", "nvars", "terms")
+    Stored as integer numerators `_num` (monomial key -> nonzero int) over
+    one positive denominator `_den`, with gcd(`_den`, numerators) = 1, so
+    the zero polynomial has `_den` 1.  `terms` builds the lowest-terms
+    Fraction dict on each read; it is not cached, and changing it leaves
+    the polynomial as it is.
+    """
 
-    def __init__(self, algebra: Algebra, nvars: int, terms: Mapping,
-                 _trusted: bool = False):
-        self.algebra = algebra
-        self.nvars = nvars
-        if _trusted:
-            # internal fast path: keys already canonical, zeros already gone
-            self.terms = dict(terms)
-            return
+    __slots__ = ("algebra", "nvars", "_num", "_den")
+
+    def __init__(self, algebra: Algebra, nvars: int, terms: Mapping):
         clean = {}
         for (vars_, basis), coeff in terms.items():
             coeff = Fraction(coeff)
@@ -165,18 +165,27 @@ class NCPoly:
                 raise ValueError("variable index out of range")
             key = (tuple(vars_), tuple(basis))
             clean[key] = clean.get(key, _ZERO) + coeff
-        self.terms = {k: c for k, c in clean.items() if c}
+        # zeros are numerator 0 over 1, so dropping them keeps lowest terms
+        nums, self._den = ratlin.over_common_denominator(clean.values())
+        self._num = {k: c for k, c in zip(clean, nums) if c}
+        self.algebra, self.nvars = algebra, nvars
+
+    @property
+    def terms(self) -> dict:
+        """Monomial key -> nonzero lowest-terms Fraction, built on each read."""
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._num.items()}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(algebra: Algebra, nvars: int) -> "NCPoly":
-        return NCPoly(algebra, nvars, {})
+        return _poly(algebra, nvars, {}, 1)
 
     @staticmethod
     def const(algebra: Algebra, nvars: int, value: Element) -> "NCPoly":
-        terms = {((), (s,)): c for s, c in enumerate(value.coords) if c}
-        return NCPoly(algebra, nvars, terms, _trusted=True)
+        num = {((), (s,)): c for s, c in enumerate(value._num) if c}
+        return _poly(algebra, nvars, num, value._den)
 
     @staticmethod
     def scalar_const(algebra: Algebra, nvars: int, q) -> "NCPoly":
@@ -186,15 +195,10 @@ class NCPoly:
     def var(algebra: Algebra, nvars: int, v: int) -> "NCPoly":
         if not 0 <= v < nvars:
             raise ValueError("variable index out of range")
-        u = algebra.unit_coords
-        terms = {}
-        for s, us in enumerate(u):
-            if not us:
-                continue
-            for t, ut in enumerate(u):
-                if ut:
-                    terms[((v,), (s, t))] = us * ut
-        return NCPoly(algebra, nvars, terms, _trusted=True)
+        u, d = algebra._unit
+        num = {((v,), (s, t)): us * ut
+               for s, us in enumerate(u) if us for t, ut in enumerate(u) if ut}
+        return _poly(algebra, nvars, num, d * d)
 
     # -- ring operations ----------------------------------------------------
 
@@ -209,21 +213,24 @@ class NCPoly:
 
     def __add__(self, other):
         other = self._like(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, _ZERO) + c
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        num = {k: c * f1 for k, c in self._num.items()}
+        get = num.get
+        for k, c in other._num.items():
+            s = get(k, 0) + c * f2
             if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        return NCPoly(self.algebra, self.nvars, terms, _trusted=True)
+                num[k] = s
+            else:
+                del num[k]
+        return _poly(self.algebra, self.nvars, num, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return NCPoly(self.algebra, self.nvars,
-                      {k: -c for k, c in self.terms.items()}, _trusted=True)
+        return _poly(self.algebra, self.nvars,
+                     {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-self._like(other))
@@ -234,10 +241,8 @@ class NCPoly:
     def __mul__(self, other):
         other = self._like(other)
         alg = self.algebra
-        t1, d1 = _int_terms(self.terms)
-        t2, d2 = _int_terms(other.terms)
-        out = _fractions(_dict_mul(alg, t1, t2), d1 * d2 * alg._den)
-        return NCPoly(alg, self.nvars, out, _trusted=True)
+        return _poly(alg, self.nvars, _dict_mul(alg, self._num, other._num),
+                     self._den * other._den * alg._den)
 
     def __rmul__(self, other):
         return self._like(other) * self
@@ -246,8 +251,9 @@ class NCPoly:
         q = Fraction(q)
         if not q:
             return NCPoly.zero(self.algebra, self.nvars)
-        return NCPoly(self.algebra, self.nvars,
-                      {k: q * c for k, c in self.terms.items()}, _trusted=True)
+        p = q.numerator
+        return _poly(self.algebra, self.nvars, {k: p * c for k, c in self._num.items()},
+                     self._den * q.denominator)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -260,30 +266,30 @@ class NCPoly:
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return (self.algebra == other.algebra and self.nvars == other.nvars
-                and self.terms == other.terms)
+        return (self._den == other._den and self.nvars == other.nvars
+                and self._num == other._num and self.algebra == other.algebra)
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
-        return max((len(v) for v, _ in self.terms), default=0)
+        return max((len(v) for v, _ in self._num), default=0)
 
     def degree_in(self, variables: Iterable[int]) -> int:
         vs = set(variables)
         return max(
-            (sum(1 for x in v if x in vs) for v, _ in self.terms), default=0
+            (sum(1 for x in v if x in vs) for v, _ in self._num), default=0
         )
 
     def min_degree_in(self, variables: Iterable[int]) -> int:
         vs = set(variables)
         return min(
-            (sum(1 for x in v if x in vs) for v, _ in self.terms), default=0
+            (sum(1 for x in v if x in vs) for v, _ in self._num), default=0
         )
 
     def constant_term(self) -> Element:
@@ -294,8 +300,7 @@ class NCPoly:
     def evaluate(self, values: Sequence[Element]) -> Element:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        coeffs, den = _int_terms(self.terms)
-        return _evaluate(self.algebra, coeffs.items(), den, values.__getitem__)
+        return _evaluate(self.algebra, self._num.items(), self._den, values.__getitem__)
 
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
         """Plug a polynomial into every variable slot; replacements share a
@@ -307,23 +312,29 @@ class NCPoly:
             nv = replacements[0].nvars
         else:
             alg, nv = self.algebra, 0
+        n = alg.dim
+        rows = alg._rows
         tden = alg._den
-        operands = {}
 
         def first(b):
             return {((), (b,)): 1}, 1
 
         def times_var(val, v):
-            r = operands.get(v)
-            if r is None:
-                r = operands[v] = _int_terms(replacements[v].terms)
-            return _dict_mul(alg, val[0], r[0]), val[1] * r[1] * tden
+            r = replacements[v]
+            return _dict_mul(alg, val[0], r._num), val[1] * r._den * tden
 
         def times_basis(val, b):
-            return _dict_mul(alg, val[0], {((), (b,)): 1}), val[1] * tden
+            # zeros that cancel here drop out of the final sum
+            out = {}
+            get = out.get
+            for (vars_, bs), c in val[0].items():
+                head = bs[:-1]
+                for k, x in rows[bs[-1] * n + b]:
+                    key = (vars_, head + (k,))
+                    out[key] = get(key, 0) + c * x
+            return out, val[1] * tden
 
-        coeffs, coeff_den = _int_terms(self.terms)
-        parts = _prefix_values(coeffs.items(), first, times_var, times_basis)
+        parts = _prefix_values(self._num.items(), first, times_var, times_basis)
         den = lcm(*[d for _, (_, d) in parts])
         out = {}
         get = out.get
@@ -331,7 +342,7 @@ class NCPoly:
             f = c * (den // d)
             for key, s in terms.items():
                 out[key] = get(key, 0) + f * s
-        return NCPoly(alg, nv, _fractions(out, den * coeff_den), _trusted=True)
+        return _poly(alg, nv, {key: s for key, s in out.items() if s}, den * self._den)
 
     def __repr__(self):
         from .io import format_poly
@@ -361,8 +372,7 @@ def _positional(f: NCPoly, sources: Sequence) -> Element:
     """The positional sum behind the directional derivatives: slot
     j * n + v of the shifted terms reads sources[j][v]."""
     n = f.nvars
-    coeffs, den = _int_terms(f.terms)
-    return _evaluate(f.algebra, _shifted_terms(coeffs, n, len(sources) - 1), den,
+    return _evaluate(f.algebra, _shifted_terms(f._num, n, len(sources) - 1), f._den,
                      lambda slot: sources[slot // n][slot % n])
 
 
@@ -389,4 +399,4 @@ def gateaux_poly(f: NCPoly) -> NCPoly:
     The result lives in 2 * nvars variables: indices < nvars are the base
     point, index nvars + v is the direction component for variable v.
     """
-    return NCPoly(f.algebra, 2 * f.nvars, dict(_shifted_terms(f.terms, f.nvars, 1)))
+    return _poly(f.algebra, 2 * f.nvars, dict(_shifted_terms(f._num, f.nvars, 1)), f._den)

@@ -137,11 +137,19 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
     return x, cols - len(pivots)
 
 
+def _row_operations(m: Matrix) -> tuple[list[list[int]], list[int], int]:
+    """`_eliminate` on [m | I]: integer rows E, the pivot columns of m and
+    the last pivot d, with E m / d the reduced row echelon form of m; rows
+    of E m from len(pivots) on are zero."""
+    k = len(m[0]) if m else 0
+    work, pivots, d = _eliminate([list(row) + [int(i == j) for j in range(len(m))]
+                                  for i, row in enumerate(m)])
+    return [row[k:] for row in work], [c for c in pivots if c < k], d
+
+
 def invert(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse, or None when the matrix is singular."""
-    n = len(m)
-    unit = identity(n)
-    work, pivots, d = _eliminate([m[i][:] + unit[i] for i in range(n)])
-    if pivots != list(range(n)):
+    ops, pivots, d = _row_operations(m)
+    if pivots != list(range(len(m))):
         return None
-    return [_quotients(row[n:], d) for row in work]
+    return [_quotients(row, d) for row in ops]

@@ -206,6 +206,46 @@ def test_auto_inverse_matches_sandwich_assembly(alg):
             assert [p.terms for p in got] == [p.terms for p in want]
 
 
+def test_linear_complex_charts_are_inverted():
+    # over the complex numbers e_0 x e_1 and e_1 x e_0 are distinct monomials
+    # of one map, so the compositions are compared as maps
+    C = complex_algebra()
+    one, i = C.basis()
+    x = NCPoly.var(C, 1, 0)
+    chart = Chart([NCPoly.const(C, 1, i) * x])
+    assert chart.inverse is not None
+    z = C.element([3, -2])
+    assert chart.forward([z]) == (mul(i, z),)
+    assert chart.backward(chart.forward([z])) == (z,)
+    rng = random.Random(5160)
+    inverted = 0
+    for trial in range(40):
+        n = 1 + trial % 2
+        comps = []
+        for _ in range(n):
+            poly = NCPoly.const(C, n, random_element(rng, C, 3))
+            for v in range(n):
+                a, b = (random_element(rng, C, 3) for _ in range(2))
+                poly = poly + NCPoly.const(C, n, a) * NCPoly.var(C, n, v) * NCPoly.const(C, n, b)
+            comps.append(poly)
+        chart = Chart(comps)
+        if _invert_affine_components(comps) is None:
+            assert chart.inverse is None
+            continue
+        inverted += 1
+        point = [random_element(rng, C, 4) for _ in range(n)]
+        assert list(chart.backward(chart.forward(point))) == point
+        assert list(chart.forward(chart.backward(point))) == point
+    assert inverted >= 30
+    # a wrong affine inverse and a wrong nonlinear one are still rejected
+    x1, x2 = NCPoly.var(C, 2, 0), NCPoly.var(C, 2, 1)
+    ci = NCPoly.const(C, 2, i)
+    with pytest.raises(NoInverseChart):
+        Chart([ci * x1, x2], [ci * x1, x2])
+    with pytest.raises(NoInverseChart):
+        Chart([x1, x2 + x1 * x1], [x1, x2 + x1 * x1])
+
+
 # ---------------------------------------------------------------------------
 # vectors and 1-forms
 

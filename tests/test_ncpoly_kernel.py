@@ -1,12 +1,15 @@
 """Differential tests of the integer polynomial kernel.
 
-`NCPoly` products, substitution, evaluation and directional derivatives
-run on integer numerators over common denominators, sharing monomial
+`NCPoly` stores integer numerators over one denominator; its products,
+substitution, evaluation and directional derivatives share monomial
 prefixes.  Every result here is compared with inline oracles that never
 call `ncpoly`: monomials are evaluated term by term with `algebra.mul`,
-`+` and `scale`, and products of term dicts are read straight from the
-public `constants` tensor.  The two calculus derivative helpers are
-compared with inline copies of their former loop implementations.
+`+` and `scale`, sums, scalings and products of term dicts are computed
+on Fraction dicts, products read straight from the public `constants`
+tensor.  The integer form itself is checked after every operation.  The
+two calculus derivative helpers are compared with inline copies of their
+former loop implementations, and the cached sandwich elimination with
+`ratlin.solve`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import gcd
 
 import pytest
 
+from divring import ratlin
 from divring.algebra import (
     BasisChange,
     change_basis,
@@ -25,9 +29,16 @@ from divring.algebra import (
     quaternion_algebra,
     rational_algebra,
 )
-from divring.calculus import Chart, _directional_poly, express_constant_field
+from divring.calculus import (
+    Chart,
+    _directional_poly,
+    _invert_affine_components,
+    _sandwich_matrix,
+    _sandwich_solve,
+    express_constant_field,
+)
 from divring.errors import AlgebraMismatch
-from divring.ncpoly import NCPoly, gateaux, gateaux2
+from divring.ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
 
 # non-integer constants (table denominator 2) and a composite unit
 MOVED = change_basis(
@@ -283,3 +294,171 @@ def test_derivative_helpers_equal_their_loop_versions(alg):
                     loop_directional_poly(comp, point, slot)
         w = [draw_element(rng, alg) for _ in range(2)]
         assert express_constant_field(chart, w) == loop_constant_field(chart, w)
+
+
+# ---------------------------------------------------------------------------
+# the integer form: invariants, Fraction view, equality and hashing
+
+
+def draw_big_q(rng):
+    """Five-digit numerators over two-digit denominators."""
+    return Fraction(rng.randint(-99999, 99999), rng.randint(10, 99))
+
+
+def assert_integer_form(p):
+    """`_num` maps canonical keys to nonzero ints over a positive `_den`,
+    in lowest terms, and the Fraction view agrees with it."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c != 0 for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    if not p._num:
+        assert p._den == 1
+    assert p.terms == {key: Fraction(c, p._den) for key, c in p._num.items()}
+    assert_canonical(p)
+
+
+def oracle_terms(raw):
+    return {key: Fraction(c) for key, c in raw.items() if c}
+
+
+def oracle_sum(t1, t2, sign=1):
+    out = dict(t1)
+    for key, c in t2.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_power(alg, t, e):
+    out = {((), (s,)): u for s, u in enumerate(alg.unit_coords) if u}
+    for _ in range(e):
+        out = oracle_product(alg, out, t)
+    return out
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_ring_operations_match_fraction_oracles(alg):
+    rng = random.Random(5700 + alg.dim)
+    for trial in range(20):
+        nvars = rng.randint(1, 3)
+        draw = draw_big_q if trial % 2 else draw_q
+        raw1, raw2 = ({k: draw(rng) for k in draw_terms(rng, alg, nvars)} for _ in range(2))
+        p, q = NCPoly(alg, nvars, raw1), NCPoly(alg, nvars, raw2)
+        t1, t2 = oracle_terms(raw1), oracle_terms(raw2)
+        r = draw(rng)
+        results = [
+            (p, t1),
+            (p + q, oracle_sum(t1, t2)),
+            (p - q, oracle_sum(t1, t2, -1)),
+            (-p, {key: -c for key, c in t1.items()}),
+            (p.scale(r), {key: r * c for key, c in t1.items() if r}),
+            (p * q, oracle_product(alg, t1, t2)),
+            (p ** 2, oracle_power(alg, t1, 2)),
+            (p ** 0, oracle_power(alg, t1, 0)),
+            # cancellation to zero
+            (p - p, {}),
+            (p + (-p), {}),
+            (p.scale(0), {}),
+            (p * q - p * q, {}),
+        ]
+        for got, want in results:
+            assert_integer_form(got)
+            assert got.terms == want
+            assert got.is_zero() == (not want)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_constructed_polynomials_keep_the_integer_form(alg):
+    for rng, nvars, raw in cases(alg, 5800 + alg.dim, count=10):
+        p = NCPoly(alg, nvars, raw)
+        reps = [NCPoly(alg, 2, draw_terms(rng, alg, 2, count=3, max_deg=2))
+                for _ in range(nvars)]
+        made = [NCPoly.zero(alg, nvars), NCPoly.const(alg, nvars, draw_element(rng, alg)),
+                NCPoly.scalar_const(alg, nvars, draw_big_q(rng)), NCPoly.var(alg, nvars, 0),
+                p.substitute(reps), gateaux_poly(p), p.substitute([NCPoly.zero(alg, 1)] * nvars)]
+        for q in made:
+            assert_integer_form(q)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_affine_inverse_keeps_the_integer_form(alg):
+    # elimination pivots may be negative; the inverse's denominator is not
+    rng = random.Random(5900 + alg.dim)
+    found = 0
+    for _ in range(12):
+        x1, x2 = NCPoly.var(alg, 2, 0), NCPoly.var(alg, 2, 1)
+        c = [NCPoly.const(alg, 2, draw_element(rng, alg)) for _ in range(4)]
+        inverse = _invert_affine_components([c[0] * x1 * c[1] + x2 * c[2], x1 + x2 + c[3]])
+        if inverse is not None:
+            found += 1
+            for q in inverse:
+                assert_integer_form(q)
+    assert found
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_equal_polynomials_compare_and_hash_equal(alg):
+    for rng, nvars, raw in cases(alg, 6000 + alg.dim, count=10):
+        p = NCPoly(alg, nvars, raw)
+        q = NCPoly(alg, nvars, draw_terms(rng, alg, nvars))
+        r = draw_big_q(rng) or Fraction(1)
+        pieces = [NCPoly(alg, nvars, {key: c}) for key, c in raw.items()]
+        ways = [
+            NCPoly(alg, nvars, {key: Fraction(c) for key, c in raw.items()}),
+            sum(pieces, NCPoly.zero(alg, nvars)),
+            (p + q) - q,
+            p.scale(r).scale(1 / r),
+            NCPoly.scalar_const(alg, nvars, 1) * p,
+            p * 1,
+            p ** 1,
+            p.substitute([NCPoly.var(alg, nvars, v) for v in range(nvars)]),
+        ]
+        for w in ways:
+            assert w == p and hash(w) == hash(p)
+        assert len(set(ways)) == 1
+        assert (p - p) == NCPoly.zero(alg, nvars) and hash(p - p) == hash(NCPoly.zero(alg, nvars))
+        if p.terms != q.terms:
+            assert p != q
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_changing_terms_leaves_the_polynomial(alg):
+    for rng, nvars, raw in cases(alg, 6100 + alg.dim, count=5):
+        p = NCPoly(alg, nvars, raw)
+        before, copy = p.terms, NCPoly(alg, nvars, raw)
+        view = p.terms
+        for key in list(view):
+            view[key] += 1
+        view[((), (0,))] = Fraction(7, 3)
+        assert p.terms == before and p == copy and hash(p) == hash(copy)
+        p.terms.clear()
+        assert p.terms == before
+
+
+# ---------------------------------------------------------------------------
+# the sandwich system, eliminated once per algebra
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_sandwich_solve_matches_ratlin_solve(alg):
+    rng = random.Random(6200 + alg.dim)
+    s = _sandwich_matrix(alg)
+    k = len(s)
+    seen = {True: 0, False: 0}
+    for trial in range(16):
+        if trial % 2:  # consistent: the image of a drawn vector
+            x = [draw_q(rng) for _ in range(k)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in s]
+        else:  # drawn freely; inconsistent when S is singular
+            rhs = [draw_big_q(rng) if rng.randrange(3) else Fraction(0) for _ in range(k)]
+        nums, den = ratlin.over_common_denominator(rhs)
+        want, got = ratlin.solve(s, rhs), _sandwich_solve(alg, nums)
+        seen[want is not None] += 1
+        if want is None:
+            assert got is None
+            continue
+        sol, d = got
+        assert set(sol) <= set(range(k))
+        assert [Fraction(sol.get(c, 0), d * den) for c in range(k)] == want[0]
+    assert seen[True] >= 8
+    # only the complex numbers, of these four, have a singular sandwich matrix
+    assert (seen[False] > 0) == (alg.dim == 2)
