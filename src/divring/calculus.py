@@ -258,13 +258,12 @@ class ConnectionCoefficients:
     which vanishes identically for affine charts.
     """
 
-    __slots__ = ("algebra", "n", "_apply", "kind")
+    __slots__ = ("algebra", "n", "_apply")
 
-    def __init__(self, algebra: Algebra, n: int, apply_fn: Callable, kind: str):
+    def __init__(self, algebra: Algebra, n: int, apply_fn: Callable):
         self.algebra = algebra
         self.n = n
         self._apply = apply_fn
-        self.kind = kind
 
     @staticmethod
     def zero(algebra: Algebra, n: int) -> "ConnectionCoefficients":
@@ -273,19 +272,7 @@ class ConnectionCoefficients:
         def apply_fn(xp, v, a):
             return z
 
-        return ConnectionCoefficients(algebra, n, apply_fn, "zero")
-
-    @staticmethod
-    def from_chart(chart: Chart) -> "ConnectionCoefficients":
-        inverse = chart.require_inverse()
-
-        def apply_fn(xp, v, a):
-            xp = list(xp)
-            w = [gateaux2(c, xp, list(v), list(a)) for c in inverse]
-            x = [c.evaluate(xp) for c in inverse]
-            return tuple(gateaux(c, x, w) for c in chart.components)
-
-        return ConnectionCoefficients(chart.algebra, chart.n, apply_fn, "chart")
+        return ConnectionCoefficients(algebra, n, apply_fn)
 
     @staticmethod
     def from_component_polys(algebra: Algebra, n: int,
@@ -305,7 +292,7 @@ class ConnectionCoefficients:
                 out.append(acc)
             return tuple(out)
 
-        return ConnectionCoefficients(algebra, n, apply_fn, "components")
+        return ConnectionCoefficients(algebra, n, apply_fn)
 
     def apply(self, xp: Sequence[Element], v: Sequence[Element],
               a: Sequence[Element]) -> tuple:
@@ -321,7 +308,16 @@ class ConnectionCoefficients:
 
 
 def chart_connection(chart: Chart) -> ConnectionCoefficients:
-    return ConnectionCoefficients.from_chart(chart)
+    """The coefficients the chart induces from the flat source."""
+    inverse = chart.require_inverse()
+
+    def apply_fn(xp, v, a):
+        xp = list(xp)
+        w = [gateaux2(c, xp, list(v), list(a)) for c in inverse]
+        x = [c.evaluate(xp) for c in inverse]
+        return tuple(gateaux(c, x, w) for c in chart.components)
+
+    return ConnectionCoefficients(chart.algebra, chart.n, apply_fn)
 
 
 # ---------------------------------------------------------------------------

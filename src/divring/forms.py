@@ -69,27 +69,14 @@ class BilinearMatrix:
 
 
 @dataclass(frozen=True)
-class QuadraticMatrix:
+class QuadraticMatrix(BilinearMatrix):
     """Symmetric matrix of a ring-valued quadratic form."""
 
-    entries: tuple
-
     def __init__(self, entries):
-        grid = _entry_grid(entries)
-        n = len(grid)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if grid[i][j] != grid[j][i]:
-                    raise DimensionMismatch("quadratic matrix must be symmetric")
-        object.__setattr__(self, "entries", grid)
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.entries[0][0].algebra
-
-    @property
-    def var_count(self) -> int:
-        return len(self.entries)
+        super().__init__(entries)
+        grid, n = self.entries, self.var_count
+        if any(grid[i][j] != grid[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise DimensionMismatch("quadratic matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -402,23 +389,15 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
             break
         pivots = [p for p in active if not m[p][p].is_zero()]
         if pivots:
-            if not try_all_pivots:
-                complete(pivots[0])
-                continue
-            snapshot = ([row[:] for row in m], active[:], len(diagonal))
-            err = None
-            for p in pivots:
+            # complete() raises PivotConditionFailed before it changes any
+            # state, so the next pivot starts from the same form
+            for p in pivots if try_all_pivots else pivots[:1]:
                 try:
                     complete(p)
-                    err = None
                     break
                 except PivotConditionFailed as exc:
                     err = exc
-                    m[:] = [row[:] for row in snapshot[0]]
-                    active[:] = snapshot[1]
-                    del diagonal[snapshot[2]:]
-                    del covectors[snapshot[2]:]
-            if err is not None:
+            else:
                 raise err
             continue
         # case 2: all live diagonals vanish, mix the first off-diagonal pair

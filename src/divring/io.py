@@ -9,6 +9,7 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -21,8 +22,8 @@ from .algebra import (
     Element,
     quaternion_algebra,
 )
-from .errors import ParseError
-from .forms import BilinearMatrix, QuadraticMatrix
+from .errors import DivRingError, ParseError
+from .forms import BilinearMatrix
 from .ncpoly import NCPoly
 from .omega import FiniteOmegaAlgebra, Representation, Signature
 from .towers import Tower
@@ -271,7 +272,7 @@ def format_poly(p: NCPoly) -> str:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(os.fspath(path), "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -284,25 +285,39 @@ def dump_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _file_loader(load):
+    """A loader whose document of the wrong shape ends as ParseError naming
+    the file; domain errors, ParseError among them, pass unchanged."""
+
+    @functools.wraps(load)
+    def checked(source, *args, **kwargs):
+        try:
+            return load(source, *args, **kwargs)
+        except DivRingError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"{source}: malformed file ({type(exc).__name__}: {exc})") from exc
+
+    return checked
+
+
+@_file_loader
 def load_algebra(source: str) -> Algebra:
     """Accepts a built-in name or a JSON file path."""
     if source in BUILTIN_ALGEBRAS:
         return BUILTIN_ALGEBRAS[source]()
     doc = _load_json(source)
-    try:
-        dim = int(doc["dim"])
-        unit = int(doc.get("unit", 0))
-        unit_coords = doc.get("unit_coords")
-        if unit_coords is not None:
-            unit_coords = [parse_rational(str(x)) for x in unit_coords]
-        constants = [
-            [[parse_rational(str(x)) for x in row] for row in plane]
-            for plane in doc["constants"]
-        ]
-        # a table or unit of the wrong shape raises ValueError
-        return Algebra(dim, constants, unit, unit_coords)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: malformed algebra file ({exc})") from exc
+    dim = int(doc["dim"])
+    unit = int(doc.get("unit", 0))
+    unit_coords = doc.get("unit_coords")
+    if unit_coords is not None:
+        unit_coords = [parse_rational(str(x)) for x in unit_coords]
+    constants = [
+        [[parse_rational(str(x)) for x in row] for row in plane]
+        for plane in doc["constants"]
+    ]
+    # a table or unit of the wrong shape raises ValueError
+    return Algebra(dim, constants, unit, unit_coords)
 
 
 def algebra_payload(alg: Algebra) -> dict:
@@ -322,18 +337,15 @@ def algebra_payload(alg: Algebra) -> dict:
     return payload
 
 
+@_file_loader
 def load_form(source: str) -> tuple[Algebra, BilinearMatrix]:
     doc = _load_json(source)
     alg = load_algebra(doc.get("algebra", "quaternion"))
-    try:
-        rows = [
-            [parse_element(alg, cell) for cell in row] for row in doc["matrix"]
-        ]
-    except KeyError as exc:
-        raise ParseError(f"{source}: missing {exc}") from exc
+    rows = [[parse_element(alg, cell) for cell in row] for row in doc["matrix"]]
     return alg, BilinearMatrix(rows)
 
 
+@_file_loader
 def load_element_matrix(source: str) -> tuple[Algebra, tuple]:
     doc = _load_json(source)
     alg = load_algebra(doc.get("algebra", "quaternion"))
@@ -343,6 +355,7 @@ def load_element_matrix(source: str) -> tuple[Algebra, tuple]:
     return alg, rows
 
 
+@_file_loader
 def load_affine_map(source: str, hand: str = "right") -> tuple[Algebra, AffineMap]:
     doc = _load_json(source)
     alg = load_algebra(doc.get("algebra", "quaternion"))
@@ -351,6 +364,7 @@ def load_affine_map(source: str, hand: str = "right") -> tuple[Algebra, AffineMa
     return alg, AffineMap(linear, shift, hand)
 
 
+@_file_loader
 def load_plane(source: str) -> tuple[Algebra, Plane]:
     doc = _load_json(source)
     alg = load_algebra(doc.get("algebra", "quaternion"))
@@ -403,6 +417,7 @@ def load_representation(source: str) -> Representation:
     )
 
 
+@_file_loader
 def load_tower(source: str, max_product: Optional[int] = None) -> Tower:
     doc = _load_json(source)
     base = os.path.dirname(os.path.abspath(source))
@@ -422,6 +437,7 @@ def load_tower(source: str, max_product: Optional[int] = None) -> Tower:
     return tower
 
 
+@_file_loader
 def load_chart(source: str) -> Chart:
     doc = _load_json(source)
     alg = load_algebra(doc.get("algebra", "quaternion"))

@@ -219,15 +219,8 @@ class Representation:
         unit = _find_unit(self.acting, op)
         if unit is None:
             raise LawViolation("monoid-unit", op)
-        for m in self.acted.carrier:
-            if self.act(unit, m) != m:
-                raise LawViolation("unit-acts-as-identity", (unit, m))
-        for a in self.acting.carrier:
-            for b in self.acting.carrier:
-                ab = self.acting.apply(op, (a, b))
-                for m in self.acted.carrier:
-                    if self.act(ab, m) != self.act(a, self.act(b, m)):
-                        raise LawViolation("action-multiplicativity", (a, b, m))
+        self._validate_unit(unit)
+        self._validate_products(op, additive=False)
 
     def _validate_ring_action(self):
         names = self.acting.signature.names
@@ -235,22 +228,29 @@ class Representation:
             raise LawViolation("ring signature must name 'add' and 'mul' operations")
         if "add" not in self.acted.signature.names:
             raise LawViolation("acted group must name an 'add' operation")
-        for a in self.acting.carrier:
-            for b in self.acting.carrier:
-                asum = self.acting.apply("add", (a, b))
-                aprod = self.acting.apply("mul", (a, b))
-                for m in self.acted.carrier:
-                    lhs = self.act(asum, m)
-                    rhs = self.acted.apply("add", (self.act(a, m), self.act(b, m)))
-                    if lhs != rhs:
-                        raise LawViolation("additivity-in-actor", (a, b, m))
-                    if self.act(aprod, m) != self.act(a, self.act(b, m)):
-                        raise LawViolation("action-multiplicativity", (a, b, m))
+        self._validate_products("mul", additive=True)
         one = _find_unit(self.acting, "mul")
         if one is not None:
-            for m in self.acted.carrier:
-                if self.act(one, m) != m:
-                    raise LawViolation("unit-acts-as-identity", (one, m))
+            self._validate_unit(one)
+
+    def _validate_unit(self, unit):
+        for m in self.acted.carrier:
+            if self.act(unit, m) != m:
+                raise LawViolation("unit-acts-as-identity", (unit, m))
+
+    def _validate_products(self, op: str, additive: bool):
+        """(ab)m = a(bm) for the product op and, when additive,
+        (a + b)m = am + bm, both checked at each (a, b, m) in turn."""
+        for a in self.acting.carrier:
+            for b in self.acting.carrier:
+                ab = self.acting.apply(op, (a, b))
+                asum = self.acting.apply("add", (a, b)) if additive else None
+                for m in self.acted.carrier:
+                    if additive and self.act(asum, m) != self.acted.apply(
+                            "add", (self.act(a, m), self.act(b, m))):
+                        raise LawViolation("additivity-in-actor", (a, b, m))
+                    if self.act(ab, m) != self.act(a, self.act(b, m)):
+                        raise LawViolation("action-multiplicativity", (a, b, m))
 
     def __repr__(self):
         label = self.name or f"{self.acting!r} on {self.acted!r}"
@@ -997,55 +997,38 @@ def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
 
 
 def _kernel_partition(h: Mapping, carrier: Sequence) -> dict:
-    """Map each element to the canonical representative (first in carrier
-    order) of its kernel class."""
-    by_image = {}
-    for x in carrier:
-        by_image.setdefault(h[x], []).append(x)
-    rep_of = {}
-    for cls in by_image.values():
-        first = cls[0]
-        for x in cls:
-            rep_of[x] = first
-    return rep_of
+    """Map each element, in carrier order, to the canonical representative
+    (first in carrier order) of its kernel class."""
+    first = {}
+    return {x: first.setdefault(h[x], x) for x in carrier}
 
 
-def _quotient_algebra(alg: FiniteOmegaAlgebra, rep_of: Mapping,
-                      name=None) -> tuple[FiniteOmegaAlgebra, dict]:
-    """Quotient by the kernel partition; classes are labelled by their
-    canonical representatives."""
-    classes = []
-    for x in alg.carrier:
-        if rep_of[x] == x:
-            classes.append(x)
-    tables = {}
-    for op, arity in alg.signature.ops:
-        table = {}
-        for args in itertools.product(classes, repeat=arity):
-            table[args] = rep_of[alg.apply(op, args)]
-        # well-definedness: any representatives give the same class
-        for args in itertools.product(alg.carrier, repeat=arity):
-            reduced = tuple(rep_of[x] for x in args)
-            if rep_of[alg.apply(op, args)] != table[reduced]:
-                raise NotMorphism(f"kernel is not a congruence for {op!r}")
-        tables[op] = table
-    quotient = FiniteOmegaAlgebra(classes, alg.signature, tables, name=name,
-                                  carrier_bound=len(classes) or 1)
-    nat = {x: rep_of[x] for x in alg.carrier}
-    return quotient, nat
+def _inclusion(h: Mapping, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra) -> dict:
+    """The identity on h's image of src's carrier, in dst's carrier order."""
+    image = {h[x] for x in src.carrier}
+    return {y: y for y in dst.carrier if y in image}
 
 
-def _image_algebra(h: Mapping, src: FiniteOmegaAlgebra,
-                   dst: FiniteOmegaAlgebra, name=None) -> FiniteOmegaAlgebra:
-    image = [y for y in dst.carrier if y in set(h.values())]
-    tables = {}
-    for op, arity in dst.signature.ops:
-        tables[op] = {
-            args: dst.apply(op, args)
-            for args in itertools.product(image, repeat=arity)
-        }
-    return FiniteOmegaAlgebra(image, dst.signature, tables, name=name,
-                              carrier_bound=max(len(image), 1))
+def _derived_algebra(alg: FiniteOmegaAlgebra, signature: Signature, read: Mapping,
+                     name: str) -> FiniteOmegaAlgebra:
+    """The algebra on the fixed points of the idempotent map read, with the
+    operations of signature taken from alg and each value read through read:
+    a kernel partition gives the quotient, an inclusion the image."""
+    labels = [x for x in read if read[x] == x]
+    tables = {
+        op: {args: read[alg.apply(op, args)]
+             for args in itertools.product(labels, repeat=arity)}
+        for op, arity in signature.ops
+    }
+    return FiniteOmegaAlgebra(labels, signature, tables, name=name,
+                              carrier_bound=max(len(labels), 1))
+
+
+def _derived_rep(acting: FiniteOmegaAlgebra, acted: FiniteOmegaAlgebra,
+                 rep: Representation, read: Mapping) -> Representation:
+    """acting on acted by rep's action, each value read through read."""
+    action = {(a, m): read[rep.act(a, m)] for a in acting.carrier for m in acted.carrier}
+    return Representation(acting, acted, action, rep_kind="raw")
 
 
 @dataclass
@@ -1084,52 +1067,38 @@ def decompose_morphism(r: Mapping, big_r: Mapping, f: Representation,
     """
     if not check_morphism(r, big_r, f, g):
         raise NotMorphism("the pair (r, R) is not a morphism")
-    rep_a = _kernel_partition(r, f.acting.carrier)
-    rep_m = _kernel_partition(big_r, f.acted.carrier)
-    acting_q, j = _quotient_algebra(f.acting, rep_a, name="A/ker")
-    acted_q, J = _quotient_algebra(f.acted, rep_m, name="M/ker")
-    # induced action on the quotients: F(j(a))(J(m)) = J(f(a)(m))
-    action_q = {}
-    for a in acting_q.carrier:
-        for m in acted_q.carrier:
-            action_q[(a, m)] = rep_m[f.act(a, m)]
-    for a in f.acting.carrier:
-        for m in f.acted.carrier:
-            if rep_m[f.act(a, m)] != action_q[(rep_a[a], rep_m[m])]:
-                raise NotMorphism("induced quotient action is ill-defined")
-    quotient_rep = Representation(acting_q, acted_q, action_q, rep_kind="raw")
-    acting_im = _image_algebra(r, f.acting, g.acting, name="im r")
-    acted_im = _image_algebra(big_r, f.acted, g.acted, name="im R")
-    action_im = {
-        (a, m): g.act(a, m)
-        for a in acting_im.carrier
-        for m in acted_im.carrier
-    }
-    for a in acting_im.carrier:
-        for m in acted_im.carrier:
-            if action_im[(a, m)] not in set(acted_im.carrier):
-                raise NotMorphism("image set is not stable under the action")
-    image_rep = Representation(acting_im, acted_im, action_im, rep_kind="raw")
+    # r and R respect every operation of f's signature and
+    # R(f(a)(m)) = g(r(a))(R(m)), so their kernels are congruences the action
+    # respects and their images are closed under those operations and the
+    # action; the images carry f's signature, which g may extend
+    j = _kernel_partition(r, f.acting.carrier)
+    big_j = _kernel_partition(big_r, f.acted.carrier)
+    i = _inclusion(r, f.acting, g.acting)
+    big_i = _inclusion(big_r, f.acted, g.acted)
+    acting_q = _derived_algebra(f.acting, f.acting.signature, j, "A/ker")
+    acted_q = _derived_algebra(f.acted, f.acted.signature, big_j, "M/ker")
+    acting_im = _derived_algebra(g.acting, f.acting.signature, i, "im r")
+    acted_im = _derived_algebra(g.acted, f.acted.signature, big_i, "im R")
+    quotient_rep = _derived_rep(acting_q, acted_q, f, big_j)
+    image_rep = _derived_rep(acting_im, acted_im, g, big_i)
     t = {cls: r[cls] for cls in acting_q.carrier}
     big_t = {cls: big_r[cls] for cls in acted_q.carrier}
-    i = {y: y for y in acting_im.carrier}
-    big_i = {y: y for y in acted_im.carrier}
     t_inv = {v: k for k, v in t.items()}
     big_t_inv = {v: k for k, v in big_t.items()}
     checks = {
-        "j_J_morphism": check_morphism(j, J, f, quotient_rep),
+        "j_J_morphism": check_morphism(j, big_j, f, quotient_rep),
         "t_T_morphism": check_morphism(t, big_t, quotient_rep, image_rep),
         "t_T_inverse_morphism": check_morphism(t_inv, big_t_inv, image_rep,
                                                quotient_rep),
         "i_I_morphism": check_morphism(i, big_i, image_rep, g),
         "composition_r": all(i[t[j[a]]] == r[a] for a in f.acting.carrier),
-        "composition_R": all(big_i[big_t[J[m]]] == big_r[m]
+        "composition_R": all(big_i[big_t[big_j[m]]] == big_r[m]
                              for m in f.acted.carrier),
     }
     if not all(checks.values()):
         raise NotMorphism(f"decomposition checks failed: {checks}")
     return MorphismDecomposition(
-        j=j, J=J, t=t, T=big_t, i=i, I=big_i,
+        j=j, J=big_j, t=t, T=big_t, i=i, I=big_i,
         acting_quotient=acting_q, acted_quotient=acted_q,
         acting_image=acting_im, acted_image=acted_im,
         quotient_rep=quotient_rep, image_rep=image_rep,

@@ -238,6 +238,28 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["affine", "rank", "{}"], {"algebra": "quaternion"}),
+    (["affine", "rank", "{}"], []),
+    (["affine", "plane-contains", "--plane", "{}", "--point", "1"], {"span": [["1"]]}),
+    (["affine", "compose", "--m1", "{}", "--m2", "{}"], {"shift": ["1"]}),
+    (["calc", "pushforward", "--chart", "{}", "--point", "1", "--vector", "1"],
+     {"vars": 1}),
+    (["tower", "classify", "{}"], {"levels": 3}),
+    (["form", "diagonalize", "{}"], {"algebra": []}),
+    # an integer is no path: open() would read that file descriptor
+    (["form", "diagonalize", "{}"], {"algebra": 0, "matrix": [["1"]]}),
+    (["form", "diagonalize", "{}"], {"matrix": [1]}),
+    (["algebra", "check", "{}"], {"dim": 1, "constants": []}),
+])
+def test_malformed_file_is_parse_error(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    dump_json(str(path), doc)
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_outputs_are_reproducible(capsys):
     first = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))
     second = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))

@@ -440,3 +440,108 @@ def test_decompose_rejects_non_morphism(c6_translation):
     constant = {m: 0 for m in range(6)}
     with pytest.raises(NotMorphism):
         decompose_morphism(r, constant, c6_translation, t3)
+
+
+def test_decompose_when_target_has_more_operations():
+    # the images carry the source's signature: C3 has an `add` the point set
+    # lacks, and F3 an `add` that C1 lacks
+    dec = decompose_morphism({0: "e", 1: "e"}, {0: 1, 1: 1}, translation_rep(2),
+                             generation_rep(3))
+    assert all(dec.checks.values())
+    assert dec.acted_image.carrier == (1,) and dec.acted_image.signature.ops == ()
+    dec = decompose_morphism({0: 0}, {0: (0, 0)}, translation_rep(1), scalar_rep())
+    assert all(dec.checks.values())
+    assert dec.acting_image.signature == translation_rep(1).acting.signature
+
+
+SMALL_REPS = ([translation_rep(n) for n in (1, 2, 3, 4, 6)]
+              + [generation_rep(n) for n in (1, 2, 3, 4, 6)] + [scalar_rep()])
+
+
+def small_morphisms(equal_signatures):
+    """Every morphism (r, R) between two SMALL_REPS, trying every candidate
+    pair of label maps where there are at most 20000."""
+    for f, g in itertools.product(SMALL_REPS, repeat=2):
+        if equal_signatures and (f.acting.signature != g.acting.signature
+                                 or f.acted.signature != g.acted.signature):
+            continue
+        (a, b), (m, n) = ((len(x.acting.carrier), len(x.acted.carrier)) for x in (f, g))
+        if m ** a * n ** b > 20000:
+            continue
+        for r_images in itertools.product(g.acting.carrier, repeat=a):
+            r = dict(zip(f.acting.carrier, r_images))
+            if not is_homomorphism(r, f.acting, g.acting):
+                continue
+            for big_r_images in itertools.product(g.acted.carrier, repeat=b):
+                big_r = dict(zip(f.acted.carrier, big_r_images))
+                if check_morphism(r, big_r, f, g):
+                    yield r, big_r, f, g
+
+
+def test_every_accepted_morphism_decomposes():
+    count = 0
+    for r, big_r, f, g in small_morphisms(equal_signatures=False):
+        assert all(decompose_morphism(r, big_r, f, g).checks.values())
+        count += 1
+    assert count == 242
+
+
+def direct_decomposition(r, big_r, f, g):
+    """The quotients and images built table by table: classes labelled by
+    their first member, image tables read from g's operations."""
+
+    def quotient(alg, h):
+        by_image = {}
+        for x in alg.carrier:
+            by_image.setdefault(h[x], []).append(x)
+        rep_of = {x: cls[0] for cls in by_image.values() for x in cls}
+        classes = [x for x in alg.carrier if rep_of[x] == x]
+        tables = {op: {args: rep_of[alg.apply(op, args)]
+                       for args in itertools.product(classes, repeat=arity)}
+                  for op, arity in alg.signature.ops}
+        return {x: rep_of[x] for x in alg.carrier}, classes, tables
+
+    def image(h, dst):
+        labels = [y for y in dst.carrier if y in set(h.values())]
+        tables = {op: {args: dst.apply(op, args)
+                       for args in itertools.product(labels, repeat=arity)}
+                  for op, arity in dst.signature.ops}
+        return {y: y for y in labels}, labels, tables
+
+    j, acting_q, acting_q_tables = quotient(f.acting, r)
+    big_j, acted_q, acted_q_tables = quotient(f.acted, big_r)
+    i, acting_im, acting_im_tables = image(r, g.acting)
+    big_i, acted_im, acted_im_tables = image(big_r, g.acted)
+    return {
+        "j": j, "J": big_j, "i": i, "I": big_i,
+        "t": {a: r[a] for a in acting_q}, "T": {m: big_r[m] for m in acted_q},
+        "acting_quotient": (acting_q, acting_q_tables),
+        "acted_quotient": (acted_q, acted_q_tables),
+        "acting_image": (acting_im, acting_im_tables),
+        "acted_image": (acted_im, acted_im_tables),
+        "quotient_rep": {(a, m): big_j[f.act(a, m)] for a in acting_q for m in acted_q},
+        "image_rep": {(a, m): g.act(a, m) for a in acting_im for m in acted_im},
+    }
+
+
+def test_decomposition_matches_direct_construction():
+    # dicts are compared as item lists, so their order is checked too
+    count = 0
+    for r, big_r, f, g in small_morphisms(equal_signatures=True):
+        dec = decompose_morphism(r, big_r, f, g)
+        want = direct_decomposition(r, big_r, f, g)
+        for key in ("j", "J", "t", "T", "i", "I"):
+            assert list(getattr(dec, key).items()) == list(want[key].items()), key
+        for key in ("acting_quotient", "acted_quotient", "acting_image", "acted_image"):
+            alg = getattr(dec, key)
+            carrier, tables = want[key]
+            assert alg.carrier == tuple(carrier), key
+            assert [(op, list(t.items())) for op, t in alg.tables.items()] == \
+                [(op, list(t.items())) for op, t in tables.items()], key
+        for key in ("quotient_rep", "image_rep"):
+            assert list(getattr(dec, key).action.items()) == list(want[key].items()), key
+        assert list(dec.checks.items()) == [
+            (k, True) for k in ("j_J_morphism", "t_T_morphism", "t_T_inverse_morphism",
+                                "i_I_morphism", "composition_r", "composition_R")]
+        count += 1
+    assert count == 113
