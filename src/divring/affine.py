@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, Element, mul
+from .algebra import Algebra, Element, _mul_add, mul
 from .errors import (
     DimensionMismatch,
     NotDivisionRing,
@@ -54,18 +54,20 @@ def vec_between(a: Point, b: Point) -> Vector:
 
 def matrix_mul(a, b, hand: str = "right"):
     """Product of element matrices; (a b)[r][c] = sum_k a[r][k] b[k][c]
-    with factors swapped under the left-hand convention."""
+    with factors swapped under the left-hand convention.  Each entry is
+    one `_mul_add` call: its products and sum stay on unreduced integers
+    and the entry is reduced once."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    zero = b[0][0].algebra.zero if inner and cols else None
+    right = hand == "right"
     out = []
     for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = None
-            for k in range(inner):
-                term = mul(a[r][k], b[k][c]) if hand == "right" else mul(b[k][c], a[r][k])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
+        ar = a[r]
+        out.append(tuple(
+            _mul_add(zero, [(1, ar[k], b[k][c]) if right else (1, b[k][c], ar[k])
+                            for k in range(inner)])
+            for c in range(cols)
+        ))
     return tuple(out)
 
 
@@ -80,16 +82,15 @@ def _gauss_jordan(work: list, ncols: int, hand: str = "right", stop_at_gap: bool
 
     Pivots are the first nonzero entry scanning the first `ncols` columns
     left to right; each pivot row is normalized by the pivot's inverse and
-    cleared from every other row with row_s <- row_s - d row_r.  Under the
-    right-hand convention the multipliers act from the left, under the
-    left-hand one from the right.  With `stop_at_gap` the elimination ends
-    at the first column without a pivot.  Returns the number of pivots; a
-    nonzero pivot without an inverse raises NotInvertible.
+    cleared from every other row with row_s <- row_s - d row_r, one
+    `_mul_add` call per entry, so each updated entry is reduced once.
+    Under the right-hand convention the multipliers act from the left,
+    under the left-hand one from the right.  With `stop_at_gap` the
+    elimination ends at the first column without a pivot.  Returns the
+    number of pivots; a nonzero pivot without an inverse raises
+    NotInvertible.
     """
-
-    def lmul(d, x):
-        return mul(d, x) if hand == "right" else mul(x, d)
-
+    right = hand == "right"
     rank = 0
     for c in range(ncols):
         pr = next((r for r in range(rank, len(work)) if not work[r][c].is_zero()), None)
@@ -99,11 +100,13 @@ def _gauss_jordan(work: list, ncols: int, hand: str = "right", stop_at_gap: bool
             continue
         work[rank], work[pr] = work[pr], work[rank]
         inv = work[rank][c].inverse()
-        work[rank] = [lmul(inv, x) for x in work[rank]]
+        top = work[rank] = [x if x.is_zero() else mul(inv, x) if right else mul(x, inv)
+                            for x in work[rank]]
         for r in range(len(work)):
-            if r != rank and not work[r][c].is_zero():
-                d = work[r][c]
-                work[r] = [x - lmul(d, y) for x, y in zip(work[r], work[rank])]
+            d = work[r][c]
+            if r != rank and not d.is_zero():
+                work[r] = [_mul_add(x, ((-1, d, y) if right else (-1, y, d),))
+                           for x, y in zip(work[r], top)]
         rank += 1
         if rank == len(work):
             break
@@ -309,10 +312,8 @@ def euclidean_product(alg: Algebra, n: int) -> VectorScalarProduct:
 def eval_vector_product(g: VectorScalarProduct, v: Vector, w: Vector) -> Element:
     if len(v) != g.n or len(w) != g.n:
         raise DimensionMismatch("vector dimension differs from the product")
-    acc = g.algebra.zero
-    for axis, vi, wi in zip(g.axes, v, w):
-        acc = acc + eval_bilinear(axis, vi.coords, wi.coords)
-    return acc
+    return _mul_add(g.algebra.zero, [(1, eval_bilinear(axis, vi.coords, wi.coords), None)
+                                     for axis, vi, wi in zip(g.axes, v, w)])
 
 
 def is_orthonormal(g: VectorScalarProduct, basis: Sequence[Vector]) -> bool:

@@ -300,7 +300,7 @@ class Element:
         alg = self.algebra
         coords = self.coords
         for q in set(
-            coords[i] / alg.unit_coords[i]
+            Fraction(coords[i], alg.unit_coords[i])
             for i in range(alg.dim)
             if alg.unit_coords[i]
         ):
@@ -349,43 +349,87 @@ def build_algebra(dim, constants, unit_index=0, name=None) -> Algebra:
     return Algebra(dim, constants, unit_index, name=name)
 
 
+def _product(a: Element, b: Element) -> list:
+    """Unreduced numerators of a*b over a._den * b._den * algebra._den."""
+    out = [0] * a.algebra.dim
+    anum, bnum = a._num, b._num
+    for i, j, k, c in a.algebra._terms:
+        out[k] += anum[i] * bnum[j] * c
+    return out
+
+
 def mul(a: Element, b: Element) -> Element:
     """Product via the structural constants, coords_k = sum C[i][j][k] a_i b_j."""
     a._check(b)
     alg = a.algebra
-    out = [0] * alg.dim
-    anum, bnum = a._num, b._num
-    for i, j, k, c in alg._terms:
-        out[k] += anum[i] * bnum[j] * c
-    return _reduced(alg, out, a._den * b._den * alg._den)
+    return _reduced(alg, _product(a, b), a._den * b._den * alg._den)
 
 
-def left_regular_matrix(a: Element) -> list[list[Fraction]]:
-    """Matrix of x -> a*x over the rationals; column j holds coords of a*e_j."""
-    alg = a.algebra
-    n = alg.dim
-    m = [[_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        col = mul(a, alg.basis_element(j)).coords
-        for k in range(n):
-            m[k][j] = col[k]
-    return m
+def _mul_add(acc: Element, terms) -> Element:
+    """acc + sum q * a * b over the triples (q, a, b) of `terms`.
+
+    q is a rational weight (an int or a Fraction); b is an Element, or None
+    for the term q * a.  Each product is formed by the loop of `mul`
+    without its reduction, the terms are added on integer numerators over
+    the least common multiple of their denominators, and the sum is reduced
+    once.  Terms with a zero factor are skipped, so acc itself comes back
+    when nothing is added.
+    """
+    alg = acc.algebra
+    num, den = acc._num, acc._den
+    for q, a, b in terms:
+        if a.algebra is not alg:
+            acc._check(a)
+        if not q or not any(a._num):
+            continue
+        if b is None:
+            t, d = a._num, a._den
+        else:
+            if b.algebra is not alg:
+                acc._check(b)
+            if not any(b._num):
+                continue
+            t, d = _product(a, b), a._den * b._den * alg._den
+        p = q.numerator
+        d *= q.denominator
+        if d == den:
+            num = [x + p * y for x, y in zip(num, t)]
+        else:
+            g = gcd(den, d)
+            fx, fy = d // g, p * (den // g)
+            num = [x * fx + fy * y for x, y in zip(num, t)]
+            den *= fx
+    if num is acc._num:
+        return acc
+    return _reduced(alg, num, den)
 
 
 def inverse(a: Element) -> Element:
     """Two-sided inverse of a.
 
-    Solves the left-regular linear system a*x = unit over Q and verifies
-    x*a = unit; the verification matters because the algebra need not be a
-    division ring.
+    Solves the left-regular system a*x = unit on integers: column j of
+    the matrix holds the numerators of a*e_j, read off the integer
+    structural constants, and `ratlin._eliminate` reduces the system
+    fraction-free, so the inverse is reduced once, from the final
+    integers.  x*a = unit is verified as well; the verification matters
+    because the algebra need not be a division ring.
     """
     if a.is_zero():
         raise ZeroElement("zero has no inverse")
     alg = a.algebra
-    sol = ratlin.solve(left_regular_matrix(a), list(alg.unit_coords))
-    if sol is None or sol[1] != 0:
+    n = alg.dim
+    num = a._num
+    u, du = alg._unit
+    # row k: the integers of (a x)_k = unit_k, both sides multiplied by
+    # du * a._den * alg._den
+    rows = [[0] * n + [x * a._den * alg._den] for x in u]
+    for i, j, k, c in alg._terms:
+        rows[k][j] += num[i] * c * du
+    work, pivots, d = ratlin._eliminate(rows)
+    if pivots != list(range(n)):
         raise NotInvertible("left-regular matrix is singular")
-    x = Element(alg, sol[0])
+    sign = -1 if d < 0 else 1  # x_r = work[r][n] / d, over a positive denominator
+    x = _reduced(alg, [sign * row[n] for row in work], sign * d)
     if mul(x, a) != alg.unit:
         raise NotInvertible("left inverse is not a right inverse")
     return x

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, mul
+from .algebra import Algebra, Element, _mul_add, mul
 from .errors import (
     DimensionMismatch,
     DivRingError,
@@ -141,7 +141,7 @@ def bilinear_from_standard(sc: StandardComponents) -> BilinearMatrix:
     for p in range(n):
         row = []
         for q in range(n):
-            acc = alg.zero
+            terms = []
             for i in range(n):
                 ip = mul(basis[i], basis[p])
                 iq = mul(basis[i], basis[q])
@@ -149,13 +149,9 @@ def bilinear_from_standard(sc: StandardComponents) -> BilinearMatrix:
                     ipjq = mul(mul(ip, basis[j]), basis[q])
                     iqjp = mul(mul(iq, basis[j]), basis[p])
                     for k in range(n):
-                        c1 = sc.first[i][j][k]
-                        if c1:
-                            acc = acc + mul(ipjq, basis[k]).scale(c1)
-                        c2 = sc.second[i][j][k]
-                        if c2:
-                            acc = acc + mul(iqjp, basis[k]).scale(c2)
-            row.append(acc)
+                        terms.append((sc.first[i][j][k], ipjq, basis[k]))
+                        terms.append((sc.second[i][j][k], iqjp, basis[k]))
+            row.append(_mul_add(alg.zero, terms))
         rows.append(row)
     return BilinearMatrix(rows)
 
@@ -165,16 +161,12 @@ def eval_bilinear(g: BilinearMatrix, a: Sequence, b: Sequence) -> Element:
     n = g.var_count
     if len(a) != n or len(b) != n:
         raise DimensionMismatch("coordinate length does not match the form")
-    acc = g.algebra.zero
-    for i, ai in enumerate(a):
+    terms = []
+    for ai, row in zip(a, g.entries):
         ai = Fraction(ai)
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            bj = Fraction(bj)
-            if bj:
-                acc = acc + g.entries[i][j].scale(ai * bj)
-    return acc
+        if ai:
+            terms += [(ai * Fraction(bj), gij, None) for bj, gij in zip(b, row)]
+    return _mul_add(g.algebra.zero, terms)
 
 
 class SymmetryClass(Enum):
@@ -249,12 +241,12 @@ def solve_axxa(a: Element, b: Element) -> SylvesterSolution:
     alg = a.algebra
     s = two_sided_matrix(a)
     sol = ratlin.solve(s, list(b.coords))
-    nullity = alg.dim - ratlin.rank(s)
     if sol is None:
-        return SylvesterSolution("none", None, nullity)
-    x = Element(alg, sol[0])
-    kind = "unique" if sol[1] == 0 else "infinite"
-    return SylvesterSolution(kind, x, nullity)
+        return SylvesterSolution("none", None, alg.dim - ratlin.rank(s))
+    # a consistent system's nullity is that of the homogeneous equation
+    x, nullity = sol
+    kind = "unique" if nullity == 0 else "infinite"
+    return SylvesterSolution(kind, Element(alg, x), nullity)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +278,12 @@ class Diagonalization:
         """Re-expand the sum of squares at rational coordinates a."""
         if len(a) != self.var_count:
             raise DimensionMismatch("coordinate length does not match the form")
-        acc = self.algebra.zero
+        zero = self.algebra.zero
+        terms = []
         for d, cov in zip(self.diagonal, self.substitution):
-            lin = self.algebra.zero
-            for aj, hj in zip(a, cov):
-                if aj:
-                    lin = lin + hj.scale(Fraction(aj))
-            acc = acc + mul(d, mul(lin, lin))
-        return acc
+            lin = _mul_add(zero, [(Fraction(aj), hj, None) for aj, hj in zip(a, cov) if aj])
+            terms.append((1, mul(d, lin), lin))
+        return _mul_add(zero, terms)
 
 
 def _case2_matrix(n: int, i: int, j: int) -> list[list[Fraction]]:
@@ -309,20 +299,10 @@ def _case2_matrix(n: int, i: int, j: int) -> list[list[Fraction]]:
 def _congruence(mtx, p):
     """P^T M P for a rational matrix P and an Element matrix M."""
     n = len(mtx)
-    out = [[mtx[0][0].algebra.zero for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            acc = mtx[0][0].algebra.zero
-            for x in range(n):
-                px = p[x][r]
-                if not px:
-                    continue
-                for y in range(n):
-                    f = px * p[y][c]
-                    if f:
-                        acc = acc + mtx[x][y].scale(f)
-            out[r][c] = acc
-    return out
+    zero = mtx[0][0].algebra.zero
+    return [[_mul_add(zero, [(p[x][r] * p[y][c], mtx[x][y], None)
+                             for x in range(n) if p[x][r] for y in range(n)])
+             for c in range(n)] for r in range(n)]
 
 
 def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonalization:
@@ -358,30 +338,29 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
         for j in active:
             if j == p:
                 continue
-            rhs = mul(d, m[p][j]).scale(2)
+            rhs = _mul_add(alg.zero, ((2, d, m[p][j]),))
             outcome = solve_axxa(d, rhs)
             if outcome.witness is None:
                 raise PivotConditionFailed(p, j)
             cov[j] = outcome.witness
         dinv = d.inverse()
-        # strip the square: subtract dinv * (sum a^j h_j)^2, symmetrized
+        # strip the square: subtract dinv * (sum a^j h_j)^2, symmetrized, as
+        # (dinv h_r) h_c / 2 + (dinv h_c) h_r / 2 with one reduction per entry
+        left = {r: mul(dinv, cov[r]) for r in active}
+        half = -_HALF
         for r in active:
             for c in active:
-                hr, hc = cov[r], cov[c]
-                m[r][c] = m[r][c] - mul(dinv, (mul(hr, hc) + mul(hc, hr)).scale(_HALF))
+                m[r][c] = _mul_add(m[r][c], ((half, left[r], cov[c]), (half, left[c], cov[r])))
         for t in active:
             if not (m[p][t].is_zero() and m[t][p].is_zero()):
                 raise DivRingError(
                     f"completing the square at pivot {p} left variable {t} coupled to it"
                 )
         # pull the covector back to original variables through Q^T
-        pulled = [alg.zero] * n
-        for cur, h in cov.items():
-            for orig in range(n):
-                if q[cur][orig]:
-                    pulled[orig] = pulled[orig] + h.scale(q[cur][orig])
+        pulled = tuple(_mul_add(alg.zero, [(q[cur][orig], h, None) for cur, h in cov.items()])
+                       for orig in range(n))
         diagonal.append(dinv)
-        covectors.append(tuple(pulled))
+        covectors.append(pulled)
         active.remove(p)
 
     while active:

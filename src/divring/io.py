@@ -287,7 +287,9 @@ def dump_json(path: str, payload) -> None:
 
 def _file_loader(load):
     """A loader whose document of the wrong shape ends as ParseError naming
-    the file; domain errors, ParseError among them, pass unchanged."""
+    the file; domain errors, ParseError among them, pass unchanged.  A
+    source that is no path, such as a value read from another document,
+    is reported as a malformed value without a name."""
 
     @functools.wraps(load)
     def checked(source, *args, **kwargs):
@@ -296,9 +298,24 @@ def _file_loader(load):
         except DivRingError:
             raise
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"{source}: malformed file ({type(exc).__name__}: {exc})") from exc
+            detail = f"({type(exc).__name__}: {exc})"
+            if isinstance(source, (str, os.PathLike)):
+                raise ParseError(f"{source}: malformed file {detail}") from exc
+            raise ParseError(f"malformed value {detail}") from exc
 
     return checked
+
+
+def _document_algebra(source, doc: dict) -> Algebra:
+    """The algebra a document names under "algebra", quaternions by
+    default; a malformed value is reported under the document's file."""
+    value = doc.get("algebra", "quaternion")
+    try:
+        return load_algebra(value)
+    except ParseError as exc:
+        if isinstance(value, (str, os.PathLike)):
+            raise
+        raise ParseError(f"{source}: algebra: {exc}") from exc
 
 
 @_file_loader
@@ -340,7 +357,7 @@ def algebra_payload(alg: Algebra) -> dict:
 @_file_loader
 def load_form(source: str) -> tuple[Algebra, BilinearMatrix]:
     doc = _load_json(source)
-    alg = load_algebra(doc.get("algebra", "quaternion"))
+    alg = _document_algebra(source, doc)
     rows = [[parse_element(alg, cell) for cell in row] for row in doc["matrix"]]
     return alg, BilinearMatrix(rows)
 
@@ -348,7 +365,7 @@ def load_form(source: str) -> tuple[Algebra, BilinearMatrix]:
 @_file_loader
 def load_element_matrix(source: str) -> tuple[Algebra, tuple]:
     doc = _load_json(source)
-    alg = load_algebra(doc.get("algebra", "quaternion"))
+    alg = _document_algebra(source, doc)
     rows = tuple(
         tuple(parse_element(alg, cell) for cell in row) for row in doc["rows"]
     )
@@ -358,7 +375,7 @@ def load_element_matrix(source: str) -> tuple[Algebra, tuple]:
 @_file_loader
 def load_affine_map(source: str, hand: str = "right") -> tuple[Algebra, AffineMap]:
     doc = _load_json(source)
-    alg = load_algebra(doc.get("algebra", "quaternion"))
+    alg = _document_algebra(source, doc)
     linear = [[parse_element(alg, cell) for cell in row] for row in doc["linear"]]
     shift = [parse_element(alg, cell) for cell in doc["shift"]]
     return alg, AffineMap(linear, shift, hand)
@@ -367,7 +384,7 @@ def load_affine_map(source: str, hand: str = "right") -> tuple[Algebra, AffineMa
 @_file_loader
 def load_plane(source: str) -> tuple[Algebra, Plane]:
     doc = _load_json(source)
-    alg = load_algebra(doc.get("algebra", "quaternion"))
+    alg = _document_algebra(source, doc)
     anchor = [parse_element(alg, cell) for cell in doc["anchor"]]
     span = [[parse_element(alg, cell) for cell in row] for row in doc["span"]]
     return alg, Plane(anchor, span)
@@ -440,7 +457,7 @@ def load_tower(source: str, max_product: Optional[int] = None) -> Tower:
 @_file_loader
 def load_chart(source: str) -> Chart:
     doc = _load_json(source)
-    alg = load_algebra(doc.get("algebra", "quaternion"))
+    alg = _document_algebra(source, doc)
     nvars = int(doc["vars"])
     comps = [parse_poly(alg, nvars, s) for s in doc["components"]]
     inverse = None

@@ -56,18 +56,24 @@ def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (den // x.denominator) for x in values]), den
 
 
-def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination on the integer-scaled rows.
+def _integer_rows(m: Matrix) -> list[tuple[int, ...]]:
+    """Each row scaled to integers by its own least common denominator."""
+    return [over_common_denominator(row)[0] for row in m]
+
+
+def _eliminate(work: list) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on a list of integer rows.
 
     Pivots are the first nonzero entry scanning columns left to right.
-    Returns the work rows, the pivot columns and the last pivot value d:
-    after elimination every pivot row holds d at its pivot column and zero
-    at the others, the rows below hold zeros in all pivot columns, and the
-    reduced row echelon form is the work rows divided by d.
+    Returns the list, with its rows replaced, the pivot columns and the
+    last pivot value d: after elimination every pivot row holds d at its
+    pivot column and zero at the others, the rows below hold zeros in all
+    pivot columns, and the reduced row echelon form is the rows divided
+    by d.  Scaling each row of a rational matrix to integers leaves its
+    row space, hence the reduced form, unchanged.
     """
-    work = [over_common_denominator(row)[0] for row in m]
     rows = len(work)
-    cols = len(m[0]) if rows else 0
+    cols = len(work[0]) if rows else 0
     pivots = []
     prev = 1
     r = 0
@@ -106,7 +112,7 @@ def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
     as the first nonzero entry scanning columns left to right; dividing by
     the last pivot gives the reduced form, which is unique.
     """
-    work, pivots, d = _eliminate(m)
+    work, pivots, d = _eliminate(_integer_rows(m))
     r = len(pivots)
     cols = len(m[0]) if m else 0
     out = [_quotients(work[i], d) for i in range(r)]
@@ -116,7 +122,7 @@ def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(m: Matrix) -> int:
     """The pivot count of the integer elimination."""
-    return len(_eliminate(m)[1])
+    return len(_eliminate(_integer_rows(m))[1])
 
 
 def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
@@ -128,7 +134,7 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    work, pivots, d = _eliminate([a[i][:] + [b[i]] for i in range(rows)])
+    work, pivots, d = _eliminate(_integer_rows([a[i][:] + [b[i]] for i in range(rows)]))
     if cols in pivots:
         return None
     x = [_ZERO] * cols
@@ -142,8 +148,8 @@ def _row_operations(m: Matrix) -> tuple[list[list[int]], list[int], int]:
     the last pivot d, with E m / d the reduced row echelon form of m; rows
     of E m from len(pivots) on are zero."""
     k = len(m[0]) if m else 0
-    work, pivots, d = _eliminate([list(row) + [int(i == j) for j in range(len(m))]
-                                  for i, row in enumerate(m)])
+    work, pivots, d = _eliminate(_integer_rows([list(row) + [int(i == j) for j in range(len(m))]
+                                                for i, row in enumerate(m)]))
     return [row[k:] for row in work], [c for c in pivots if c < k], d
 
 

@@ -260,6 +260,22 @@ def test_malformed_file_is_parse_error(tmp_path, capsys, argv, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["form", "diagonalize", "{}"], {"algebra": [], "entries": [[1]]}),
+    (["form", "diagonalize", "{}"], {"algebra": 0, "matrix": [["1"]]}),
+    (["affine", "rank", "{}"], {"algebra": {"dim": 1}, "rows": [["1"]]}),
+    (["calc", "pushforward", "--chart", "{}", "--point", "1", "--vector", "1"],
+     {"algebra": [1], "vars": 1, "components": ["x1"]}),
+])
+def test_nested_malformed_value_names_the_file(tmp_path, capsys, argv, doc):
+    path = tmp_path / "f.json"
+    dump_json(str(path), doc)
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: algebra: malformed value (")
+    assert err.count("\n") == 1
+
+
 def test_outputs_are_reproducible(capsys):
     first = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))
     second = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))
