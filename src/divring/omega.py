@@ -20,7 +20,7 @@ so agreement under every relevant assignment is decidable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -302,15 +302,26 @@ def classify(rep: Representation) -> RepClassification:
 # words
 
 
+class _Node:
+    """The word id and reached generators the engine keeps on a node; a
+    copied or pickled node is rebuilt without them, as ids are per process."""
+
+    _id = -1
+    _uses = None
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Gen:
+class Gen(_Node):
     """A generator occurrence; the key is the generator element itself."""
 
     key: object
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Node):
     """An operation of the acted algebra applied to sub-words."""
 
     op: str
@@ -318,7 +329,7 @@ class App:
 
 
 @dataclass(frozen=True)
-class Act:
+class Act(_Node):
     """An action application.  For a plain representation the actor is a
     bare element of the acting algebra; in towers it is a word one level
     down."""
@@ -334,250 +345,238 @@ class Sub:
     (a representation is a height-2 tower, with the one table of level 2).
     The body is a word of level `level`: its own generators come from
     tables[level - 2], those of its actor words from the tables below.
-    Superposition builds these nodes instead of copying the body.  The
-    tables are a read-only snapshot taken at superposition, shared by
-    every node built from the same tables.
+    Superposition builds one node per equal body and tables instead of
+    copying the body; the tables are read-only views of the first snapshot.
+    A node needs every generator the body reaches (GeneratorMismatch
+    otherwise); its word id comes from its level, body and those words.
     """
 
-    __slots__ = ("body", "level", "_env", "_uses", "_val", "_value")
+    __slots__ = ("body", "level", "_tables", "_id")
 
-    def __init__(self, body, level, env, uses):
-        self.body = body
-        self.level = level
-        self._env = env
-        self._uses = uses
-        self._val = None  # the last valuation and the value under it
-        self._value = None
+    def __init__(self, body, level, tables):
+        key = [4, level, _word_id(body)]
+        for d, g in _uses(body):
+            k = level - 2 - d
+            if not (0 <= k < len(tables) and g in tables[k]):
+                raise GeneratorMismatch(f"level {k + 2}: {g!r}")
+            key.append(_word_id(tables[k][g]))
+        self.body, self.level, self._tables = body, level, tables
+        self._id = _intern(tuple(key))
 
     @property
     def tables(self) -> tuple:
-        return tuple(MappingProxyType(t) for t in self._env.tables)
+        return tuple(MappingProxyType(t) for t in self._tables)
+
+    def __reduce__(self):
+        return Sub, (self.body, self.level, self._tables)
 
     def __repr__(self):
-        return f"Sub({self.body!r}, level={self.level}, tables={self._env.tables!r})"
+        return f"Sub({self.body!r}, level={self.level}, tables={self._tables!r})"
 
 
 Word = object  # Gen | App | Act | Sub
 _WORD_TYPES = (Gen, App, Act, Sub)
 
-# Word-engine caches, shared by every caller in the process: no result
-# depends on what they hold, only the time it takes.  Words and tables are
-# keyed by id; every entry holds the object it was keyed by, so no other
-# object can take that id while the entry lives.
-#   _ENVS        id(tables) -> _Env: a snapshot of substitution tables and
-#                the Sub nodes built on it; each Sub keeps its last value
-#   _USES        id(word) -> (word, generators it reaches)
-#   _VALUATIONS  (owner, generator images) -> _Valuation
-#   _VALUES      (valuation, id(word)) -> (word, value), for App and Act
-# The first is dropped after _SUB_LIMIT new envs and Sub nodes, the other
-# three together after _VALUE_LIMIT new entries, which bounds their memory.
-_SUB_LIMIT = 1 << 10
-_VALUE_LIMIT = 1 << 12
-_ENVS: dict = {}
-_USES: dict = {}
-_VALUATIONS: dict = {}
-_VALUES: dict = {}
-_LAST = [None, None, None]  # owner, assignment snapshot, valuation
-_added = [0, 0]  # since the last drop: envs and Sub nodes, values
+# The word memo, shared by every caller in the process: no result depends
+# on what it holds, only the time it takes.  Words are hash-consed: a node
+# gets the id of its structure on first use and keeps it, so equal words
+# built apart share their values.
+#   _WORD_IDS   structure -> word id
+#   _VALS       (representation, valuation below, images) -> _Valuation
+#   _MEMO       word id << 64 | valuation id -> value, a carrier index; it
+#               holds only ints, so the collector skips it
+#   _SNAPSHOTS  tables' structure -> (snapshot, Sub node per level and body)
+# Ids come from one counter and are never given twice, so the four can be
+# dropped together at any insertion, mid-evaluation too: they are, whenever
+# one reaches _MEMO_LIMIT entries, and a node keeps its id across a drop.
+_MEMO_LIMIT = 1 << 16
+_WORD_IDS: dict = {}
+_VALS: dict = {}
+_MEMO: dict = {}
+_SNAPSHOTS: dict = {}
+_NEXT_ID = itertools.count()
 
 
-def _trim_subs() -> None:
-    """Count one new env or Sub node, dropping them all when full."""
-    _added[0] += 1
-    if _added[0] > _SUB_LIMIT:
-        _added[0] = 1
-        for env in _ENVS.values():  # a Sub refers back to its env
-            for subs in env.subs:
-                subs.clear()
-        _ENVS.clear()
+def _room(table: dict) -> None:
+    if len(table) >= _MEMO_LIMIT:
+        for t in (_WORD_IDS, _VALS, _MEMO, _SNAPSHOTS):
+            t.clear()
 
 
-def _trim_values() -> None:
-    """Count one new uses, valuation or value entry, dropping them all
-    when full."""
-    _added[1] += 1
-    if _added[1] > _VALUE_LIMIT:
-        _added[1] = 1
-        _USES.clear()
-        _VALUATIONS.clear()
-        _VALUES.clear()
+def _intern(key: tuple) -> int:
+    i = _WORD_IDS.get(key)
+    if i is None:
+        _room(_WORD_IDS)
+        i = _WORD_IDS[key] = next(_NEXT_ID)
+    return i
 
 
-class _Valuation:
-    """Generator images of one owner (a tower, or a representation taken as
-    a height-2 tower): images[level][generator]."""
-
-    __slots__ = ("owner", "images")
-
-    def __init__(self, owner, images):
-        self.owner = owner
-        self.images = images
-
-
-def _valuation(owner, images: dict) -> _Valuation:
-    """The valuation of `images`, interned by content so that equal
-    generator values share their memoised word values."""
-    key = (owner, tuple((level, tuple(t.items())) for level, t in images.items()))
-    try:
-        val = _VALUATIONS.get(key)
-    except TypeError:  # unhashable images: evaluate without sharing
-        return _Valuation(owner, images)
-    if val is None:
-        _trim_values()
-        val = _VALUATIONS[key] = _Valuation(owner, images)
-    return val
-
-
-def _evaluate_at(owner, reps: Sequence, level: int, word, assignment: Mapping,
-                 levelled: bool):
-    """The entry of eval_word and eval_tower_word; `levelled` assignments
-    map each level to a table, plain ones are the level-2 table itself.
-    A call with the same owner and an equal assignment as the last one
-    reuses its valuation, and a Sub node already evaluated under it
-    returns its value at once."""
-    last = _LAST
-    if last[0] is owner and last[1] == assignment:
-        val = last[2]
-    else:
-        if levelled:
-            snapshot = images = {lvl: dict(t) for lvl, t in assignment.items()}
+def _word_id(word) -> int:
+    """The id of a node's structure, given on first use and kept on it."""
+    i = getattr(word, "_id", -1)
+    if i < 0:
+        kind = type(word)
+        if kind is Gen:
+            i = _intern((0, word.key))
+        elif kind is App:
+            i = _intern((1, word.op, *map(_word_id, word.children)))
+        elif kind is Act and isinstance(word.actor, _WORD_TYPES):
+            i = _intern((2, _word_id(word.actor), _word_id(word.child)))
+        elif kind is Act:
+            i = _intern((3, word.actor, _word_id(word.child)))
         else:
-            snapshot = dict(assignment)
-            images = {2: snapshot}
-        val = _valuation(owner, images)
-        last[:] = [owner, snapshot, val]
-    if type(word) is Sub and word._val is val and word.level == level:
-        return word._value
-    return _evaluate(reps, level, word, val)
+            raise TypeError(f"not a word: {word!r}")
+        object.__setattr__(word, "_id", i)
+    return i
 
 
-class _Env:
-    """A snapshot of substitution tables and the Sub nodes built on it."""
-
-    __slots__ = ("source", "tables", "subs")
-
-    def __init__(self, source, tables):
-        self.source = source
-        self.tables = tuple(dict(t) for t in tables)
-        self.subs = tuple({} for _ in tables)  # [level - 2][id(word)] -> Sub
-
-
-def _env(source, tables: tuple) -> _Env:
-    """The snapshot of `tables`, reused while they are unchanged."""
-    env = _ENVS.get(id(source))
-    if env is None or env.tables != tables:
-        _trim_subs()
-        env = _ENVS[id(source)] = _Env(source, tables)
-    return env
-
-
-def _uses(word) -> frozenset:
-    """The generators a word reaches, as pairs (d, g): g is a generator of
-    the level d steps below the word's own (actor words sit one level
-    down)."""
-    hit = _USES.get(id(word))
-    if hit is not None:
-        return hit[1]
+def _uses(word) -> tuple:
+    """The generators a word reaches, as pairs (d, g) in first-occurrence
+    order: g is a generator of the level d steps below the word's own
+    (actor words sit one level down).  Kept on Gen, App and Act nodes."""
     kind = type(word)
-    if kind is Gen:
-        out = frozenset(((0, word.key),))
-    elif kind is App:
-        out = frozenset().union(*[_uses(c) for c in word.children])
-    elif kind is Act:
-        out = _uses(word.child)
-        if isinstance(word.actor, _WORD_TYPES):
-            out = out | {(d + 1, g) for d, g in _uses(word.actor)}
-    elif kind is Sub:
-        tables = word._env.tables
-        out = frozenset(
-            (d + e, h)
-            for d, g in word._uses
-            for e, h in _uses(tables[word.level - 2 - d][g])
-        )
-    else:
-        raise TypeError(f"not a word: {word!r}")
-    _trim_values()
-    _USES[id(word)] = (word, out)
+    if kind is Sub:
+        tables, level = word._tables, word.level
+        return tuple(dict.fromkeys((d + e, h) for d, g in _uses(word.body)
+                                   for e, h in _uses(tables[level - 2 - d][g])))
+    try:
+        out = word._uses
+    except AttributeError:
+        raise TypeError(f"not a word: {word!r}") from None
+    if out is None:
+        if kind is Gen:
+            out = ((0, word.key),)
+        elif kind is App:
+            out = itertools.chain.from_iterable(map(_uses, word.children))
+        elif isinstance(word.actor, _WORD_TYPES):
+            out = itertools.chain(_uses(word.child),
+                                  [(d + 1, g) for d, g in _uses(word.actor)])
+        else:
+            out = _uses(word.child)
+        out = tuple(dict.fromkeys(out))
+        object.__setattr__(word, "_uses", out)
     return out
 
 
-def _substitute(word, level: int, env: _Env) -> Sub:
-    """The Sub node of a level-`level` word on `env`, built once per word.
-    Raises GeneratorMismatch for a generator the word reaches and the
-    tables lack."""
-    subs = env.subs[level - 2]
-    sub = subs.get(id(word))
-    if sub is not None:
-        return sub
-    uses = _uses(word)
-    tables = env.tables
-    for d, g in uses:
-        k = level - 2 - d
-        if not (0 <= k < len(tables) and g in tables[k]):
-            raise GeneratorMismatch(f"level {k + 2}: {g!r}")
-    _trim_subs()
-    sub = subs[id(word)] = Sub(word, level, env, uses)
-    return sub
+def _substitute(coords: Sequence[Mapping], tables: Sequence[Mapping]) -> tuple:
+    """Each level-(k + 2) word of coords[k] as a Sub node on `tables`; equal
+    tables share one snapshot, and equal words on it one node."""
+    key = tuple(part for t in tables for part in (tuple(t), tuple(map(_word_id, t.values()))))
+    hit = _SNAPSHOTS.get(key)
+    if hit is None:
+        _room(_SNAPSHOTS)
+        hit = _SNAPSHOTS[key] = (tuple(map(dict, tables)), {})
+    snapshot, nodes = hit
+    out = []
+    for level, table in enumerate(coords, 2):
+        known, subs = nodes.setdefault(level, {}), {}
+        for name, word in table.items():
+            i = _word_id(word)
+            sub = known.get(i)
+            if sub is None:
+                sub = known[i] = Sub(word, level, snapshot)
+            subs[name] = sub
+        out.append(subs)
+    return tuple(out)
 
 
-def _evaluate(reps: Sequence, level: int, word, val: _Valuation):
-    """Value of a level-`level` word; reps[k] acts level k + 1 on k + 2."""
-    kind = type(word)
-    if kind is Sub:
-        if word.level != level:
-            raise ValueError(f"a level-{word.level} word evaluated at level {level}")
-        if word._val is not val:
-            inner = _substituted_images(reps, word, val)
-            word._value = _evaluate(reps, level, word.body, inner)
-            word._val = val
-        return word._value
-    if kind is Gen:
-        images = val.images.get(level)
+class _Valuation:
+    """A level's generator images over the valuation of the level below."""
+
+    __slots__ = ("id", "rep", "level", "images", "lower")
+
+    def __init__(self, rep, lower, images):
+        self.id, self.rep, self.lower, self.images = next(_NEXT_ID), rep, lower, dict(images)
+        self.level = 2 if lower is None else lower.level + 1
+
+
+def _valuation(rep: Representation, lower, images: Mapping) -> _Valuation:
+    """Interned by the images; one with an unhashable image stands alone."""
+    key = (rep, lower, tuple(images.items()))
+    try:
+        val = _VALS.get(key)
+    except TypeError:
+        return _Valuation(rep, lower, images)
+    if val is None:
+        _room(_VALS)
+        val = _VALS[key] = _Valuation(rep, lower, images)
+    return val
+
+
+def _evaluate_at(reps: Sequence, level: int, word, assignments: Mapping):
+    """eval_word and eval_tower_word: reps[k] acts level k + 1 on k + 2,
+    assignments[k] holds level k's images; a bare Gen's is returned as is."""
+    if type(word) is Gen:
+        images = assignments.get(level)
         if images is None or word.key not in images:
             raise MissingGenerator(f"level {level}: {word.key!r}")
         return images[word.key]
-    key = (val, id(word))
-    hit = _VALUES.get(key)
-    if hit is not None:
-        return hit[1]
-    rep = reps[level - 2]
+    if level < 2:
+        raise ValueError(f"no level {level} above the first")
+    val = None
+    for k in range(level - 1):
+        val = _valuation(reps[k], val, assignments.get(k + 2, {}))
+    return reps[level - 2].acted.carrier[_value(word, val)]
+
+
+def _value(word, val: _Valuation) -> int:
+    """Carrier index of a word of val's level under val."""
+    kind = type(word)
+    if kind is Gen:
+        if word.key not in val.images:
+            raise MissingGenerator(f"level {val.level}: {word.key!r}")
+        return val.rep.acted._index[val.images[word.key]]
+    if kind is Sub and word.level != val.level:
+        raise ValueError(f"a level-{word.level} word evaluated at level {val.level}")
+    key = _word_id(word) << 64 | val.id
+    value = _MEMO.get(key)
+    if value is not None:
+        return value
+    rep = val.rep
     if kind is App:
-        value = rep.acted.apply(
-            word.op, [_evaluate(reps, level, c, val) for c in word.children]
-        )
+        args = [_value(c, val) for c in word.children]
+        alg = rep.acted
+        if len(args) != alg.signature.arity(word.op):
+            raise KeyError(f"{word.op!r} applied to {len(args)} arguments")
+        n, pos = len(alg.carrier), 0
+        for a in args:
+            pos = pos * n + a
+        value = alg._flat[word.op][pos]
     elif kind is Act:
         actor = word.actor
-        if isinstance(actor, _WORD_TYPES):
-            if level == 2:
-                raise ValueError("an actor word needs a tower level below its own")
-            actor = _evaluate(reps, level - 1, actor, val)
-        value = rep.act(actor, _evaluate(reps, level, word.child, val))
+        if not isinstance(actor, _WORD_TYPES):
+            actor = rep.acting._index[actor]
+        elif val.lower is None:
+            raise ValueError("an actor word needs a tower level below its own")
+        else:
+            actor = _value(actor, val.lower)
+        value = rep._rows[actor][_value(word.child, val)]
     else:
-        raise TypeError(f"not a word: {word!r}")
-    _trim_values()
-    _VALUES[key] = (word, value)
+        value = _value(word.body, _inner(word, val))
+    _room(_MEMO)
+    _MEMO[key] = value
     return value
 
 
-def _substituted_images(reps: Sequence, sub: Sub, val: _Valuation) -> _Valuation:
+def _inner(sub: Sub, val: _Valuation) -> _Valuation:
     """The valuation giving each generator that the body of `sub` reaches
     the value, under `val`, of the word substituted for it."""
-    images = {}
-    for d, g in sub._uses:
-        level = sub.level - d
-        word = sub._env.tables[level - 2][g]
-        images.setdefault(level, {})[g] = _evaluate(reps, level, word, val)
-    return _valuation(val.owner, images)
+    chain = [val]
+    while chain[-1].lower is not None:
+        chain.append(chain[-1].lower)
+    uses, inner = _uses(sub.body), None
+    for outer in reversed(chain):
+        level, carrier = outer.level, outer.rep.acted.carrier
+        table = sub._tables[level - 2]
+        inner = _valuation(outer.rep, inner, {
+            g: carrier[_value(table[g], outer)] for d, g in uses if sub.level - d == level})
+    return inner
 
 
 def eval_word(rep: Representation, word, assignment: Mapping):
-    """Evaluate a word with generator images drawn from `assignment`.
-
-    The representation is taken as a height-2 tower: evaluation, its memo
-    (keyed by the representation, the node and the generator values) and
-    MissingGenerator work as in towers.eval_tower_word.
-    """
-    return _evaluate_at(rep, (rep,), 2, word, assignment, False)
+    """Evaluate a word with generator images drawn from `assignment`, the
+    representation taken as a height-2 tower (see towers.eval_tower_word)."""
+    return _evaluate_at((rep,), 2, word, {2: assignment})
 
 
 def word_generators(word) -> set:
@@ -929,7 +928,7 @@ def endo_coordinates(rep: Representation, gens: Iterable, r: Mapping,
 def substitute(word, table: Mapping) -> Sub:
     """`word` with each generator occurrence replaced by its word from
     `table`, as an explicit-substitution node (see superpose)."""
-    return _substitute(word, 2, _env(table, (table,)))
+    return _substitute(({0: word},), (table,))[0][0]
 
 
 def superpose(coords: Mapping, endo_coords: Mapping) -> dict:
@@ -941,14 +940,12 @@ def superpose(coords: Mapping, endo_coords: Mapping) -> dict:
     this composes contravariantly (coordinates of S superposed with
     coordinates of R are coordinates of R after S).
 
-    Each result is a `Sub` node holding the coordinate word and one shared
-    snapshot of `endo_coords`; no tree is copied.  A generator that a
-    coordinate word reaches and `endo_coords` lacks raises
-    GeneratorMismatch here, not at evaluation.  eval_word evaluates the
-    result by value, each substituted word once per assignment.
+    Each result is a `Sub` node holding the coordinate word and a snapshot
+    of `endo_coords` (see towers.tower_superpose); no tree is copied.  A
+    generator that a coordinate word reaches and `endo_coords` lacks raises
+    GeneratorMismatch here, not at evaluation.
     """
-    env = _env(endo_coords, (endo_coords,))
-    return {key: _substitute(w, 2, env) for key, w in coords.items()}
+    return _substitute((coords,), (endo_coords,))[0]
 
 
 def is_regular(rep: Representation, gens: Iterable, r: Mapping) -> bool:

@@ -32,7 +32,6 @@ from .omega import (
     _close,
     _coordinates,
     _endomorphisms,
-    _env,
     _evaluate_at,
     _generates,
     _is_endomorphism,
@@ -82,17 +81,17 @@ def eval_tower_word(tower: Tower, level: int, word, assignments: Mapping):
     above that.  A generator that the word reaches and its level's
     assignment lacks raises MissingGenerator, whatever the memo holds.
 
-    Evaluation is by value.  A `Sub` node evaluates the words substituted
-    for the generators its body reaches, then its body under those values,
-    and keeps its last value.  Every App and Act node is memoised under the
-    tower, the node and the generator values, so a word shared by closure
-    tables or by many superpositions is evaluated once per tuple of
-    generator values.  The memo holds at most 4096 entries and the Sub
-    nodes kept for reuse at most 1024 (`omega._VALUE_LIMIT`,
-    `omega._SUB_LIMIT`); each is dropped whole when full.  Towers and
-    representations are taken to be immutable.
+    Evaluation is by value, through one memo shared by every caller.  Words
+    are hash-consed: every structurally distinct word, Sub nodes included,
+    has one word id, and the generator images of each level one valuation
+    id, so a word shared by closure tables, by many superpositions or by
+    closures built apart is evaluated once per tuple of generator values.
+    The memo maps (word id, valuation id) to the value's carrier index.  It
+    and the tables of ids are dropped together when one of them reaches
+    2^16 entries (`omega._MEMO_LIMIT`).  Towers and representations are
+    taken to be immutable.
     """
-    return _evaluate_at(tower, tower.reps, level, word, assignments, True)
+    return _evaluate_at(tower.reps, level, word, assignments)
 
 
 @dataclass(frozen=True)
@@ -166,19 +165,10 @@ def tower_endo_coordinates(tower: Tower, gens: Sequence[Iterable],
     return _coordinates(tower.reps, clo.generators, clo.word_of[1:], maps, verified)
 
 
-def _substitute_tower(coords: Sequence[Mapping], env) -> tuple:
-    """The Sub node of every coordinate word, level by level.  Nodes
-    already built on `env` are looked up here, not through _substitute:
-    that is the common case in a sweep and it saves a call per word."""
-    out = []
-    for level, table in enumerate(coords, 2):
-        subs = env.subs[level - 2]
-        words = {}
-        for key, w in table.items():
-            sub = subs.get(id(w))
-            words[key] = sub if sub is not None else _substitute(w, level, env)
-        out.append(words)
-    return tuple(out)
+def _substitute_tower(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -> tuple:
+    """omega._substitute, the substitution that superpose also runs, under
+    the name the benchmark's trace looks for."""
+    return _substitute(coords, endo_coords)
 
 
 def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -> tuple:
@@ -188,18 +178,19 @@ def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -
     `coords` at the endomorphism's image of the tuple; on endomorphism
     coordinate families this realizes the contravariant composition law.
 
-    Each result word is a `Sub` node: the level-L coordinate word with one
-    shared snapshot of `endo_coords`, whose table L serves the word's own
+    Each result word is a `Sub` node: the level-L coordinate word with a
+    snapshot of `endo_coords`, whose table L serves the word's own
     generators and the lower tables its actor words; bare level-1 actors
     stay fixed because tower endomorphisms are the identity on the first
-    algebra.  No tree is copied.
+    algebra.  No tree is copied, and superposition is hash-consed: equal
+    tables share one snapshot and equal words on it one node.
     GeneratorMismatch is raised here, not at evaluation, when the level
     counts differ or when a generator that a coordinate word reaches, at
     its own level or through an actor word, is missing from its table.
     """
     if len(coords) != len(endo_coords):
         raise GeneratorMismatch("coordinate families span different level counts")
-    return _substitute_tower(coords, _env(endo_coords, tuple(endo_coords)))
+    return _substitute_tower(coords, endo_coords)
 
 
 def enumerate_tower_endomorphisms(tower: Tower) -> list:

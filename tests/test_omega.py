@@ -291,6 +291,45 @@ def test_superposed_words_print_and_report_generators(c6_generation):
         superpose(w5, {2: w2[1]})
 
 
+def test_eval_word_edge_values(c6_generation):
+    # a bare generator returns its assigned value as given, inside the
+    # carrier or not; an operation over a value outside it raises KeyError
+    assert eval_word(c6_generation, Gen(1), {1: 99}) == 99
+    with pytest.raises(KeyError):
+        eval_word(c6_generation, App("add", (Gen(1), Gen(1))), {1: 99})
+    unhashable = [1]
+    assert eval_word(c6_generation, Gen(1), {1: unhashable}) is unhashable
+    # the bad value of an unused generator does not matter
+    assert eval_word(c6_generation, App("add", (Gen(1), Gen(1))), {1: 1, 2: 99}) == 2
+
+
+def test_sub_tables_are_read_only_snapshots(c6_generation):
+    table = endos_by_multiplier(c6_generation)
+    clo = closure(c6_generation, [1])
+    w5 = endo_coordinates(c6_generation, [1], table[5], clo=clo)
+    w2 = endo_coordinates(c6_generation, [1], table[2], clo=clo)
+    sup = superpose(w5, w2)
+    (view,) = sup[1].tables
+    with pytest.raises(TypeError):
+        view[1] = Gen(1)
+    w2[1] = Gen(1)  # the source changes, the snapshot does not
+    assert view[1] is not w2[1]
+    assert eval_word(c6_generation, sup[1], {1: 1}) == 4
+
+
+def test_nested_sub_prints_unchanged(c6_generation):
+    table = endos_by_multiplier(c6_generation)
+    clo = closure(c6_generation, [1])
+    w5 = endo_coordinates(c6_generation, [1], table[5], clo=clo)
+    w2 = endo_coordinates(c6_generation, [1], table[2], clo=clo)
+    sup = superpose(w5, w2)
+    nested = substitute(sup[1], {1: sup[1]})
+    inner = "add(1, add(add(1, 1), add(1, 1)))[1 := add(1, 1)]"
+    assert format_word(nested) == f"{inner}[1 := {inner}]"
+    assert word_generators(nested) == {1}
+    assert eval_word(c6_generation, nested, {1: 1}) == 4  # 4 * 4 mod 6
+
+
 def test_superposition_associativity(c6_generation):
     # evaluating the structural substitution equals evaluating the original
     # words under the assignment by the substituted words' values

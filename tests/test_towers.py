@@ -1,5 +1,8 @@
+import gc
 import itertools
 import os
+import pickle
+import random
 
 import pytest
 
@@ -11,20 +14,27 @@ from divring.errors import (
     NotGenerating,
     NotRepEndomorphism,
 )
+from divring import omega
 from divring.io import load_representation
 from divring.omega import (
     Act,
     App,
+    FiniteOmegaAlgebra,
     Gen,
     Representation,
+    Signature,
+    Sub,
     classify,
     closure,
     endo_coordinates,
     enumerate_rep_automorphisms,
     enumerate_rep_endomorphisms,
+    eval_word,
     extract_basis,
     is_rep_endomorphism,
     naive_closure,
+    substitute,
+    superpose,
 )
 from divring.samples import (
     cyclic_group,
@@ -324,6 +334,12 @@ def test_superpose_missing_generator_is_eager(affine_tower):
         assert eval_tower_word(affine_tower, 3, coords[1][P0], ids) == (0, 1)
 
 
+def test_words_below_level_two_are_rejected(affine_tower):
+    ids = {2: {E1: E1, E2: E2}, 3: {P0: P0}}
+    with pytest.raises(ValueError):
+        eval_tower_word(affine_tower, 1, App("add", (Gen(E1), Gen(E2))), ids)
+
+
 def test_evaluation_memo_is_keyed_by_tower_and_values(affine_tower):
     scalars = affine_tower.reps[0]
     minus = Tower([scalars, Representation(
@@ -361,6 +377,164 @@ def test_evaluation_memo_is_keyed_by_tower_and_values(affine_tower):
                         assert eval_tower_word(tower, level, sup[level - 2][x],
                                                assignments) == \
                             walk(tower, level, w, images)
+
+
+class SubstitutedImages(dict):
+    """The value of each substituted word, worked out when it is read."""
+
+    def __init__(self, tower, level, table, assignments):
+        super().__init__()
+        self.args = tower, level, table, assignments
+
+    def __missing__(self, g):
+        tower, level, table, assignments = self.args
+        self[g] = walk_any(tower, level, table[g], assignments)
+        return self[g]
+
+
+def walk_any(tower, level, word, assignments):
+    """walk, reading a Sub node as its body under the values of the words
+    its tables substitute."""
+    if isinstance(word, Sub):
+        inner = {lvl: SubstitutedImages(tower, lvl, t, assignments)
+                 for lvl, t in enumerate(word.tables, 2) if lvl <= word.level}
+        return walk_any(tower, level, word.body, inner)
+    if isinstance(word, Gen):
+        return assignments[level][word.key]
+    if isinstance(word, App):
+        return tower.algebras[level - 1].apply(
+            word.op, [walk_any(tower, level, c, assignments) for c in word.children])
+    actor = word.actor
+    if isinstance(actor, (Gen, App, Act, Sub)):
+        actor = walk_any(tower, level - 1, actor, assignments)
+    return tower.reps[level - 2].act(actor, walk_any(tower, level, word.child, assignments))
+
+
+def transformation_monoid_rep():
+    """All self-maps of a 3-point set, composed, acting on the points."""
+    points = (0, 1, 2)
+    maps = list(itertools.product(points, repeat=3))
+    mul = {(a, b): tuple(a[b[p]] for p in points) for a in maps for b in maps}
+    acting = FiniteOmegaAlgebra(maps, Signature([("mul", 2)]), {"mul": mul})
+    acted = FiniteOmegaAlgebra(points, Signature([]), {})
+    return Representation(acting, acted, lambda f, p: f[p], rep_kind="monoid-action")
+
+
+def random_word(rng, tower, level, gens, depth):
+    alg = tower.algebras[level - 1]
+    if depth == 0 or rng.random() < 0.25:
+        return Gen(rng.choice(gens[level]))
+    if alg.signature.ops and rng.random() < 0.5:
+        op, arity = rng.choice(alg.signature.ops)
+        return App(op, tuple(random_word(rng, tower, level, gens, depth - 1)
+                             for _ in range(arity)))
+    if level == 2:
+        actor = rng.choice(tower.algebras[0].carrier)
+    else:
+        actor = random_word(rng, tower, level - 1, gens, depth - 1)
+    return Act(actor, random_word(rng, tower, level, gens, depth - 1))
+
+
+@pytest.mark.parametrize("memo_limit", [None, 8])
+def test_engine_matches_label_oracle(memo_limit, monkeypatch):
+    """Random words and superposition chains up to depth 3 (Sub nodes whose
+    tables hold Sub nodes) evaluate as the label-level oracle says, under
+    several assignments, also when the memo is dropped every few entries."""
+    if memo_limit is not None:
+        monkeypatch.setattr(omega, "_MEMO_LIMIT", memo_limit)
+    rng = random.Random(1106)
+    for obj in (generation_rep(6), transformation_monoid_rep(), toy_affine_tower()):
+        tower = obj if isinstance(obj, Tower) else Tower([obj])
+        levels = range(2, tower.height + 1)
+        for _ in range(25):
+            gens = {lvl: rng.sample(tower.algebras[lvl - 1].carrier, rng.randint(1, 3))
+                    for lvl in levels}
+
+            def tables(depth=3):
+                return tuple({g: random_word(rng, tower, lvl, gens, depth) for g in gens[lvl]}
+                             for lvl in levels)
+
+            def superposed(coords, tabs):
+                if isinstance(obj, Tower):
+                    return tower_superpose(coords, tabs)
+                return (superpose(coords[0], tabs[0]),)
+
+            words = tables()
+            chain = tables()
+            for _ in range(3):
+                chain = superposed(tables(), chain)
+                words = superposed(words, chain)
+                if not isinstance(obj, Tower):
+                    word = rng.choice(list(words[0].values()))
+                    words = ({"substituted": substitute(word, chain[0]), **words[0]},)
+            identity = {lvl: {g: g for g in gens[lvl]} for lvl in levels}
+            other = {lvl: {g: rng.choice(tower.algebras[lvl - 1].carrier) for g in gens[lvl]}
+                     for lvl in levels}
+            lacking = {lvl: dict(list(t.items())[1:]) for lvl, t in other.items()}
+            for assignments in (identity, other, lacking):
+                for lvl, table in zip(levels, words):
+                    for w in table.values():
+                        try:
+                            want = walk_any(tower, lvl, w, assignments)
+                        except KeyError:
+                            with pytest.raises(MissingGenerator):
+                                eval_tower_word(tower, lvl, w, assignments)
+                            continue
+                        assert eval_tower_word(tower, lvl, w, assignments) == want
+                        if not isinstance(obj, Tower):
+                            assert eval_word(obj, w, assignments[2]) == want
+
+
+def test_equal_closures_built_apart_share_the_memo(affine_tower):
+    gens = [[E1, E2], [P0]]
+    first = tower_closure(affine_tower, gens)
+    ids = first.identity_assignments()
+    values = [[eval_tower_word(affine_tower, level, w, ids)
+               for w in first.word_of[level - 1].values()] for level in (2, 3)]
+    entries = len(omega._MEMO)
+    second = tower_closure(affine_tower, gens)
+    assert all(second.word_of[2][m] is not first.word_of[2][m] for m in second.word_of[2])
+    again = [[eval_tower_word(affine_tower, level, w, ids)
+              for w in second.word_of[level - 1].values()] for level in (2, 3)]
+    assert again == values
+    assert len(omega._MEMO) == entries
+    # a pickled copy carries no engine state and evaluates the same
+    ident = ({v: v for v in affine_tower.algebras[1].carrier},
+             {p: p for p in affine_tower.algebras[2].carrier})
+    wid = tower_endo_coordinates(affine_tower, gens, ident, clo=second)
+    sup = tower_superpose(wid, second.word_of[1:])
+    for level, word in ((3, second.word_of[2][(1, 2)]), (2, sup[0][E1]), (3, sup[1][P0])):
+        copy = pickle.loads(pickle.dumps(word))
+        assert "_id" not in getattr(copy, "__dict__", {})
+        assert eval_tower_word(affine_tower, level, copy, ids) == \
+            walk_any(affine_tower, level, word, ids)
+
+
+def test_superposition_sweep_leaves_no_reference_cycles(affine_tower):
+    gens = [[E1, E2], [P0]]
+    clo = tower_closure(affine_tower, gens)
+    ids = clo.identity_assignments()
+    endos = enumerate_tower_endomorphisms(affine_tower)
+    coords = [tower_endo_coordinates(affine_tower, gens, m, clo=clo, verified=True)
+              for m in endos]
+    rng = random.Random(7)
+    pairs = [(rng.randrange(len(endos)), rng.randrange(len(endos))) for _ in range(200)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        results = []
+        for i, j in pairs:
+            sup = tower_superpose(coords[j], coords[i])
+            results.append((sup, eval_tower_word(affine_tower, 2, sup[0][E1], ids),
+                            eval_tower_word(affine_tower, 3, sup[1][P0], ids)))
+        for (i, j), (_, v2, v3) in zip(pairs, results):
+            assert (v2, v3) == (endos[i][0][endos[j][0][E1]], endos[i][1][endos[j][1][P0]])
+        del results, sup
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
