@@ -345,13 +345,14 @@ class Sub:
     (a representation is a height-2 tower, with the one table of level 2).
     The body is a word of level `level`: its own generators come from
     tables[level - 2], those of its actor words from the tables below.
-    Superposition builds one node per equal body and tables instead of
-    copying the body; the tables are read-only views of the first snapshot.
-    A node needs every generator the body reaches (GeneratorMismatch
-    otherwise); its word id comes from its level, body and those words.
+    Superposition builds one node per body on a snapshot of the tables
+    instead of copying the body; `tables` are read-only views of it.  A
+    node needs every generator the body reaches (GeneratorMismatch
+    otherwise); its word id comes from its level, body and those words, so
+    equal nodes built on different snapshots share their values.
     """
 
-    __slots__ = ("body", "level", "_tables", "_id")
+    __slots__ = ("body", "level", "_tables", "_id", "_under", "_value")
 
     def __init__(self, body, level, tables):
         key = [4, level, _word_id(body)]
@@ -361,7 +362,7 @@ class Sub:
                 raise GeneratorMismatch(f"level {k + 2}: {g!r}")
             key.append(_word_id(tables[k][g]))
         self.body, self.level, self._tables = body, level, tables
-        self._id = _intern(tuple(key))
+        self._id, self._under = _intern(tuple(key)), None
 
     @property
     def tables(self) -> tuple:
@@ -380,143 +381,163 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 # The word memo, shared by every caller in the process: no result depends
 # on what it holds, only the time it takes.  Words are hash-consed: a node
 # gets the id of its structure on first use and keeps it, so equal words
-# built apart share their values.
-#   _WORD_IDS   structure -> word id
-#   _VALS       (representation, valuation below, images) -> _Valuation
-#   _MEMO       word id << 64 | valuation id -> value, a carrier index; it
-#               holds only ints, so the collector skips it
-#   _SNAPSHOTS  tables' structure -> (snapshot, Sub node per level and body)
-# Ids come from one counter and are never given twice, so the four can be
-# dropped together at any insertion, mid-evaluation too: they are, whenever
-# one reaches _MEMO_LIMIT entries, and a node keeps its id across a drop.
+# built apart share their values.  Valuations are interned by their images.
+#   _INTERNED  a word's structure -> its id; a valuation's images -> it
+#   _MEMO      word id << 64 | valuation id -> value, a carrier index; it
+#              holds only ints, so the collector skips it
+# Ids are never given twice, so the two are dropped together, at any
+# insertion, when one reaches _MEMO_LIMIT entries.  _LAST keeps the
+# valuations of the last assignments with a copy of them: a sweep under
+# one assignment compares it instead of hashing it, and a Sub node keeps
+# its value under them.
 _MEMO_LIMIT = 1 << 16
-_WORD_IDS: dict = {}
-_VALS: dict = {}
+_INTERNED: dict = {}
 _MEMO: dict = {}
-_SNAPSHOTS: dict = {}
+_LAST = [None, None, ()]  # representations, assignments copied, valuations
 _NEXT_ID = itertools.count()
 
 
 def _room(table: dict) -> None:
     if len(table) >= _MEMO_LIMIT:
-        for t in (_WORD_IDS, _VALS, _MEMO, _SNAPSHOTS):
-            t.clear()
+        _INTERNED.clear()
+        _MEMO.clear()
 
 
 def _intern(key: tuple) -> int:
-    i = _WORD_IDS.get(key)
+    i = _INTERNED.get(key)
     if i is None:
-        _room(_WORD_IDS)
-        i = _WORD_IDS[key] = next(_NEXT_ID)
+        _room(_INTERNED)
+        i = _INTERNED[key] = next(_NEXT_ID)
     return i
 
 
 def _word_id(word) -> int:
-    """The id of a node's structure, given on first use and kept on it."""
+    """The id of a node's structure, given on first use and kept on it with
+    the generators the node reaches (see _uses)."""
     i = getattr(word, "_id", -1)
-    if i < 0:
-        kind = type(word)
-        if kind is Gen:
-            i = _intern((0, word.key))
-        elif kind is App:
-            i = _intern((1, word.op, *map(_word_id, word.children)))
-        elif kind is Act and isinstance(word.actor, _WORD_TYPES):
-            i = _intern((2, _word_id(word.actor), _word_id(word.child)))
-        elif kind is Act:
-            i = _intern((3, word.actor, _word_id(word.child)))
-        else:
-            raise TypeError(f"not a word: {word!r}")
-        object.__setattr__(word, "_id", i)
-    return i
+    if i >= 0:
+        return i
+    kind = type(word)
+    if kind is Gen:
+        key, uses = (0, word.key), [(0, word.key)]
+    elif kind is App:
+        key = (1, word.op, *map(_word_id, word.children))
+        uses = [u for c in word.children for u in _uses(c)]
+    elif kind is not Act:
+        raise TypeError(f"not a word: {word!r}")
+    elif isinstance(word.actor, _WORD_TYPES):
+        key = (2, _word_id(word.actor), _word_id(word.child))
+        uses = [*_uses(word.child), *[(d + 1, g) for d, g in _uses(word.actor)]]
+    else:
+        key, uses = (3, word.actor, _word_id(word.child)), _uses(word.child)
+    object.__setattr__(word, "_uses", tuple(dict.fromkeys(uses)))
+    object.__setattr__(word, "_id", _intern(key))
+    return word._id
 
 
 def _uses(word) -> tuple:
     """The generators a word reaches, as pairs (d, g) in first-occurrence
     order: g is a generator of the level d steps below the word's own
-    (actor words sit one level down).  Kept on Gen, App and Act nodes."""
-    kind = type(word)
-    if kind is Sub:
+    (actor words sit one level down)."""
+    if type(word) is Sub:
         tables, level = word._tables, word.level
         return tuple(dict.fromkeys((d + e, h) for d, g in _uses(word.body)
                                    for e, h in _uses(tables[level - 2 - d][g])))
-    try:
-        out = word._uses
-    except AttributeError:
-        raise TypeError(f"not a word: {word!r}") from None
-    if out is None:
-        if kind is Gen:
-            out = ((0, word.key),)
-        elif kind is App:
-            out = itertools.chain.from_iterable(map(_uses, word.children))
-        elif isinstance(word.actor, _WORD_TYPES):
-            out = itertools.chain(_uses(word.child),
-                                  [(d + 1, g) for d, g in _uses(word.actor)])
-        else:
-            out = _uses(word.child)
-        out = tuple(dict.fromkeys(out))
-        object.__setattr__(word, "_uses", out)
-    return out
+    _word_id(word)
+    return word._uses
+
+
+class _Coordinates(dict):
+    """A coordinate table carrying the snapshot superposition took of its
+    family: (tables copied, Sub node per level and body word id)."""
+
+    __slots__ = ("_snapshot",)
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def _substitute(coords: Sequence[Mapping], tables: Sequence[Mapping]) -> tuple:
-    """Each level-(k + 2) word of coords[k] as a Sub node on `tables`; equal
-    tables share one snapshot, and equal words on it one node."""
-    key = tuple(part for t in tables for part in (tuple(t), tuple(map(_word_id, t.values()))))
-    hit = _SNAPSHOTS.get(key)
-    if hit is None:
-        _room(_SNAPSHOTS)
-        hit = _SNAPSHOTS[key] = (tuple(map(dict, tables)), {})
-    snapshot, nodes = hit
+    """Each level-(k + 2) word of coords[k] as a Sub node on a snapshot of
+    `tables`, the one their coordinate tables carry while unchanged."""
+    tables = tuple(tables)
+    try:
+        copies, nodes = tables[0]._snapshot
+    except (AttributeError, IndexError):  # none taken yet, or no tables
+        copies = None
+    if copies != tables:
+        copies, nodes = tuple(map(dict, tables)), tuple({} for _ in tables)
+        for t in tables:
+            if type(t) is _Coordinates:
+                t._snapshot = copies, nodes
     out = []
     for level, table in enumerate(coords, 2):
-        known, subs = nodes.setdefault(level, {}), {}
+        known, subs = nodes[level - 2], {}
         for name, word in table.items():
-            i = _word_id(word)
-            sub = known.get(i)
+            try:
+                sub = known.get(word._id)
+            except AttributeError:  # not a word: _word_id raises
+                sub = None
             if sub is None:
-                sub = known[i] = Sub(word, level, snapshot)
+                sub = known[_word_id(word)] = Sub(word, level, copies)
             subs[name] = sub
         out.append(subs)
     return tuple(out)
 
 
 class _Valuation:
-    """A level's generator images over the valuation of the level below."""
+    """A level's generator images over the valuations of the levels below
+    (`lower`, and `chain` from level 2 up): carrier indices, None for a
+    user's image that is no carrier element."""
 
-    __slots__ = ("id", "rep", "level", "images", "lower")
+    __slots__ = ("id", "rep", "carrier", "level", "lower", "chain", "images")
 
-    def __init__(self, rep, lower, images):
-        self.id, self.rep, self.lower, self.images = next(_NEXT_ID), rep, lower, dict(images)
-        self.level = 2 if lower is None else lower.level + 1
+    def __init__(self, rep, lower, images: dict):
+        self.id, self.rep, self.carrier = next(_NEXT_ID), rep, rep.acted.carrier
+        self.lower, self.images = lower, images
+        self.chain = (*lower.chain, lower) if lower else ()
+        self.level = len(self.chain) + 2
 
 
-def _valuation(rep: Representation, lower, images: Mapping) -> _Valuation:
-    """Interned by the images; one with an unhashable image stands alone."""
+def _valuation(rep: Representation, lower, images: dict) -> _Valuation:
     key = (rep, lower, tuple(images.items()))
-    try:
-        val = _VALS.get(key)
-    except TypeError:
-        return _Valuation(rep, lower, images)
+    val = _INTERNED.get(key)
     if val is None:
-        _room(_VALS)
-        val = _VALS[key] = _Valuation(rep, lower, images)
+        _room(_INTERNED)
+        val = _INTERNED[key] = _Valuation(rep, lower, images)
     return val
 
 
 def _evaluate_at(reps: Sequence, level: int, word, assignments: Mapping):
     """eval_word and eval_tower_word: reps[k] acts level k + 1 on k + 2,
-    assignments[k] holds level k's images; a bare Gen's is returned as is."""
-    if type(word) is Gen:
+    assignments[k] holds level k's images."""
+    last = _LAST
+    if (type(word) is Sub and word._under is last[2] and word.level == level
+            and last[1] == assignments and last[0] == reps):
+        return word._value
+    if type(word) is Gen:  # its image as given
         images = assignments.get(level)
         if images is None or word.key not in images:
             raise MissingGenerator(f"level {level}: {word.key!r}")
         return images[word.key]
     if level < 2:
         raise ValueError(f"no level {level} above the first")
-    val = None
-    for k in range(level - 1):
-        val = _valuation(reps[k], val, assignments.get(k + 2, {}))
-    return reps[level - 2].acted.carrier[_value(word, val)]
+    if last[1] != assignments or last[0] != reps:
+        val = None
+        for k, rep in enumerate(reps, 2):
+            images = {}
+            for g, x in assignments.get(k, {}).items():
+                try:
+                    images[g] = rep.acted._index.get(x)
+                except TypeError:  # unhashable
+                    images[g] = None
+            val = _valuation(rep, val, images)
+        last[:] = reps, {k: dict(t) for k, t in assignments.items()}, (None, None, *val.chain, val)
+    val = last[2][level]
+    value = val.carrier[_value(word, val)]
+    if type(word) is Sub:
+        word._under, word._value = last[2], value
+    return value
 
 
 def _value(word, val: _Valuation) -> int:
@@ -525,7 +546,9 @@ def _value(word, val: _Valuation) -> int:
     if kind is Gen:
         if word.key not in val.images:
             raise MissingGenerator(f"level {val.level}: {word.key!r}")
-        return val.rep.acted._index[val.images[word.key]]
+        if val.images[word.key] is None:
+            raise KeyError(f"level {val.level}: the image of {word.key!r} is no carrier element")
+        return val.images[word.key]
     if kind is Sub and word.level != val.level:
         raise ValueError(f"a level-{word.level} word evaluated at level {val.level}")
     key = _word_id(word) << 64 | val.id
@@ -561,15 +584,11 @@ def _value(word, val: _Valuation) -> int:
 def _inner(sub: Sub, val: _Valuation) -> _Valuation:
     """The valuation giving each generator that the body of `sub` reaches
     the value, under `val`, of the word substituted for it."""
-    chain = [val]
-    while chain[-1].lower is not None:
-        chain.append(chain[-1].lower)
     uses, inner = _uses(sub.body), None
-    for outer in reversed(chain):
-        level, carrier = outer.level, outer.rep.acted.carrier
-        table = sub._tables[level - 2]
+    for outer in (*val.chain, val):
+        table, depth = sub._tables[outer.level - 2], sub.level - outer.level
         inner = _valuation(outer.rep, inner, {
-            g: carrier[_value(table[g], outer)] for d, g in uses if sub.level - d == level})
+            g: _value(table[g], outer) for d, g in uses if d == depth})
     return inner
 
 
@@ -705,7 +724,7 @@ def _close(reps: Sequence, gens: Sequence) -> tuple:
 
 
 def _generates(reps: Sequence, word_tables: Sequence) -> bool:
-    return all(len(w) == len(rep.acted.carrier) for rep, w in zip(reps, word_tables))
+    return all([len(w) == len(rep.acted.carrier) for rep, w in zip(reps, word_tables)])
 
 
 def _basis(reps: Sequence, gens: Sequence) -> tuple:
@@ -794,10 +813,10 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
         raise NotGenerating("the generators do not generate every level")
     if not verified and not _is_endomorphism(reps, maps):
         raise NotRepEndomorphism("maps fail the endomorphism conditions")
-    return tuple(
-        {x: words[h[x]] for x in gens}
+    return tuple([
+        _Coordinates({x: words[h[x]] for x in gens})
         for gens, words, h in zip(generators, word_tables, maps)
-    )
+    ])
 
 
 def _endomorphisms(reps: Sequence) -> list:

@@ -86,10 +86,13 @@ def eval_tower_word(tower: Tower, level: int, word, assignments: Mapping):
     has one word id, and the generator images of each level one valuation
     id, so a word shared by closure tables, by many superpositions or by
     closures built apart is evaluated once per tuple of generator values.
-    The memo maps (word id, valuation id) to the value's carrier index.  It
-    and the tables of ids are dropped together when one of them reaches
-    2^16 entries (`omega._MEMO_LIMIT`).  Towers and representations are
-    taken to be immutable.
+    The memo maps (word id, valuation id) to the value's carrier index; it
+    and the table of ids and valuations are dropped together when one of
+    them reaches 2^16 entries (`omega._MEMO_LIMIT`).  The valuations of the
+    last assignments are kept with a copy of them, so a sweep under one
+    assignment compares it instead of hashing it, and a Sub node keeps its
+    value under them.  Towers and representations are taken to be
+    immutable.
     """
     return _evaluate_at(tower.reps, level, word, assignments)
 
@@ -182,8 +185,9 @@ def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -
     snapshot of `endo_coords`, whose table L serves the word's own
     generators and the lower tables its actor words; bare level-1 actors
     stay fixed because tower endomorphisms are the identity on the first
-    algebra.  No tree is copied, and superposition is hash-consed: equal
-    tables share one snapshot and equal words on it one node.
+    algebra.  No tree is copied.  A family made by tower_endo_coordinates
+    carries the snapshot taken of it, so superposing onto it again while
+    it is unchanged reuses the snapshot and one node per word.
     GeneratorMismatch is raised here, not at evaluation, when the level
     counts differ or when a generator that a coordinate word reaches, at
     its own level or through an actor word, is missing from its table.

@@ -537,6 +537,40 @@ def test_superposition_sweep_leaves_no_reference_cycles(affine_tower):
             gc.enable()
 
 
+def test_superposition_and_evaluation_follow_changed_inputs(affine_tower):
+    """A coordinate family or an assignment changed in place after use is
+    read afresh; results built before keep the values they had."""
+    gens = [[E1, E2], [P0]]
+    clo = tower_closure(affine_tower, gens)
+    endos = enumerate_tower_endomorphisms(affine_tower)
+    wr, ws, wt = (tower_endo_coordinates(affine_tower, gens, endos[i], clo=clo, verified=True)
+                  for i in (100, 500, 600))
+    ids = clo.identity_assignments()
+
+    def composed(assignments):  # ws evaluated at the images of wr, as labels
+        images = {level: {x: walk(affine_tower, level, w, assignments)
+                          for x, w in wr[level - 2].items()} for level in (2, 3)}
+        return {(level, x): walk(affine_tower, level, w, images)
+                for level in (2, 3) for x, w in ws[level - 2].items()}
+
+    before = tower_superpose(ws, wr)
+    want_before = composed(ids)
+    assert wt[0][E1] != wr[0][E1]
+    wr[0][E1] = wt[0][E1]
+    after = tower_superpose(ws, wr)
+    want_after = composed(ids)
+    assert want_after != want_before
+    for sup, want in ((before, want_before), (after, want_after)):
+        for (level, x), value in want.items():
+            assert eval_tower_word(affine_tower, level, sup[level - 2][x], ids) == value
+    ids[2][E1] = (1, 1)
+    for (level, x), value in composed(ids).items():
+        assert eval_tower_word(affine_tower, level, after[level - 2][x], ids) == value
+    # a copied or pickled coordinate table is a plain dict
+    assert type(pickle.loads(pickle.dumps(wr[0]))) is dict
+    assert pickle.loads(pickle.dumps(wr)) == wr
+
+
 # ---------------------------------------------------------------------------
 # basis
 
