@@ -215,7 +215,9 @@ class Element:
     __slots__ = ("algebra", "_num", "_den")
 
     def __init__(self, algebra, coords):
-        coords = [Fraction(x) for x in coords]
+        # over_common_denominator reads only numerator and denominator, so
+        # ints and Fractions are taken as they are
+        coords = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coords]
         if len(coords) != algebra.dim:
             raise ValueError("coordinate length does not match algebra dimension")
         num, den = ratlin.over_common_denominator(coords)

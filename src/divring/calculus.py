@@ -18,7 +18,6 @@ literal "9.1" formula; every operation accepts sign="8.2"|"9.1" to flip.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
@@ -40,7 +39,8 @@ class Chart:
     `components` map old coordinates to new ones; `inverse`, when present,
     maps back and both compositions are verified to normalize to the
     identity tuple.  Charts whose components are affine in the variables
-    are inverted automatically when no inverse is supplied.
+    are inverted automatically when no inverse is supplied, from the
+    Jacobian and shift read off their integer terms.
     """
 
     __slots__ = ("algebra", "n", "components", "inverse")
@@ -58,9 +58,7 @@ class Chart:
         self.algebra = alg
         self.n = n
         self.components = components
-        if inverse is None and all(
-            c.degree() <= 1 for c in components
-        ):
+        if inverse is None and all(c.degree() <= 1 for c in components):
             inverse = _invert_affine_components(components)
         if inverse is not None:
             inverse = tuple(inverse)
@@ -86,22 +84,45 @@ class Chart:
         return tuple(c.evaluate(list(xp)) for c in self.require_inverse())
 
 
-def _probes(alg: Algebra, n: int) -> list:
-    """The point 0, then e_s in slot v for v < n and s < dim, in that order."""
-    zero = [alg.zero] * n
-    return [zero] + [zero[:v] + [e] + zero[v + 1:] for v in range(n) for e in alg.basis()]
+def _affine_parts(polys: Sequence[NCPoly]) -> tuple:
+    """(big, tn, dens) of an affine tuple y_j = L_j(x) + t_j, read from
+    the integer terms: row i of the rational Jacobian B on the ring
+    coordinates is big[i] / dens[i], coordinate i of the shift t is
+    tn[i] / dens[i].  A term c e_p x_v e_q adds c (e_p e_s e_q)_r to
+    B[j m + r][v m + s], two walks of the table rows; a constant c e_b
+    adds c to coordinate b of t_j."""
+    alg = polys[0].algebra
+    n, m, rows, t2 = len(polys), alg.dim, alg._rows, alg._den ** 2
+    big = [[0] * (n * m) for _ in range(n * m)]
+    tn = [0] * (n * m)
+    for j, poly in enumerate(polys):
+        for (vars_, bs), c in poly._num.items():
+            if not vars_:
+                tn[j * m + bs[0]] += c * t2
+                continue
+            p, q = bs
+            col = vars_[0] * m
+            for s in range(m):
+                for k, a in rows[p * m + s]:
+                    for r, b in rows[k * m + q]:
+                        big[j * m + r][col + s] += c * a * b
+    return big, tn, [poly._den * t2 for poly in polys for _ in range(m)]
 
 
 def _is_identity(polys: tuple) -> bool:
     """Whether a composition is the identity map.  Equal canonical forms
     decide it; where one affine map has several forms (over the complex
     numbers e_0 x e_1 and e_1 x e_0 agree as maps), a composition of
-    degree at most 1 is compared at `_probes`, which is exact."""
+    degree at most 1 is the identity when its shift is zero and its
+    Jacobian the identity (`_affine_parts`), which is exact."""
     alg, n = polys[0].algebra, len(polys)
     if polys == tuple(NCPoly.var(alg, n, v) for v in range(n)):
         return True
-    return all(p.degree() <= 1 for p in polys) and all(
-        [p.evaluate(x) for p in polys] == x for x in _probes(alg, n))
+    if any(p.degree() > 1 for p in polys):
+        return False
+    big, tn, dens = _affine_parts(polys)
+    size = range(len(big))
+    return not any(tn) and big == [[dens[i] * (i == col) for col in size] for i in size]
 
 
 @lru_cache(maxsize=None)
@@ -143,31 +164,24 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
 
     The forward map is y_j = L_j(x) + t_j with L_j linear over the
     rationals in the ring coordinates of x.  The big rational Jacobian B
-    is inverted by one integer elimination, each block of the inverse is
+    and the shift t are read from the components' terms (`_affine_parts`);
+    B is inverted by one integer elimination, each block of the inverse is
     re-expressed in sandwich form (`_sandwich_solve`), and the inverse
     polynomials are written as integer terms; failure at any step simply
     leaves the chart without an inverse.
     """
     alg = components[0].algebra
-    n = len(components)
-    m = alg.dim
-    zero, *probes = _probes(alg, n)
-    t = [c.evaluate(zero) for c in components]
-    big = [[0] * (n * m) for _ in range(n * m)]
-    for vs, probe in enumerate(probes):
-        for j, c in enumerate(components):
-            w = (c.evaluate(probe) - t[j]).coords
-            for r in range(m):
-                big[j * m + r][vs] = w[r]
-    binv, pivots, dbig = ratlin._row_operations(big)  # B^-1 = binv / dbig
+    n, m = len(components), alg.dim
+    big, tn, dens = _affine_parts(components)
+    binv, pivots, dbig = ratlin._row_operations(big)  # B^-1 = binv diag(dens) / dbig
     if len(pivots) < n * m:
         return None
-    tn, td = ratlin.over_common_denominator([x for tj in t for x in tj.coords])
     ds = _sandwich_elimination(alg)[2]
-    # every term over |dbig| * lcm(ds, td): the sandwich coefficients are
-    # over dbig * ds, the constant over dbig * td, and pivots may be negative
-    den = abs(dbig) * lcm(ds, td)
-    fs, ft = den // (dbig * ds), den // (dbig * td)
+    # every term over |dbig * ds|: block j's sandwich coefficients are
+    # dens[j m] times integers over dbig * ds, the constant -(B^-1 t) is
+    # -(binv tn) / dbig as the dens cancel, and both pivots may be negative
+    den = abs(dbig * ds)
+    fs, ft = den // (dbig * ds), den // dbig
     out = []
     for v in range(n):
         # x_v = sum_j sum_pq c_pq e_p (y_j - t_j) e_q: the linear terms are
@@ -178,7 +192,8 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
             sol = _sandwich_solve(alg, rhs)
             if sol is None:
                 return None
-            num.update({((j,), divmod(pq, m)): c * fs for pq, c in sol[0].items() if c})
+            f = fs * dens[j * m]
+            num.update({((j,), divmod(pq, m)): c * f for pq, c in sol[0].items() if c})
         for r in range(m):
             c = -sum(x * y for x, y in zip(binv[v * m + r], tn))
             if c:
@@ -206,25 +221,15 @@ def pushforward_oneform(chart: Chart, x: Sequence[Element]) -> tuple:
     derivative of forward component i at x in the direction that puts h in
     slot j and zero elsewhere.
     """
-    alg = chart.algebra
-    n = chart.n
-    rows = []
-    for i in range(n):
-        comp = chart.components[i]
-        row = []
-        for j in range(n):
-            row.append(_directional_poly(comp, list(x), j))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(_directional_poly(comp, list(x), j) for j in range(chart.n))
+                 for comp in chart.components)
 
 
 def _directional_poly(f: NCPoly, x: Sequence[Element], slot: int) -> NCPoly:
     """d f at the point x, in the direction with a formal h in one slot,
     as a polynomial in the single variable h."""
-    alg = f.algebra
-    n = f.nvars
-    h = NCPoly.var(alg, 1, 0)
-    zero = NCPoly.zero(alg, 1)
+    alg, n = f.algebra, f.nvars
+    h, zero = NCPoly.var(alg, 1, 0), NCPoly.zero(alg, 1)
     point = [NCPoly.const(alg, 1, x[i]) for i in range(n)]
     direction = [h if j == slot else zero for j in range(n)]
     return gateaux_poly(f).substitute(point + direction)
@@ -268,11 +273,7 @@ class ConnectionCoefficients:
     @staticmethod
     def zero(algebra: Algebra, n: int) -> "ConnectionCoefficients":
         z = tuple(algebra.zero for _ in range(n))
-
-        def apply_fn(xp, v, a):
-            return z
-
-        return ConnectionCoefficients(algebra, n, apply_fn)
+        return ConnectionCoefficients(algebra, n, lambda xp, v, a: z)
 
     @staticmethod
     def from_component_polys(algebra: Algebra, n: int,
@@ -281,16 +282,10 @@ class ConnectionCoefficients:
         slot 1 takes a^j) or None for a zero coefficient."""
 
         def apply_fn(xp, v, a):
-            out = []
-            for k in range(n):
-                acc = algebra.zero
-                for j in range(n):
-                    for i in range(n):
-                        p = polys[k][j][i]
-                        if p is not None:
-                            acc = acc + p.evaluate([v[i], a[j]])
-                out.append(acc)
-            return tuple(out)
+            return tuple(sum((polys[k][j][i].evaluate([v[i], a[j]])
+                              for j in range(n) for i in range(n)
+                              if polys[k][j][i] is not None), algebra.zero)
+                         for k in range(n))
 
         return ConnectionCoefficients(algebra, n, apply_fn)
 

@@ -42,11 +42,19 @@ def format_rational(q: Fraction) -> str:
 _RAT = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def _fraction(text: str) -> Fraction:
+    """A matched literal "p" or "p/q"; q = 0 is a ParseError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RAT.match(text):
         raise ParseError(f"not a rational: {text!r}")
-    return Fraction(text)
+    return _fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +103,7 @@ def parse_quaternion_literal(text: str) -> Element:
         sign, mag, unit = m.groups()
         if not mag and not unit:
             raise ParseError(f"bad quaternion literal near {text[pos:]!r}")
-        value = Fraction(mag) if mag else Fraction(1)
+        value = _fraction(mag) if mag else Fraction(1)
         if sign == "-":
             value = -value
         idx = _UNIT_NAMES.index(unit) if unit else 0
@@ -193,7 +201,7 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
             return NCPoly.var(alg, nvars, idx)
         if kind == "num":
             take()
-            return NCPoly.scalar_const(alg, nvars, Fraction(value))
+            return NCPoly.scalar_const(alg, nvars, _fraction(value))
         if kind == "name":
             take()
             if not _is_standard_quaternions(alg):

@@ -130,6 +130,9 @@ def _evaluate(alg: Algebra, items: Iterable, coeff_den: int,
                     out[k] += a[i] * c
         return _element(alg, tuple(out), e._den * tden)
 
+    # the variable products stay on `mul`: the benchmark's tracer rebinds
+    # `ncpoly.mul`, and its traced calculus run needs `algebra.self_s` > 0,
+    # which a raw-integer trie would read as 0 (ROADMAP open item 1)
     parts = _prefix_values(items, alg.basis_element,
                            lambda e, v: mul(e, value(v)), times_basis)
     den = lcm(*[e._den for _, e in parts])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,9 @@ from divring.algebra import (
 from divring.calculus import (
     Chart,
     ConnectionCoefficients,
+    _affine_parts,
     _invert_affine_components,
+    _is_identity,
     apply_oneform,
     chart_connection,
     covariant_derivative,
@@ -28,6 +31,7 @@ from divring.calculus import (
 from divring.errors import NoInverseChart
 from divring.ncpoly import NCPoly, gateaux
 from conftest import random_element
+from test_algebra import split_complex_algebra
 
 H = quaternion_algebra()
 ONE, I, J, K = H.basis()
@@ -131,10 +135,10 @@ def test_nonlinear_chart_needs_supplied_inverse():
     assert full.inverse is not None
 
 
-def sandwich_inverse(components):
-    """The inverse of an affine chart assembled term by term: invert the
-    rational Jacobian, write each block as sum_pq c_pq e_p h e_q and add
-    c_pq * const(e_p) * (var_j - const(t_j)) * const(e_q)."""
+def probe_jacobian(components):
+    """The shift t (as Elements) and the rational Jacobian B of an affine
+    tuple, by evaluation: t_j is component j at 0, and column v m + s of B
+    is component j at e_s in slot v minus t_j, in coordinates."""
     alg = components[0].algebra
     n, m, basis = len(components), alg.dim, alg.basis()
     zero = [alg.zero] * n
@@ -148,6 +152,16 @@ def sandwich_inverse(components):
                 w = (c.evaluate(probe) - t[j]).coords
                 for r in range(m):
                     big[j * m + r][v * m + s] = w[r]
+    return t, big
+
+
+def sandwich_inverse(components):
+    """The inverse of an affine chart assembled term by term: invert the
+    rational Jacobian, write each block as sum_pq c_pq e_p h e_q and add
+    c_pq * const(e_p) * (var_j - const(t_j)) * const(e_q)."""
+    alg = components[0].algebra
+    n, m, basis = len(components), alg.dim, alg.basis()
+    t, big = probe_jacobian(components)
     binv = ratlin.invert(big)
     if binv is None:
         return None
@@ -158,14 +172,17 @@ def sandwich_inverse(components):
     for v in range(n):
         poly = NCPoly.zero(alg, n)
         for j in range(n):
-            sol = ratlin.solve(sandwich, [binv[v * m + r][j * m + s]
-                                          for r in range(m) for s in range(m)])
+            rhs = [binv[v * m + r][j * m + s] for r in range(m) for s in range(m)]
+            # solved over one denominator: rows scaled each by its own
+            # large one make the elimination slow, not different
+            scale = lcm(*[x.denominator for x in rhs])
+            sol = ratlin.solve(sandwich, [x * scale for x in rhs])
             if sol is None:
                 return None
             arg = NCPoly.var(alg, n, j) - NCPoly.const(alg, n, t[j])
             for p in range(m):
                 for q in range(m):
-                    c = sol[0][p * m + q]
+                    c = sol[0][p * m + q] / scale
                     if c:
                         poly = poly + (NCPoly.const(alg, n, basis[p]) * arg
                                        * NCPoly.const(alg, n, basis[q])).scale(c)
@@ -204,6 +221,67 @@ def test_auto_inverse_matches_sandwich_assembly(alg):
             assert got is None
         else:
             assert [p.terms for p in got] == [p.terms for p in want]
+
+
+def draw_affine(rng, alg, n, big):
+    """n affine components over alg: a shift and one to three sandwich
+    terms per variable, with large numerators and denominators if big."""
+    def q():
+        if big and rng.randrange(2):
+            return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def el():
+        return alg.element([q() for _ in range(alg.dim)])
+
+    comps = []
+    for _ in range(n):
+        poly = NCPoly.const(alg, n, el())
+        for v in range(n):
+            for _ in range(1 + rng.randrange(3)):
+                poly = poly + NCPoly.const(alg, n, el()) * NCPoly.var(alg, n, v) \
+                    * NCPoly.const(alg, n, el())
+        comps.append(poly)
+    return comps
+
+
+@pytest.mark.parametrize("alg", [rational_algebra(), complex_algebra(), quaternion_algebra(),
+                                 MOVED, split_complex_algebra()],
+                         ids=["rational", "complex", "quaternion", "moved-quaternion",
+                              "split-complex"])
+def test_jacobian_read_matches_probe_oracle(alg):
+    rng = random.Random(5170 + alg.dim)
+    inverted = 0
+    for trial in range(16):
+        n = 1 + trial % 3
+        comps = draw_affine(rng, alg, n, big=trial % 2 == 1 and n < 3)
+        if trial % 8 == 5 and n > 1:  # a repeated component: B is singular
+            comps[1] = comps[0]
+        if trial % 8 == 7:  # a constant chart: B is zero
+            comps = [NCPoly.const(alg, n, c.evaluate([alg.zero] * n)) for c in comps]
+        t, want_b = probe_jacobian(comps)
+        big, tn, dens = _affine_parts(comps)
+        assert [[Fraction(x, d) for x in row] for row, d in zip(big, dens)] == want_b
+        assert [Fraction(x, d) for x, d in zip(tn, dens)] == [x for tj in t for x in tj.coords]
+        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
+        if trial % 8 in (5, 7):
+            assert ratlin.rank(want_b) < n * alg.dim
+            assert want is None and got is None and Chart(comps).inverse is None
+        elif want is None:
+            assert got is None
+        else:
+            inverted += 1
+            # equal terms, and equal integer forms: positive lowest-terms denominators
+            assert [p.terms for p in got] == [p.terms for p in want]
+            assert list(got) == list(want)
+            # the compositions are the identity map; moving the shift or
+            # scaling the Jacobian breaks it
+            comp = tuple(c.substitute(got) for c in comps)
+            assert _is_identity(comp)
+            shifted = (comp[0] + NCPoly.const(alg, n, alg.unit),) + comp[1:]
+            assert not _is_identity(shifted)
+            assert not _is_identity((comp[0].scale(2),) + comp[1:])
+    assert inverted >= 6
 
 
 def test_linear_complex_charts_are_inverted():

@@ -15,6 +15,7 @@ from divring.io import (
     format_vector,
     load_algebra,
     parse_element,
+    parse_poly,
     parse_quaternion_literal,
     parse_rational,
     parse_vector,
@@ -274,6 +275,36 @@ def test_nested_malformed_value_names_the_file(tmp_path, capsys, argv, doc):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: algebra: malformed value (")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/00", " 7/0 "])
+def test_zero_denominator_is_parse_error_at_each_literal_site(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_rational(text)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_rational("-" + text.strip())
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_quaternion_literal(f"2 + {text.strip()}j")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_poly(H, 2, f"x1 + {text.strip()} * x2")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_element(H, f"1,{text},0,0")
+
+
+@pytest.mark.parametrize("point, components", [
+    ("1/0,2", None),  # a coordinate list: parse_rational
+    ("1/0 + i; 2", None),  # a quaternion literal
+    ("1; 2", ["x1 + 1/0", "x1 + x2"]),  # a polynomial factor in the chart file
+])
+def test_zero_denominator_exits_with_one_error_line(tmp_path, capsys, point, components):
+    chart = data("chart_mixing.json")
+    if components is not None:
+        chart = str(tmp_path / "chart.json")
+        dump_json(chart, {"algebra": "quaternion", "components": components, "vars": 2})
+    code, out, err = run_cli(capsys, "calc", "pushforward", "--chart", chart,
+                             "--point", point, "--vector", "0; 1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err and err.count("\n") == 1
 
 
 def test_outputs_are_reproducible(capsys):

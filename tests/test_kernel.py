@@ -21,6 +21,7 @@ from divring import ratlin
 from divring.affine import invert_matrix, matrix_mul, nc_rank
 from divring.algebra import (
     BasisChange,
+    Element,
     change_basis,
     complex_algebra,
     inverse,
@@ -170,6 +171,28 @@ def test_equal_elements_built_differently_compare_and_hash_equal(alg):
             inv = inverse(a)
             assert mul(a, inv) == unit and mul(inv, a) == unit
             assert hash(mul(inv, a)) == hash(unit)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_element_construction_from_any_rational_input(alg):
+    # ints, bools, Fractions, strings and big values give the element of the
+    # same coordinates as Fractions, and the caller's list is left as it was
+    rng = random.Random(4300 + alg.dim)
+    pool = [0, 1, -7, True, False, 10**40 + 1, -(3**60), Fraction(3, 4), Fraction(-10**30, 7),
+            Fraction(6, 8), "3/4", "-10/4", "  5 ", str(10**25), "0.125"]
+    for _ in range(40):
+        coords = [rng.choice(pool) for _ in range(alg.dim)]
+        given = list(coords)
+        e, want = Element(alg, coords), Element(alg, [Fraction(x) for x in coords])
+        assert coords == given and [type(x) for x in coords] == [type(x) for x in given]
+        assert e._num == want._num and e._den == want._den
+        assert all(type(x) is int for x in e._num) and type(e._den) is int
+        assert e.coords == want.coords == tuple(Fraction(x) for x in coords)
+        assert hash(e) == hash(want) and e == want
+        assert_coords(e, [Fraction(x) for x in coords])
+    for wrong in ([1] * (alg.dim + 1), [Fraction(1, 2)] * (alg.dim - 1)):
+        with pytest.raises(ValueError):
+            Element(alg, wrong)
 
 
 # ---------------------------------------------------------------------------
