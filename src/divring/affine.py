@@ -77,55 +77,55 @@ def identity_matrix(alg: Algebra, n: int):
     )
 
 
-def _gauss_jordan(work: list, ncols: int, hand: str = "right", stop_at_gap: bool = False) -> int:
-    """Gauss-Jordan elimination over the ring on the rows `work`, in place.
+def _forward_eliminate(work: list, ncols: int, hand: str = "right",
+                       stop_at_gap: bool = False) -> list:
+    """Forward elimination over the ring on the rows `work`, in place.
 
     Pivots are the first nonzero entry scanning the first `ncols` columns
-    left to right; each pivot row is normalized by the pivot's inverse and
-    cleared from every other row with row_s <- row_s - d row_r, one
-    `_mul_add` call per entry, so each updated entry is reduced once.
-    Under the right-hand convention the multipliers act from the left,
-    under the left-hand one from the right.  With `stop_at_gap` the
-    elimination ends at the first column without a pivot.  Returns the
-    number of pivots; a nonzero pivot without an inverse raises
-    NotInvertible.
+    left to right.  Each row below a pivot row r, with pivot p and entry d
+    in the pivot column, is cleared right of that column: under the
+    right-hand convention by row_s <- row_s - (d p^-1) row_r, under the
+    left-hand one by row_s <- row_s - row_r (p^-1 d), one `_mul_add` call
+    per entry, so each updated entry is reduced once.  Entries left of a
+    row's pivot are not read again and keep their values.  With
+    `stop_at_gap` the elimination ends at the first column without a
+    pivot.  Returns the inverses of the pivots in row order, as many as the
+    rank; a nonzero pivot without an inverse raises NotInvertible.
     """
     right = hand == "right"
-    rank = 0
+    inverses = []
     for c in range(ncols):
+        rank = len(inverses)
+        if rank == len(work):
+            break
         pr = next((r for r in range(rank, len(work)) if not work[r][c].is_zero()), None)
         if pr is None:
             if stop_at_gap:
                 break
             continue
         work[rank], work[pr] = work[pr], work[rank]
-        inv = work[rank][c].inverse()
-        top = work[rank] = [x if x.is_zero() else mul(inv, x) if right else mul(x, inv)
-                            for x in work[rank]]
-        for r in range(len(work)):
+        top = work[rank]
+        inv = top[c].inverse()
+        inverses.append(inv)
+        for r in range(rank + 1, len(work)):
             d = work[r][c]
-            if r != rank and not d.is_zero():
-                work[r] = [_mul_add(x, ((-1, d, y) if right else (-1, y, d),))
-                           for x, y in zip(work[r], top)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            if not d.is_zero():
+                f = mul(d, inv) if right else mul(inv, d)
+                work[r][c + 1:] = [_mul_add(x, ((-1, f, y) if right else (-1, y, f),))
+                                   for x, y in zip(work[r][c + 1:], top[c + 1:])]
+    return inverses
 
 
 def nc_rank(rows: Sequence[Sequence[Element]]) -> int:
-    """Rank by row elimination with left multipliers.
+    """Rank by forward elimination with left multipliers.
 
-    Pivots are the first nonzero entry scanning columns left to right; each
-    pivot row is normalized by a left inverse and cleared with
-    row_s <- row_s - d row_r.  A nonzero entry without an inverse aborts
-    with NotDivisionRing.
+    Pivots are the first nonzero entry scanning columns left to right (see
+    _forward_eliminate).  A pivot without an inverse aborts with
+    NotDivisionRing.
     """
     work = [list(r) for r in rows]
-    if not work:
-        return 0
     try:
-        return _gauss_jordan(work, len(work[0]))
+        return len(_forward_eliminate(work, len(work[0]) if work else 0))
     except NotInvertible as exc:
         raise NotDivisionRing(str(exc)) from exc
 
@@ -133,19 +133,32 @@ def nc_rank(rows: Sequence[Sequence[Element]]) -> int:
 def invert_matrix(m, hand: str = "right"):
     """Two-sided inverse over the ring, or SingularLinearPart.
 
-    Elimination uses left multipliers under the right-hand convention and
-    right multipliers under the left-hand one.
+    Forward elimination of [m | I] (see _forward_eliminate), then back
+    substitution on the right block from the last pivot up: each pivot row
+    is normalized by its pivot's inverse and cleared from the rows above.
+    Multipliers act from the left under the right-hand convention and from
+    the right under the left-hand one.
     """
     n = len(m)
     alg = m[0][0].algebra
     unit = identity_matrix(alg, n)
     work = [list(row) + list(unit[r]) for r, row in enumerate(m)]
     try:
-        rank = _gauss_jordan(work, n, hand, stop_at_gap=True)
+        inverses = _forward_eliminate(work, n, hand, stop_at_gap=True)
     except NotInvertible as exc:
         raise SingularLinearPart(str(exc)) from exc
-    if rank < n:
+    if len(inverses) < n:
         raise SingularLinearPart("matrix has no inverse over the ring")
+    right = hand == "right"
+    for r in range(n - 1, -1, -1):
+        inv = inverses[r]
+        top = work[r][n:] = [x if x.is_zero() else mul(inv, x) if right else mul(x, inv)
+                             for x in work[r][n:]]
+        for s in range(r):
+            d = work[s][r]
+            if not d.is_zero():
+                work[s][n:] = [_mul_add(x, ((-1, d, y) if right else (-1, y, d),))
+                               for x, y in zip(work[s][n:], top)]
     out = tuple(tuple(work[r][n:]) for r in range(n))
     check = matrix_mul(m, out, hand)
     if check != unit:

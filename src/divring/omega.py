@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     GeneratorMismatch,
@@ -58,18 +58,16 @@ class Signature:
                 return a
         raise KeyError(name)
 
-    @property
-    def names(self) -> tuple:
-        return tuple(n for n, _ in self.ops)
-
 
 class FiniteOmegaAlgebra:
     """A finite carrier with a total table for every signature operation.
 
-    The engine reads the carrier as indices 0..n-1 and each table as one
-    flat tuple of value indices, (a_1, .., a_r) at sum a_k n^(r-k), the
-    itertools.product order; `tables` is the label-level view.  Neither
-    may be mutated after construction.
+    The carrier is read as indices 0..n-1 and each table as one flat tuple
+    of value indices, (a_1, .., a_r) at sum a_k n^(r-k), the
+    itertools.product order: construction builds these tuples, and
+    same_structure, the law checks of Representation and the engine read
+    them.  `tables` is the label-level view.  Neither may be mutated after
+    construction.
     """
 
     __slots__ = ("carrier", "signature", "tables", "name", "_index", "_flat")
@@ -88,25 +86,20 @@ class FiniteOmegaAlgebra:
         self.signature = signature
         self.name = name
         index = self._index = {m: i for i, m in enumerate(self.carrier)}
-        norm, self._flat = {}, {}
+        self.tables, self._flat = {}, {}
         for op, arity in signature.ops:
             table = tables[op]
-            if callable(table):
-                table = {
-                    args: table(*args)
-                    for args in itertools.product(self.carrier, repeat=arity)
-                }
-            else:
-                table = dict(table)
-            flat = []
-            for args in itertools.product(self.carrier, repeat=arity):
-                if args not in table:
-                    raise ValueError(f"table for {op!r} is not total at {args!r}")
-                if table[args] not in index:
-                    raise ValueError(f"table for {op!r} leaves the carrier at {args!r}")
-                flat.append(index[table[args]])
-            norm[op], self._flat[op] = table, tuple(flat)
-        self.tables = norm
+            self.tables[op] = table = (
+                {args: table(*args) for args in itertools.product(self.carrier, repeat=arity)}
+                if callable(table) else dict(table))
+            try:
+                self._flat[op] = tuple([index[table[args]] for args in
+                                        itertools.product(self.carrier, repeat=arity)])
+            except (KeyError, TypeError):
+                args = next(args for args in itertools.product(self.carrier, repeat=arity)
+                            if args not in table or table[args] not in index)
+                gap = "is not total" if args not in table else "leaves the carrier"
+                raise ValueError(f"table for {op!r} {gap} at {args!r}") from None
 
     def apply(self, op: str, args: Sequence) -> object:
         return self.tables[op][tuple(args)]
@@ -118,7 +111,7 @@ class FiniteOmegaAlgebra:
         return (
             self.carrier == other.carrier
             and self.signature == other.signature
-            and self.tables == other.tables
+            and self._flat == other._flat
         )
 
     def is_endomorphism(self, h: Mapping) -> bool:
@@ -131,25 +124,35 @@ class FiniteOmegaAlgebra:
 
 
 def _find_unit(alg: FiniteOmegaAlgebra, op: str):
-    """Two-sided unit of a binary operation, or None."""
-    for e in alg.carrier:
-        if all(
-            alg.apply(op, (e, x)) == x and alg.apply(op, (x, e)) == x
-            for x in alg.carrier
-        ):
-            return e
-    return None
+    """Carrier index of the two-sided unit of a binary operation, the first
+    e whose row and column of the flat table are the identity, or None."""
+    flat, n = alg._flat[op], len(alg.carrier)
+    ident = tuple(range(n))
+    return next((e for e in ident if flat[e * n:e * n + n] == ident == flat[e::n]), None)
+
+
+def _first_break(lhs: Sequence, rhs: Sequence, *carriers) -> tuple:
+    """The labels at the first position where the flat lists lhs and rhs
+    differ, positions read in itertools.product order over `carriers`."""
+    p = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    labels = []
+    for carrier in reversed(carriers):
+        p, i = divmod(p, len(carrier))
+        labels.append(carrier[i])
+    return tuple(labels[::-1])
 
 
 class Representation:
     """An algebra A acting on an algebra M by endomorphisms.
 
     handedness only affects printing (left actions read a*m, right ones
-    m*a); the action function itself is side-agnostic.  The action must be
-    total; `validate=False` skips only the endomorphism and law checks.  The
-    engine reads one image row of acted-carrier indices per actor, in
-    acting-carrier order; `action` is the label-level view.  Neither may be
-    mutated after construction.
+    m*a).  The action must be total; it is kept as one image row of
+    acted-carrier indices per actor, in acting-carrier order, and `action`
+    is the label-level view.  Neither may be mutated after construction.
+    The endomorphism and rep_kind laws are checked on the rows and the flat
+    tables, a failure naming its first witness in carrier order (actor,
+    operation and arguments; or law and witness); `validate=False` skips
+    only these checks.
     """
 
     __slots__ = ("acting", "acted", "action", "rep_kind", "handedness", "name",
@@ -163,20 +166,17 @@ class Representation:
             raise ValueError("handedness must be 'left' or 'right'")
         self.acting = acting
         self.acted = acted
-        if callable(action):
-            action = {
-                (a, m): action(a, m)
-                for a in acting.carrier
-                for m in acted.carrier
-            }
-        self.action = dict(action)
-        index, rows = acted._index, []
-        for a in acting.carrier:
-            for m in acted.carrier:
-                if (a, m) not in self.action or self.action[(a, m)] not in index:
-                    raise ValueError(f"action is not total at ({a!r}, {m!r})")
-            rows.append(tuple(index[self.action[(a, m)]] for m in acted.carrier))
-        self._rows = tuple(rows)
+        self.action = action = ({(a, m): action(a, m) for a in acting.carrier
+                                 for m in acted.carrier}
+                                if callable(action) else dict(action))
+        index = acted._index
+        try:
+            self._rows = tuple([tuple([index[action[a, m]] for m in acted.carrier])
+                                for a in acting.carrier])
+        except (KeyError, TypeError):
+            a, m = next((a, m) for a in acting.carrier for m in acted.carrier
+                        if (a, m) not in action or action[a, m] not in index)
+            raise ValueError(f"action is not total at ({a!r}, {m!r})") from None
         self.rep_kind = rep_kind
         self.handedness = handedness
         self.name = name
@@ -194,63 +194,59 @@ class Representation:
 
     def _validate(self):
         # every transformation must respect the acted algebra's operations
-        for a in self.acting.carrier:
-            for op, arity in self.acted.signature.ops:
-                for args in itertools.product(self.acted.carrier, repeat=arity):
-                    lhs = self.act(a, self.acted.apply(op, args))
-                    rhs = self.acted.apply(op, [self.act(a, x) for x in args])
-                    if lhs != rhs:
-                        raise NotEndomorphism(a, op, args)
+        acting, acted = self.acting, self.acted
+        for a, row in zip(acting.carrier, self._rows):
+            broken = _op_break(row, acted, acted)
+            if broken is not None:
+                op, arity, lhs, rhs = broken
+                raise NotEndomorphism(a, op, _first_break(lhs, rhs, *[acted.carrier] * arity))
         if self.rep_kind == "monoid-action":
-            self._validate_monoid_action()
+            ops = [n for n, k in acting.signature.ops if k == 2]
+            if not ops:
+                raise LawViolation("acting algebra lacks a binary operation")
+            op = "mul" if "mul" in ops else ops[0]
+            unit = _find_unit(acting, op)
+            if unit is None:
+                raise LawViolation("monoid-unit", op)
+            self._validate_unit(unit)
+            self._validate_products(op, additive=False)
         elif self.rep_kind == "ring-on-abelian-group":
-            self._validate_ring_action()
+            if ("add", 2) not in acting.signature.ops or ("mul", 2) not in acting.signature.ops:
+                raise LawViolation("ring signature must name 'add' and 'mul' operations")
+            if ("add", 2) not in acted.signature.ops:
+                raise LawViolation("acted group must name an 'add' operation")
+            self._validate_products("mul", additive=True)
+            one = _find_unit(acting, "mul")
+            if one is not None:
+                self._validate_unit(one)
 
-    def _binary_op(self, name_hint=None):
-        ops = [n for n, a in self.acting.signature.ops if a == 2]
-        if name_hint and name_hint in ops:
-            return name_hint
-        if not ops:
-            raise LawViolation("acting algebra lacks a binary operation")
-        return ops[0]
-
-    def _validate_monoid_action(self):
-        op = self._binary_op("mul")
-        unit = _find_unit(self.acting, op)
-        if unit is None:
-            raise LawViolation("monoid-unit", op)
-        self._validate_unit(unit)
-        self._validate_products(op, additive=False)
-
-    def _validate_ring_action(self):
-        names = self.acting.signature.names
-        if "add" not in names or "mul" not in names:
-            raise LawViolation("ring signature must name 'add' and 'mul' operations")
-        if "add" not in self.acted.signature.names:
-            raise LawViolation("acted group must name an 'add' operation")
-        self._validate_products("mul", additive=True)
-        one = _find_unit(self.acting, "mul")
-        if one is not None:
-            self._validate_unit(one)
-
-    def _validate_unit(self, unit):
-        for m in self.acted.carrier:
-            if self.act(unit, m) != m:
-                raise LawViolation("unit-acts-as-identity", (unit, m))
+    def _validate_unit(self, e: int):
+        """The row of the acting-carrier index e is the identity."""
+        ident = tuple(range(len(self.acted.carrier)))
+        if self._rows[e] != ident:
+            m, = _first_break(self._rows[e], ident, self.acted.carrier)
+            raise LawViolation("unit-acts-as-identity", (self.acting.carrier[e], m))
 
     def _validate_products(self, op: str, additive: bool):
         """(ab)m = a(bm) for the product op and, when additive,
-        (a + b)m = am + bm, both checked at each (a, b, m) in turn."""
-        for a in self.acting.carrier:
-            for b in self.acting.carrier:
-                ab = self.acting.apply(op, (a, b))
-                asum = self.acting.apply("add", (a, b)) if additive else None
-                for m in self.acted.carrier:
-                    if additive and self.act(asum, m) != self.acted.apply(
-                            "add", (self.act(a, m), self.act(b, m))):
-                        raise LawViolation("additivity-in-actor", (a, b, m))
-                    if self.act(ab, m) != self.act(a, self.act(b, m)):
-                        raise LawViolation("action-multiplicativity", (a, b, m))
+        (a + b)m = am + bm: the rows of ab (and a + b) against those of a
+        read at b's row (and the acted add table at the rows of a and b),
+        the witness being the first failing (a, b, m), additivity first."""
+        rows, n, acting = self._rows, len(self.acted.carrier), self.acting
+        if additive:
+            add, laws = self.acted._flat["add"], ("additivity-in-actor", "action-multiplicativity")
+            lhs = [v for s, t in zip(acting._flat["add"], acting._flat[op])
+                   for pair in zip(rows[s], rows[t]) for v in pair]
+            rhs = [v for ra in rows for rb in rows for x, y in zip(ra, rb)
+                   for v in (add[x * n + y], ra[y])]
+        else:
+            laws = ("action-multiplicativity",)
+            lhs = [v for t in acting._flat[op] for v in rows[t]]
+            rhs = [ra[y] for ra in rows for rb in rows for y in rb]
+        if lhs != rhs:
+            *witness, law = _first_break(lhs, rhs, acting.carrier, acting.carrier,
+                                         self.acted.carrier, laws)
+            raise LawViolation(law, tuple(witness))
 
     def __repr__(self):
         label = self.name or f"{self.acting!r} on {self.acted!r}"
@@ -270,14 +266,16 @@ class RepClassification:
     single_transitive: bool
 
 
+def _columns(rep: Representation) -> list:
+    """Per acted element, in carrier order, its images under the actors."""
+    return [[row[m] for row in rep._rows] for m in range(len(rep.acted.carrier))]
+
+
 def one_and_only_one(rep: Representation) -> bool:
-    """For every pair (m, m') exactly one actor sends m' to m."""
-    for m in rep.acted.carrier:
-        for mp in rep.acted.carrier:
-            hits = sum(1 for a in rep.acting.carrier if rep.act(a, mp) == m)
-            if hits != 1:
-                return False
-    return True
+    """For every pair (m, m') exactly one actor sends m' to m: each column
+    of the action rows holds every acted element once."""
+    n = len(rep.acted.carrier)
+    return all(len(col) == n == len(set(col)) for col in _columns(rep))
 
 
 def classify(rep: Representation) -> RepClassification:
@@ -287,13 +285,9 @@ def classify(rep: Representation) -> RepClassification:
     cross-checked against the one-and-only-one characterization; the two
     agree on all shipped test objects.
     """
-    transformations = [rep.transformation(a) for a in rep.acting.carrier]
-    effective = len(set(transformations)) == len(transformations)
-    transitive = all(
-        any(rep.act(a, m) == mp for a in rep.acting.carrier)
-        for m in rep.acted.carrier
-        for mp in rep.acted.carrier
-    )
+    rows, n = rep._rows, len(rep.acted.carrier)
+    effective = len(set(rows)) == len(rows)
+    transitive = all(len(set(col)) == n for col in _columns(rep))
     single = effective and transitive and one_and_only_one(rep)
     return RepClassification(effective, transitive, single)
 
@@ -766,17 +760,20 @@ def _index_row(h: Mapping, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
     return None
 
 
-def _maps_ops(h: Sequence, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra) -> bool:
-    """The index row h respects every operation of src: dst's flat table
-    at the h-images of each tuple is h of src's value there."""
+def _op_break(h: Sequence, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
+    """None when the index row h respects every operation of src: dst's
+    flat table at the h-images of each tuple is h of src's value there.
+    Otherwise the first operation that fails, in signature order, as
+    (op, arity, lhs, rhs), the two sides as flat lists."""
     n, image = len(dst.carrier), h.__getitem__
     for op, arity in src.signature.ops:
         pos = [0]
         for _ in range(arity):
             pos = [p * n + x for p in pos for x in h]
-        if list(map(dst._flat[op].__getitem__, pos)) != list(map(image, src._flat[op])):
-            return False
-    return True
+        lhs, rhs = list(map(dst._flat[op].__getitem__, pos)), list(map(image, src._flat[op]))
+        if lhs != rhs:
+            return op, arity, lhs, rhs
+    return None
 
 
 def _maps_action(h: Sequence, lower: Sequence, f: Representation,
@@ -791,7 +788,7 @@ def _maps_action(h: Sequence, lower: Sequence, f: Representation,
 def _is_level_endomorphism(rep: Representation, h: Sequence, lower: Sequence) -> bool:
     """The index row h is an endomorphism of the acted algebra with
     h(a m) = lower(a) h(m), lower an index row of the acting carrier."""
-    return _maps_ops(h, rep.acted, rep.acted) and _maps_action(h, lower, rep, rep)
+    return _op_break(h, rep.acted, rep.acted) is None and _maps_action(h, lower, rep, rep)
 
 
 def _is_endomorphism(reps: Sequence, maps: Sequence) -> bool:
@@ -1000,7 +997,7 @@ def is_homomorphism(h: Mapping, src: FiniteOmegaAlgebra,
     """h: src -> dst, total on src's carrier and into dst's, respecting
     every operation of src."""
     row = _index_row(h, src, dst)
-    return row is not None and _maps_ops(row, src, dst)
+    return row is not None and _op_break(row, src, dst) is None
 
 
 def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
@@ -1008,8 +1005,9 @@ def check_morphism(r: Mapping, big_r: Mapping, f: Representation,
     """(r, R) is a morphism of representations from f into g:
     R(f(a)(m)) = g(r(a))(R(m)) for every actor a and element m."""
     lower, row = _index_row(r, f.acting, g.acting), _index_row(big_r, f.acted, g.acted)
-    return (lower is not None and row is not None and _maps_ops(lower, f.acting, g.acting)
-            and _maps_ops(row, f.acted, g.acted) and _maps_action(row, lower, f, g))
+    return (lower is not None and row is not None
+            and _op_break(lower, f.acting, g.acting) is None
+            and _op_break(row, f.acted, g.acted) is None and _maps_action(row, lower, f, g))
 
 
 def _kernel_partition(h: Mapping, carrier: Sequence) -> dict:

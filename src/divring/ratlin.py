@@ -130,16 +130,20 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
 
     Returns (solution, nullity) with free variables set to zero, or None
     when the system is inconsistent.  The solution is deterministic: pivot
-    columns are chosen left to right.
+    columns are chosen left to right.  b is cleared of its denominator once,
+    for the whole column, and each row of [a | b] is then scaled by the
+    least common denominator of its entries in a, so a large denominator
+    shared by b does not enter every row.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    work, pivots, d = _eliminate(_integer_rows([a[i][:] + [b[i]] for i in range(rows)]))
+    nums, den = over_common_denominator(b)
+    work, pivots, d = _eliminate(_integer_rows([a[i][:] + [nums[i]] for i in range(rows)]))
     if cols in pivots:
         return None
     x = [_ZERO] * cols
     for r, c in enumerate(pivots):
-        x[c] = Fraction(work[r][cols], d)
+        x[c] = Fraction(work[r][cols], d * den)
     return x, cols - len(pivots)
 
 

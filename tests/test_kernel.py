@@ -36,7 +36,14 @@ from divring.errors import (
     PivotConditionFailed,
     SingularLinearPart,
 )
-from divring.forms import BilinearMatrix, QuadraticMatrix, diagonalize, eval_bilinear
+from divring.forms import (
+    BilinearMatrix,
+    QuadraticMatrix,
+    diagonalize,
+    eval_bilinear,
+    solve_axxa,
+    two_sided_matrix,
+)
 from test_algebra import split_complex_algebra
 
 # a basis change with a fractional inverse: the constants in the new basis
@@ -84,6 +91,18 @@ def gauss(m):
         if r == rows:
             break
     return m, pivots
+
+
+def gauss_solution(a, b):
+    """(x, nullity) read from the reduced form of [a | b], or None."""
+    cols = len(a[0]) if a else 0
+    ech, pivots = gauss([row + [x] for row, x in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = ech[r][cols]
+    return x, cols - len(pivots)
 
 
 def oracle_inverse(alg, x):
@@ -231,15 +250,7 @@ def test_solve_and_invert_match_gauss_oracle():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = draw_matrix(rng, rows, cols)
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows)]
-        ech, pivots = gauss([row + [x] for row, x in zip(a, b)])
-        got = ratlin.solve(a, b)
-        if cols in pivots:
-            assert got is None
-        else:
-            x = [Fraction(0)] * cols
-            for r, c in enumerate(pivots):
-                x[c] = ech[r][cols]
-            assert got == (x, cols - len(pivots))
+        assert ratlin.solve(a, b) == gauss_solution(a, b)
         n = rng.randint(1, 5)
         m = draw_matrix(rng, n, n)
         ech, pivots = gauss([row + [Fraction(int(i == j)) for j in range(n)]
@@ -278,6 +289,35 @@ def test_solve_several_right_hand_sides_and_singular_inverts():
     ech, _ = ratlin.row_echelon([row + unit for row, unit in zip(m, ratlin.identity(3))])
     assert inv == [row[3:] for row in ech]
     assert ratlin.solve([], []) == ([], 0) and ratlin.invert([]) == []
+
+
+def test_solve_with_shared_large_denominator_matches_gauss_oracle():
+    """A right-hand side over one large denominator is cleared once for the
+    whole column; the solutions stay those of the reduced form, and so do
+    the results of solve_axxa, which solves the two-sided system."""
+    rng = random.Random(4450)
+    dens = [7 ** 40, 10 ** 30 * 3, 2 ** 61 - 1, 1]
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = draw_matrix(rng, rows, cols)
+        den = rng.choice(dens)
+        b = [Fraction(rng.randint(-10 ** 20, 10 ** 20), den) for _ in range(rows)]
+        assert ratlin.solve(a, b) == gauss_solution(a, b)
+    for alg in ALGEBRAS + [SPLIT]:
+        for _ in range(25):
+            x = alg.element(draw_coords(rng, alg))
+            den = rng.choice(dens)
+            y = alg.element([Fraction(rng.randint(-10 ** 20, 10 ** 20), den)
+                             for _ in range(alg.dim)])
+            s = two_sided_matrix(x)
+            want = gauss_solution([list(row) for row in s], list(y.coords))
+            got = solve_axxa(x, y)
+            got = got.kind, got.witness, got.nullspace_dim
+            if want is None:
+                assert got == ("none", None, alg.dim - len(gauss(s)[1]))
+            else:
+                kind = "unique" if want[1] == 0 else "infinite"
+                assert got == (kind, alg.element(want[0]), want[1])
 
 
 # ---------------------------------------------------------------------------
