@@ -456,15 +456,14 @@ class BasisChange:
     __slots__ = ("matrix", "inverse", "_int_matrix", "_int_inverse")
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix = ratlin.mat(matrix)
+        self.matrix = [[Fraction(x) for x in row] for row in matrix]
         if any(len(row) != len(self.matrix) for row in self.matrix):
             raise ValueError("basis-change matrix must be square")
-        inv = ratlin.invert(self.matrix)
-        if inv is None:
+        self.inverse = ratlin.invert(self.matrix)
+        if self.inverse is None:
             raise SingularBasisChange("basis-change matrix is singular")
-        self.inverse = inv
         self._int_matrix = _int_matrix(self.matrix)
-        self._int_inverse = _int_matrix(inv)
+        self._int_inverse = _int_matrix(self.inverse)
 
     @property
     def dim(self) -> int:

@@ -18,11 +18,12 @@ literal "9.1" formula; every operation accepts sign="8.2"|"9.1" to flip.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, mul
-from .errors import NoInverseChart
+from .algebra import Algebra, Element, mul  # noqa: F401 (the benchmark's tracer rebinds it)
+from .errors import DimensionMismatch, NoInverseChart
 from .ncpoly import NCPoly, _poly, gateaux, gateaux2, gateaux_poly
 
 _SIGNS = ("8.2", "9.1")
@@ -126,30 +127,27 @@ def _is_identity(polys: tuple) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sandwich_matrix(alg: Algebra):
-    """Rows (r, s), columns (p, q): coordinate r of e_p e_s e_q.
-
-    Solving this system expresses an arbitrary rational-linear map of the
-    ring as sum_pq T[p][q] e_p h e_q, which is how inverse Jacobian blocks
-    become polynomials again.  It is eliminated once per algebra, and that
-    elimination is cached beside it (`_sandwich_solve`).
-    """
-    m = alg.dim
-    basis = alg.basis()
-    return [[mul(mul(basis[p], basis[s]), basis[q]).coords[r]
-             for p in range(m) for q in range(m)]
-            for r in range(m) for s in range(m)]
-
-
-@lru_cache(maxsize=None)
 def _sandwich_elimination(alg: Algebra) -> tuple:
-    return ratlin._row_operations(_sandwich_matrix(alg))
+    """`ratlin._row_operations` (ops, pivots, d) of the sandwich system S,
+    once per algebra.  Row (r, t), column (p, q) of S is coordinate r of
+    e_p e_t e_q; solving it writes a rational-linear map of the ring as
+    sum_pq c_pq e_p x e_q, which is how inverse Jacobian blocks become
+    polynomials again.  S is read from the table rows over alg._den ** 2,
+    a factor folded into ops, so ops S / d is the reduced form of S."""
+    m, rows = alg.dim, alg._rows
+    s = [[0] * (m * m) for _ in range(m * m)]
+    for p, t, q in product(range(m), repeat=3):
+        for k, a in rows[p * m + t]:
+            for r, b in rows[k * m + q]:
+                s[r * m + t][p * m + q] += a * b
+    ops, pivots, d = ratlin._row_operations(s)
+    return [[alg._den ** 2 * x for x in row] for row in ops], pivots, d
 
 
 def _sandwich_solve(alg: Algebra, rhs: Sequence[int]) -> Optional[tuple]:
-    """`ratlin.solve(_sandwich_matrix(alg), rhs)` for an integer rhs, as
-    one integer matrix-vector product: ({column: numerator}, d) with the
-    solution numerators / d at the pivot columns and zero at the free
+    """`ratlin.solve(S, rhs)` for the sandwich system S and an integer rhs,
+    as one integer matrix-vector product: ({column: numerator}, d) with
+    the solution numerators / d at the pivot columns and zero at the free
     ones, or None when inconsistent.  S may be singular (it is over the
     complex numbers)."""
     ops, pivots, d = _sandwich_elimination(alg)
@@ -211,6 +209,8 @@ def pushforward_vector(chart: Chart, xp: Sequence[Element],
     """Old-coordinate components of a vector given in new coordinates:
     v^j = d(inverse^j) at x' in direction v'."""
     inverse = chart.require_inverse()
+    if not len(xp) == len(vp) == chart.n:
+        raise DimensionMismatch("vector length does not match the chart")
     return tuple(gateaux(c, list(xp), list(vp)) for c in inverse)
 
 
@@ -291,6 +291,8 @@ class ConnectionCoefficients:
 
     def apply(self, xp: Sequence[Element], v: Sequence[Element],
               a: Sequence[Element]) -> tuple:
+        if not len(xp) == len(v) == len(a) == self.n:
+            raise DimensionMismatch("vector length does not match the chart")
         return self._apply(tuple(xp), tuple(v), tuple(a))
 
     def coefficient(self, xp: Sequence[Element], k: int, j: int, i: int,
@@ -337,6 +339,8 @@ def parallel_residual(gamma: ConnectionCoefficients, field: Sequence[NCPoly],
                       sign: str = "8.2") -> tuple:
     """Defect of the parallel-transport equation at one point/direction."""
     _check_sign(sign)
+    if not len(field) == len(xp) == len(a) == gamma.n:
+        raise DimensionMismatch("vector length does not match the chart")
     v = [f.evaluate(list(xp)) for f in field]
     gv = gamma.apply(xp, v, a)
     dv = [gateaux(f, list(xp), list(a)) for f in field]
@@ -360,6 +364,8 @@ def geodesic_residual(gamma: ConnectionCoefficients, path: Sequence[NCPoly],
     _check_sign(sign)
     if any(p.nvars != 1 for p in path):
         raise ValueError("path components must be one-variable polynomials")
+    if len(path) != gamma.n:
+        raise DimensionMismatch("vector length does not match the chart")
     point = tuple(p.evaluate([t0]) for p in path)
     tangent = tuple(gateaux(p, [t0], [dt]) for p in path)
     second = tuple(gateaux2(p, [t0], [dt], [dt]) for p in path)

@@ -28,7 +28,6 @@ from .errors import (
     ZeroDiagonalEntry,
 )
 
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -218,9 +217,9 @@ class SylvesterSolution:
     nullspace_dim: int
 
 
-def two_sided_matrix(a: Element) -> list[list[Fraction]]:
-    """Rational matrix S with (a x + x a) coords = S . x coords,
-    S[k][j] = sum_i a^i (C[i][j][k] + C[j][i][k])."""
+def _two_sided_rows(a: Element) -> tuple[list[list[int]], int]:
+    """Integer rows s over a denominator den with (a x + x a) coords =
+    (s / den) . x coords, s[k][j] / den = sum_i a^i (C[i][j][k] + C[j][i][k])."""
     alg = a.algebra
     n = alg.dim
     num = a._num
@@ -228,7 +227,12 @@ def two_sided_matrix(a: Element) -> list[list[Fraction]]:
     for i, j, k, c in alg._terms:
         s[k][j] += num[i] * c
         s[k][i] += num[j] * c
-    den = a._den * alg._den
+    return s, a._den * alg._den
+
+
+def two_sided_matrix(a: Element) -> list[list[Fraction]]:
+    """Rational matrix S with (a x + x a) coords = S . x coords."""
+    s, den = _two_sided_rows(a)
     return [[Fraction(x, den) for x in row] for row in s]
 
 
@@ -239,8 +243,8 @@ def solve_axxa(a: Element, b: Element) -> SylvesterSolution:
     """
     a._check(b)
     alg = a.algebra
-    s = two_sided_matrix(a)
-    sol = ratlin.solve(s, list(b.coords))
+    s, den = _two_sided_rows(a)
+    sol = ratlin.solve(s, [den * y for y in b.coords])
     if sol is None:
         return SylvesterSolution("none", None, alg.dim - ratlin.rank(s))
     # a consistent system's nullity is that of the homogeneous equation
@@ -286,25 +290,6 @@ class Diagonalization:
         return _mul_add(zero, terms)
 
 
-def _case2_matrix(n: int, i: int, j: int) -> list[list[Fraction]]:
-    """a = P b with a^i = b^i - b^j, a^j = b^i + b^j, identity elsewhere."""
-    p = ratlin.identity(n)
-    p[i][i] = _ONE
-    p[i][j] = -_ONE
-    p[j][i] = _ONE
-    p[j][j] = _ONE
-    return p
-
-
-def _congruence(mtx, p):
-    """P^T M P for a rational matrix P and an Element matrix M."""
-    n = len(mtx)
-    zero = mtx[0][0].algebra.zero
-    return [[_mul_add(zero, [(p[x][r] * p[y][c], mtx[x][y], None)
-                             for x in range(n) if p[x][r] for y in range(n)])
-             for c in range(n)] for r in range(n)]
-
-
 def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonalization:
     """Iteratively complete squares per the two proof cases.
 
@@ -312,7 +297,8 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
     coefficient, solves the pivot equation 2 d g = d h + h d for every
     cross coefficient g and strips the square.  Case 2, entered when every
     live diagonal coefficient vanishes, mixes the first off-diagonal pair
-    through a^i = b^i - b^j, a^j = b^i + b^j to manufacture one.
+    through a = P b, a^i = b^i - b^j, a^j = b^i + b^j, to manufacture one:
+    the form becomes P^T M P by column and row operations on the pair.
 
     When the pivot equation has no solution the failure is surfaced as
     PivotConditionFailed instead of silently skipping the pivot; with
@@ -325,9 +311,9 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
     active = list(range(n))
     # q maps current coordinates back to original ones, b = Q a; covectors
     # found in current coordinates pull back through Q^T
-    q = ratlin.identity(n)
+    q = [[Fraction(r == c) for c in range(n)] for r in range(n)]
     used_case2 = False
-    p_total = ratlin.identity(n)
+    p_total = [row[:] for row in q]
     diagonal: list[Element] = []
     covectors: list[tuple] = []
 
@@ -380,17 +366,18 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
                 raise err
             continue
         # case 2: all live diagonals vanish, mix the first off-diagonal pair
-        pair = next(
+        i, j = next(
             (i, j)
             for i in active
             for j in active
             if i < j and not m[i][j].is_zero()
         )
-        p = _case2_matrix(n, *pair)
-        m[:] = _congruence(m, p)
-        pinv = ratlin.invert(p)
-        q = ratlin.mat_mul(pinv, q)
-        p_total = ratlin.mat_mul(p_total, p)
+        # columns of M P and P_total P, rows of P^T M P and P^-1 Q = P^T Q / 2
+        for row in m + p_total:
+            row[i], row[j] = row[i] + row[j], row[j] - row[i]
+        m[i], m[j] = [x + y for x, y in zip(m[i], m[j])], [y - x for x, y in zip(m[i], m[j])]
+        q[i], q[j] = ([(x + y) * _HALF for x, y in zip(q[i], q[j])],
+                      [(y - x) * _HALF for x, y in zip(q[i], q[j])])
         used_case2 = True
 
     return Diagonalization(

@@ -375,6 +375,8 @@ def _positional(f: NCPoly, sources: Sequence) -> Element:
     """The positional sum behind the directional derivatives: slot
     j * n + v of the shifted terms reads sources[j][v]."""
     n = f.nvars
+    if any(len(s) != n for s in sources):
+        raise ValueError("wrong number of values")
     return _evaluate(f.algebra, _shifted_terms(f._num, n, len(sources) - 1), f._den,
                      lambda slot: sources[slot // n][slot % n])
 

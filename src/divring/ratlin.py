@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on lists of lists of Fraction.  Elimination is
-fraction-free (Bareiss, "Sylvester's identity and multistep
+Small dense routines on matrices given as rows of Fractions or ints.
+Elimination is fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
 scaled to integers, and every update p * row_i - f * row_r is divided
 exactly by the previous pivot, so every entry stays an integer minor of
@@ -12,21 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 _ZERO = Fraction(0)
-
-
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    """Copy input into a fresh Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -110,14 +101,11 @@ def row_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
 
     Fraction-free Gauss-Jordan elimination (`_eliminate`), pivots chosen
     as the first nonzero entry scanning columns left to right; dividing by
-    the last pivot gives the reduced form, which is unique.
+    the last pivot gives the reduced form, which is unique; the rows past
+    the pivot rows are zero.
     """
     work, pivots, d = _eliminate(_integer_rows(m))
-    r = len(pivots)
-    cols = len(m[0]) if m else 0
-    out = [_quotients(work[i], d) for i in range(r)]
-    out += [[_ZERO] * cols for _ in range(r, len(work))]
-    return out, pivots
+    return [_quotients(row, d) for row in work], pivots
 
 
 def rank(m: Matrix) -> int:

@@ -28,7 +28,7 @@ from divring.calculus import (
     pushforward_oneform,
     pushforward_vector,
 )
-from divring.errors import NoInverseChart
+from divring.errors import DimensionMismatch, NoInverseChart
 from divring.ncpoly import NCPoly, gateaux
 from conftest import random_element
 from test_algebra import split_complex_algebra
@@ -539,6 +539,34 @@ def test_parabola_is_not_geodesic():
     path = [c.substitute(flat) for c in ch.components]
     res = geodesic_residual(gamma, path, H.scalar(1), H.scalar(1))
     assert any(not r.is_zero() for r in res)
+
+
+TWO, SHORT, LONG = (ONE, I), (ONE,), (ONE, I, J)
+FIELD = (cconst(I), cvar(0))
+PATH = (NCPoly.var(H, 1, 0), NCPoly.var(H, 1, 0) * NCPoly.var(H, 1, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ch, g: pushforward_vector(ch, LONG, LONG),
+    lambda ch, g: pushforward_vector(ch, TWO, SHORT),
+    lambda ch, g: g.apply(SHORT, TWO, TWO),
+    lambda ch, g: g.apply(TWO, TWO, LONG),
+    lambda ch, g: ConnectionCoefficients.zero(H, 2).apply(TWO, SHORT, TWO),
+    lambda ch, g: parallel_residual(g, FIELD[:1], TWO, TWO),
+    lambda ch, g: parallel_residual(g, FIELD, LONG, TWO),
+    lambda ch, g: covariant_derivative(g, FIELD, TWO, SHORT),
+    lambda ch, g: geodesic_residual(g, PATH[:1], ONE, ONE),
+    lambda ch, g: geodesic_residual(g, PATH + PATH[:1], ONE, ONE),
+], ids=["pushforward-long", "pushforward-short-vector", "apply-short-point",
+        "apply-long-direction", "zero-apply-short-vector", "parallel-short-field",
+        "parallel-long-point", "covariant-short-direction", "geodesic-short-path",
+        "geodesic-long-path"])
+def test_wrong_length_inputs_raise_dimension_mismatch(call):
+    """A point, vector, field or path with more or fewer components than
+    the chart has variables is rejected, never truncated or indexed past."""
+    ch = quadratic_chart()
+    with pytest.raises(DimensionMismatch, match="does not match the chart"):
+        call(ch, chart_connection(ch))
 
 
 def test_sign_conventions_are_validated():

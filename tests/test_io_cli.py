@@ -307,6 +307,21 @@ def test_zero_denominator_exits_with_one_error_line(tmp_path, capsys, point, com
     assert err.startswith("error: ") and "zero denominator" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["pushforward", "--point", "1; 2; 3", "--vector", "1; 2; 3"],
+    ["pushforward", "--point", "1; 2", "--vector", "1"],
+    ["connection", "--point", "1", "--v", "1; 2", "--a", "1; 2"],
+    ["parallel", "--field", "x1", "--point", "1; 2", "--direction", "1; 2"],
+    ["covariant", "--field", "x1; x2", "--point", "1; 2", "--direction", "1"],
+    ["geodesic", "--path", "x1", "--t0", "1", "--dt", "1"],
+])
+def test_wrong_length_calc_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "calc", argv[0], "--chart", data("chart_quadratic.json"),
+                             *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: DimensionMismatch: vector length does not match the chart\n"
+
+
 def test_outputs_are_reproducible(capsys):
     first = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))
     second = run_cli(capsys, "form", "diagonalize", data("form_norm.json"))

@@ -69,6 +69,14 @@ def oracle_mul(alg, x, y):
     )
 
 
+def mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def identity(n):
+    return mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def gauss(m):
     """Reduced row echelon form and pivots by Gauss-Jordan on Fractions."""
     m = [[Fraction(x) for x in row] for row in m]
@@ -262,9 +270,9 @@ def test_solve_and_invert_match_gauss_oracle():
 def test_solve_several_right_hand_sides_and_singular_inverts():
     """`solve` and `invert` read their answer from the integer elimination;
     it must equal the column of the reduced form `row_echelon` returns."""
-    a = ratlin.mat([[1, 2, 0, Fraction(1, 3)],
-                    [2, 4, 1, 0],
-                    [3, 6, 1, Fraction(1, 3)]])  # row 3 = row 1 + row 2, column 2 = 2 * column 1
+    a = mat([[1, 2, 0, Fraction(1, 3)],
+             [2, 4, 1, 0],
+             [3, 6, 1, Fraction(1, 3)]])  # row 3 = row 1 + row 2, column 2 = 2 * column 1
     consistent = [[1, 1, 2], [0, 0, 0], [Fraction(5, 7), -3, Fraction(-16, 7)]]
     inconsistent = [[1, 1, 1], [0, 0, 1]]
     for b, solvable in [(b, True) for b in consistent] + [(b, False) for b in inconsistent]:
@@ -279,14 +287,14 @@ def test_solve_several_right_hand_sides_and_singular_inverts():
         assert x == [ech[0][4], 0, ech[1][4], 0]
         assert all(type(v) is Fraction for v in x)
         assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
-    singular = [ratlin.mat([[1, 2], [2, 4]]), ratlin.mat([[0, 0], [0, 0]]),
-                ratlin.mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])]
+    singular = [mat([[1, 2], [2, 4]]), mat([[0, 0], [0, 0]]),
+                mat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])]
     for m in singular:
         assert ratlin.invert(m) is None
-    m = ratlin.mat([[0, 2, 1], [Fraction(1, 2), 0, 0], [3, 1, Fraction(-1, 4)]])
+    m = mat([[0, 2, 1], [Fraction(1, 2), 0, 0], [3, 1, Fraction(-1, 4)]])
     inv = ratlin.invert(m)
-    assert ratlin.mat_mul(m, inv) == ratlin.identity(3) == ratlin.mat_mul(inv, m)
-    ech, _ = ratlin.row_echelon([row + unit for row, unit in zip(m, ratlin.identity(3))])
+    assert ratlin.mat_mul(m, inv) == identity(3) == ratlin.mat_mul(inv, m)
+    ech, _ = ratlin.row_echelon([row + unit for row, unit in zip(m, identity(3))])
     assert inv == [row[3:] for row in ech]
     assert ratlin.solve([], []) == ([], 0) and ratlin.invert([]) == []
 
@@ -534,7 +542,7 @@ def oracle_diagonalize(alg, entries):
     n = len(entries)
     m = [list(row) for row in entries]
     active = list(range(n))
-    ident = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    ident = identity(n)
     q, p_total, used_case2 = ident, ident, False
     diagonal, covectors = [], []
     while active and any(any(m[r][c]) for r in active for c in active):
@@ -592,12 +600,12 @@ def oracle_form_value(alg, entries, a, b):
     return acc
 
 
-def draw_symmetric(rng, alg, n):
+def draw_symmetric(rng, alg, n, zero_diagonal=False):
     grid = [[None] * n for _ in range(n)]
     for r in range(n):
         for c in range(r, n):
             grid[r][c] = grid[c][r] = tuple(draw_entry(rng, alg))
-    if n > 1 and rng.randrange(3) == 0:  # zero diagonal: the mixing case
+    if zero_diagonal or n > 1 and rng.randrange(3) == 0:  # the mixing case
         for r in range(n):
             grid[r][r] = ozero(alg)
     return grid
@@ -607,9 +615,12 @@ def draw_symmetric(rng, alg, n):
 def test_diagonalize_and_evaluations_match_oracle(alg):
     rng = random.Random(4900 + alg.dim)
     outcomes = set()
-    for _ in range(12):
-        n = rng.randint(1, 3)
-        entries = draw_symmetric(rng, alg, n)
+    mixed = 0
+    for trial in range(16):
+        # the last draws are zero-diagonal forms in four variables, where
+        # case 2 mixes a pair among other live variables
+        n = rng.randint(1, 3) if trial < 12 else 4
+        entries = draw_symmetric(rng, alg, n, zero_diagonal=trial >= 12)
         form = QuadraticMatrix(elements(alg, entries))
         points = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
                   for _ in range(3)]
@@ -628,6 +639,7 @@ def test_diagonalize_and_evaluations_match_oracle(alg):
         assert_matrix([got.diagonal], [diagonal])
         assert_matrix(got.substitution, covectors)
         assert got.extra_linear == (None if extra is None else tuple(tuple(r) for r in extra))
+        mixed += n == 4 and extra is not None
         for a in points:
             squares = ozero(alg)
             for d, cov in zip(diagonal, covectors):
@@ -637,4 +649,4 @@ def test_diagonalize_and_evaluations_match_oracle(alg):
                 squares = oadd(squares, oracle_mul(alg, d, oracle_mul(alg, lin, lin)))
             assert_coords(got.evaluate(a), squares)
             assert squares == oracle_form_value(alg, entries, a, a)
-    assert "ok" in outcomes
+    assert "ok" in outcomes and mixed > 0
