@@ -15,7 +15,6 @@ membership.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -389,21 +388,9 @@ def transfer_structure(rep: Representation, origin) -> FiniteOmegaAlgebra:
     """
     if not one_and_only_one(rep):
         raise NotSingleTransitive("representation is not single transitive")
-    factor = {}
-    for a in rep.acting.carrier:
-        factor[rep.act(a, origin)] = a
-    tables = {}
-    for op, arity in rep.acting.signature.ops:
-        tables[op] = {
-            args: rep.act(
-                rep.acting.apply(op, [factor[m] for m in args]), origin
-            )
-            for args in itertools.product(rep.acted.carrier, repeat=arity)
-        }
-    return FiniteOmegaAlgebra(
-        rep.acted.carrier,
-        rep.acting.signature,
-        tables,
-        name=f"transferred({origin!r})",
-        carrier_bound=max(len(rep.acted.carrier), 1),
-    )
+    acting, points = rep.acting, rep.acted.carrier
+    factor = {rep.act(a, origin): a for a in acting.carrier}
+    tables = {op: lambda *args, op=op: rep.act(acting.apply(op, [factor[m] for m in args]), origin)
+              for op, _ in acting.signature.ops}
+    return FiniteOmegaAlgebra(points, acting.signature, tables, name=f"transferred({origin!r})",
+                              carrier_bound=max(len(points), 1))

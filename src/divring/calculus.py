@@ -34,6 +34,12 @@ def _check_sign(sign: str):
         raise ValueError(f"sign convention must be one of {_SIGNS}")
 
 
+def _check_length(n: int, *vectors: Sequence):
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatch("vector length does not match the chart")
+
+
 class Chart:
     """A polynomial coordinate transformation x' = g(x) on D^n.
 
@@ -209,8 +215,7 @@ def pushforward_vector(chart: Chart, xp: Sequence[Element],
     """Old-coordinate components of a vector given in new coordinates:
     v^j = d(inverse^j) at x' in direction v'."""
     inverse = chart.require_inverse()
-    if not len(xp) == len(vp) == chart.n:
-        raise DimensionMismatch("vector length does not match the chart")
+    _check_length(chart.n, xp, vp)
     return tuple(gateaux(c, list(xp), list(vp)) for c in inverse)
 
 
@@ -221,6 +226,7 @@ def pushforward_oneform(chart: Chart, x: Sequence[Element]) -> tuple:
     derivative of forward component i at x in the direction that puts h in
     slot j and zero elsewhere.
     """
+    _check_length(chart.n, x)
     return tuple(tuple(_directional_poly(comp, list(x), j) for j in range(chart.n))
                  for comp in chart.components)
 
@@ -237,6 +243,7 @@ def _directional_poly(f: NCPoly, x: Sequence[Element], slot: int) -> NCPoly:
 
 def apply_oneform(matrix, increments: Sequence[Element]) -> tuple:
     """Apply a pushforward_oneform family to an increment vector."""
+    _check_length(len(matrix), increments)
     return tuple(
         sum(
             (row[j].evaluate([increments[j]]) for j in range(len(row))),
@@ -291,8 +298,7 @@ class ConnectionCoefficients:
 
     def apply(self, xp: Sequence[Element], v: Sequence[Element],
               a: Sequence[Element]) -> tuple:
-        if not len(xp) == len(v) == len(a) == self.n:
-            raise DimensionMismatch("vector length does not match the chart")
+        _check_length(self.n, xp, v, a)
         return self._apply(tuple(xp), tuple(v), tuple(a))
 
     def coefficient(self, xp: Sequence[Element], k: int, j: int, i: int,
@@ -327,6 +333,7 @@ def express_constant_field(chart: Chart, w: Sequence[Element]) -> tuple:
     x(x') in direction w."""
     alg = chart.algebra
     inverse = chart.require_inverse()
+    _check_length(chart.n, w)
     direction = [NCPoly.const(alg, chart.n, w[j]) for j in range(chart.n)]
     return tuple(
         gateaux_poly(comp).substitute(list(inverse) + direction)
@@ -339,8 +346,7 @@ def parallel_residual(gamma: ConnectionCoefficients, field: Sequence[NCPoly],
                       sign: str = "8.2") -> tuple:
     """Defect of the parallel-transport equation at one point/direction."""
     _check_sign(sign)
-    if not len(field) == len(xp) == len(a) == gamma.n:
-        raise DimensionMismatch("vector length does not match the chart")
+    _check_length(gamma.n, field, xp, a)
     v = [f.evaluate(list(xp)) for f in field]
     gv = gamma.apply(xp, v, a)
     dv = [gateaux(f, list(xp), list(a)) for f in field]
@@ -364,8 +370,7 @@ def geodesic_residual(gamma: ConnectionCoefficients, path: Sequence[NCPoly],
     _check_sign(sign)
     if any(p.nvars != 1 for p in path):
         raise ValueError("path components must be one-variable polynomials")
-    if len(path) != gamma.n:
-        raise DimensionMismatch("vector length does not match the chart")
+    _check_length(gamma.n, path)
     point = tuple(p.evaluate([t0]) for p in path)
     tangent = tuple(gateaux(p, [t0], [dt]) for p in path)
     second = tuple(gateaux2(p, [t0], [dt], [dt]) for p in path)

@@ -10,6 +10,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import re
@@ -404,23 +405,23 @@ def _freeze(label):
     return label
 
 
+def _positional(what: str, node, carriers: Sequence) -> dict:
+    """A table or action given by carrier position, nested lists one level
+    per carrier in carrier order, as the dict from cells of labels to its
+    values; ValueError unless every level is a list of its carrier's length."""
+    values = [node]
+    for carrier in carriers:
+        if not all(isinstance(v, list) and len(v) == len(carrier) for v in values):
+            raise ValueError(f"{what}: every level must be a list of its carrier's length")
+        values = [x for v in values for x in v]
+    return dict(zip(itertools.product(*carriers), map(_freeze, values)))
+
+
 def _omega_algebra_from_doc(doc: dict, name=None) -> FiniteOmegaAlgebra:
     carrier = [_freeze(x) for x in doc["carrier"]]
     signature = Signature([(op, int(ar)) for op, ar in doc["signature"]])
-    tables = {}
-    for op, arity in signature.ops:
-        raw = doc["tables"][op]
-        table = {}
-
-        def fill(prefix, node, depth):
-            if depth == 0:
-                table[tuple(prefix)] = _freeze(node)
-                return
-            for idx, sub in enumerate(node):
-                fill(prefix + [carrier[idx]], sub, depth - 1)
-
-        fill([], raw, arity)
-        tables[op] = table
+    tables = {op: _positional(f"table for {op!r}", doc["tables"][op], [carrier] * arity)
+              for op, arity in signature.ops}
     return FiniteOmegaAlgebra(carrier, signature, tables, name=name,
                               carrier_bound=max(len(carrier), 64))
 
@@ -429,17 +430,9 @@ def load_representation(source: str) -> Representation:
     doc = _load_json(source)
     acting = _omega_algebra_from_doc(doc["acting"], name="acting")
     acted = _omega_algebra_from_doc(doc["acted"], name="acted")
-    action = {}
-    for ai, row in enumerate(doc["action"]):
-        for mi, out in enumerate(row):
-            action[(acting.carrier[ai], acted.carrier[mi])] = _freeze(out)
-    return Representation(
-        acting,
-        acted,
-        action,
-        rep_kind=doc.get("kind", "raw"),
-        handedness=doc.get("hand", "left"),
-    )
+    action = _positional("action", doc["action"], [acting.carrier, acted.carrier])
+    return Representation(acting, acted, action, rep_kind=doc.get("kind", "raw"),
+                          handedness=doc.get("hand", "left"))
 
 
 @_file_loader

@@ -59,15 +59,40 @@ class Signature:
         raise KeyError(name)
 
 
+def _tabulate(what: str, table, carriers: Sequence, index: Mapping) -> tuple:
+    """(labels, flat) of a table over the product of carriers: a mapping
+    from cells to values, or a callable of one label per carrier.  labels
+    is the mapping's copy or the callable's values as a dict; flat is the
+    tuple of the values' indices in itertools.product order.  A ValueError
+    names the first cell in that order that is missing ("is not total") or
+    whose value is not in index ("leaves the carrier")."""
+    cells = list(itertools.product(*carriers))
+    table = {cell: table(*cell) for cell in cells} if callable(table) else dict(table)
+    try:
+        return table, tuple([index[table[cell]] for cell in cells])
+    except (KeyError, TypeError):
+        pass
+    for cell in cells:
+        if cell not in table:
+            raise ValueError(f"{what} is not total at {cell!r}")
+        try:
+            index[table[cell]]
+        except (KeyError, TypeError):
+            raise ValueError(f"{what} leaves the carrier at {cell!r}") from None
+
+
 class FiniteOmegaAlgebra:
     """A finite carrier with a total table for every signature operation.
 
-    The carrier is read as indices 0..n-1 and each table as one flat tuple
-    of value indices, (a_1, .., a_r) at sum a_k n^(r-k), the
-    itertools.product order: construction builds these tuples, and
+    Each table is a mapping from argument tuples to values or a callable
+    of the arguments; construction raises ValueError naming the first
+    argument tuple, in itertools.product order, that a mapping misses or
+    whose value is not a carrier element.  The carrier is read as indices
+    0..n-1 and each table as one flat tuple of value indices,
+    (a_1, .., a_r) at sum a_k n^(r-k), the itertools.product order:
     same_structure, the law checks of Representation and the engine read
-    them.  `tables` is the label-level view.  Neither may be mutated after
-    construction.
+    these tuples.  `tables` is the label-level view.  Neither may be
+    mutated after construction.
     """
 
     __slots__ = ("carrier", "signature", "tables", "name", "_index", "_flat")
@@ -85,21 +110,11 @@ class FiniteOmegaAlgebra:
             signature = Signature(signature)
         self.signature = signature
         self.name = name
-        index = self._index = {m: i for i, m in enumerate(self.carrier)}
+        self._index = {m: i for i, m in enumerate(self.carrier)}
         self.tables, self._flat = {}, {}
         for op, arity in signature.ops:
-            table = tables[op]
-            self.tables[op] = table = (
-                {args: table(*args) for args in itertools.product(self.carrier, repeat=arity)}
-                if callable(table) else dict(table))
-            try:
-                self._flat[op] = tuple([index[table[args]] for args in
-                                        itertools.product(self.carrier, repeat=arity)])
-            except (KeyError, TypeError):
-                args = next(args for args in itertools.product(self.carrier, repeat=arity)
-                            if args not in table or table[args] not in index)
-                gap = "is not total" if args not in table else "leaves the carrier"
-                raise ValueError(f"table for {op!r} {gap} at {args!r}") from None
+            self.tables[op], self._flat[op] = _tabulate(
+                f"table for {op!r}", tables[op], [self.carrier] * arity, self._index)
 
     def apply(self, op: str, args: Sequence) -> object:
         return self.tables[op][tuple(args)]
@@ -146,9 +161,12 @@ class Representation:
     """An algebra A acting on an algebra M by endomorphisms.
 
     handedness only affects printing (left actions read a*m, right ones
-    m*a).  The action must be total; it is kept as one image row of
-    acted-carrier indices per actor, in acting-carrier order, and `action`
-    is the label-level view.  Neither may be mutated after construction.
+    m*a).  The action is a mapping from pairs (a, m) to acted elements or
+    a callable of a and m; construction raises ValueError naming the first
+    pair, in carrier order, that a mapping misses or whose value is not an
+    acted element.  It is kept as one image row of acted-carrier indices
+    per actor, in acting-carrier order, and `action` is the label-level
+    view.  Neither may be mutated after construction.
     The endomorphism and rep_kind laws are checked on the rows and the flat
     tables, a failure naming its first witness in carrier order (actor,
     operation and arguments; or law and witness); `validate=False` skips
@@ -166,17 +184,10 @@ class Representation:
             raise ValueError("handedness must be 'left' or 'right'")
         self.acting = acting
         self.acted = acted
-        self.action = action = ({(a, m): action(a, m) for a in acting.carrier
-                                 for m in acted.carrier}
-                                if callable(action) else dict(action))
-        index = acted._index
-        try:
-            self._rows = tuple([tuple([index[action[a, m]] for m in acted.carrier])
-                                for a in acting.carrier])
-        except (KeyError, TypeError):
-            a, m = next((a, m) for a in acting.carrier for m in acted.carrier
-                        if (a, m) not in action or action[a, m] not in index)
-            raise ValueError(f"action is not total at ({a!r}, {m!r})") from None
+        self.action, flat = _tabulate("action", action, [acting.carrier, acted.carrier],
+                                      acted._index)
+        n = len(acted.carrier)
+        self._rows = tuple([flat[a * n:a * n + n] for a in range(len(acting.carrier))])
         self.rep_kind = rep_kind
         self.handedness = handedness
         self.name = name
@@ -281,15 +292,15 @@ def one_and_only_one(rep: Representation) -> bool:
 def classify(rep: Representation) -> RepClassification:
     """Effectiveness, transitivity and single transitivity flags.
 
-    Single transitivity is taken as the conjunction of the two flags and is
-    cross-checked against the one-and-only-one characterization; the two
-    agree on all shipped test objects.
+    Single transitivity is transitivity with as many actors as acted
+    elements: each column then holds every element once, which is
+    one_and_only_one, and two equal rows would repeat an element in every
+    column, so the action is effective too.
     """
     rows, n = rep._rows, len(rep.acted.carrier)
     effective = len(set(rows)) == len(rows)
     transitive = all(len(set(col)) == n for col in _columns(rep))
-    single = effective and transitive and one_and_only_one(rep)
-    return RepClassification(effective, transitive, single)
+    return RepClassification(effective, transitive, transitive and len(rows) == n)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,11 +1040,7 @@ def _derived_algebra(alg: FiniteOmegaAlgebra, signature: Signature, read: Mappin
     operations of signature taken from alg and each value read through read:
     a kernel partition gives the quotient, an inclusion the image."""
     labels = [x for x in read if read[x] == x]
-    tables = {
-        op: {args: read[alg.apply(op, args)]
-             for args in itertools.product(labels, repeat=arity)}
-        for op, arity in signature.ops
-    }
+    tables = {op: lambda *args, op=op: read[alg.apply(op, args)] for op, _ in signature.ops}
     return FiniteOmegaAlgebra(labels, signature, tables, name=name,
                               carrier_bound=max(len(labels), 1))
 
@@ -1041,8 +1048,7 @@ def _derived_algebra(alg: FiniteOmegaAlgebra, signature: Signature, read: Mappin
 def _derived_rep(acting: FiniteOmegaAlgebra, acted: FiniteOmegaAlgebra,
                  rep: Representation, read: Mapping) -> Representation:
     """acting on acted by rep's action, each value read through read."""
-    action = {(a, m): read[rep.act(a, m)] for a in acting.carrier for m in acted.carrier}
-    return Representation(acting, acted, action, rep_kind="raw")
+    return Representation(acting, acted, lambda a, m: read[rep.act(a, m)], rep_kind="raw")
 
 
 @dataclass

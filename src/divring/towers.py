@@ -271,16 +271,10 @@ def induced_two_level(tower: Tower, i: int, a0, anchor=None) -> Representation:
         raise NotSingleTransitive("middle representation must be single transitive")
     if anchor is None:
         anchor = high.acted.carrier[0]
-    factor = {}
-    for b in high.acting.carrier:
-        factor[high.act(b, anchor)] = b
-    action = {
-        (a, y): high.act(low.act(a, factor[y]), anchor)
-        for a in low.acting.carrier
-        for y in high.acted.carrier
-    }
-    return Representation(low.acting, high.acted, action, rep_kind="raw",
-                          handedness=low.handedness)
+    factor = {high.act(b, anchor): b for b in high.acting.carrier}
+    return Representation(low.acting, high.acted,
+                          lambda a, y: high.act(low.act(a, factor[y]), anchor),
+                          rep_kind="raw", handedness=low.handedness)
 
 
 def effectiveness_chain(tower: Tower, i: int, k: int) -> bool:

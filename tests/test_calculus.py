@@ -557,10 +557,18 @@ PATH = (NCPoly.var(H, 1, 0), NCPoly.var(H, 1, 0) * NCPoly.var(H, 1, 0))
     lambda ch, g: covariant_derivative(g, FIELD, TWO, SHORT),
     lambda ch, g: geodesic_residual(g, PATH[:1], ONE, ONE),
     lambda ch, g: geodesic_residual(g, PATH + PATH[:1], ONE, ONE),
+    lambda ch, g: pushforward_oneform(ch, LONG),
+    lambda ch, g: pushforward_oneform(ch, SHORT),
+    lambda ch, g: express_constant_field(ch, LONG),
+    lambda ch, g: express_constant_field(ch, SHORT),
+    lambda ch, g: apply_oneform(pushforward_oneform(ch, TWO), LONG),
+    lambda ch, g: apply_oneform(pushforward_oneform(ch, TWO), SHORT),
 ], ids=["pushforward-long", "pushforward-short-vector", "apply-short-point",
         "apply-long-direction", "zero-apply-short-vector", "parallel-short-field",
         "parallel-long-point", "covariant-short-direction", "geodesic-short-path",
-        "geodesic-long-path"])
+        "geodesic-long-path", "oneform-long-point", "oneform-short-point",
+        "constant-field-long", "constant-field-short", "apply-oneform-long",
+        "apply-oneform-short"])
 def test_wrong_length_inputs_raise_dimension_mismatch(call):
     """A point, vector, field or path with more or fewer components than
     the chart has variables is rejected, never truncated or indexed past."""

@@ -14,6 +14,8 @@ from divring.io import (
     format_rational,
     format_vector,
     load_algebra,
+    load_representation,
+    load_tower,
     parse_element,
     parse_poly,
     parse_quaternion_literal,
@@ -91,6 +93,85 @@ def test_algebra_file_with_malformed_unit_is_parse_error(tmp_path):
         dump_json(str(path), payload)
         with pytest.raises(ParseError):
             load_algebra(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Omega-structure documents
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def freeze(x):
+    return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+
+
+def nested_read(node, carriers):
+    """(cell, value) pairs of a table or action given as nested lists, one
+    level per carrier, read depth first."""
+    if not carriers:
+        return [((), freeze(node))]
+    return [((carriers[0][i],) + cell, value) for i, sub in enumerate(node)
+            for cell, value in nested_read(sub, carriers[1:])]
+
+
+@pytest.mark.parametrize("name", ["c6.json", "c6_translation.json", "mod3_scalars.json",
+                                  "mod3_translations.json", "mod3_tower.json"])
+def test_omega_documents_load_as_their_nested_lists(name):
+    doc = read_json(data(name))
+    if "levels" in doc:
+        reps = load_tower(data(name)).reps
+        docs = [read_json(data(level)) for level in doc["levels"]]
+    else:
+        reps, docs = [load_representation(data(name))], [doc]
+    for rep, doc in zip(reps, docs):
+        for alg, part in ((rep.acting, doc["acting"]), (rep.acted, doc["acted"])):
+            assert alg.carrier == freeze(part["carrier"])
+            assert list(alg.tables) == [op for op, _ in part["signature"]]
+            for op, arity in alg.signature.ops:
+                want = nested_read(part["tables"][op], [alg.carrier] * arity)
+                assert list(alg.tables[op].items()) == want
+        want = nested_read(doc["action"], [rep.acting.carrier, rep.acted.carrier])
+        assert list(rep.action.items()) == want
+
+
+def level_with(tmp_path, where, row):
+    """mod3_scalars.json with row 0 of its action or acting add table
+    replaced by row(old row), and a tower over it and mod3_translations."""
+    doc = read_json(data("mod3_scalars.json"))
+    rows = doc["action"] if where == "action" else doc["acting"]["tables"]["add"]
+    rows[0] = row(rows[0])
+    level = tmp_path / "level.json"
+    dump_json(str(level), doc)
+    tower = tmp_path / "tower.json"
+    dump_json(str(tower), {"levels": ["level.json", os.path.abspath(data("mod3_translations.json"))]})
+    return str(level), str(tower)
+
+
+ROWS = {"short": lambda row: row[:-1], "long": lambda row: row + row[:1],
+        "string": lambda row: "0" * len(row)}
+
+
+@pytest.mark.parametrize("where", ["action", "table"])
+@pytest.mark.parametrize("shape", sorted(ROWS))
+def test_row_of_wrong_shape_is_value_error(tmp_path, capsys, where, shape):
+    level, tower = level_with(tmp_path, where, ROWS[shape])
+    with pytest.raises(ValueError, match="must be a list of its carrier's length"):
+        load_representation(level)
+    code, out, err = run_cli(capsys, "tower", "classify", tower)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["action", "table"])
+def test_json_object_cell_leaves_the_carrier(tmp_path, capsys, where):
+    level, tower = level_with(tmp_path, where, lambda row: [{"x": 0}] + row[1:])
+    code, out, err = run_cli(capsys, "tower", "classify", tower)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "leaves the carrier" in err
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,22 @@ def test_ring_action_requires_named_operations():
                              "ring-on-abelian-group")
 
 
+@pytest.mark.parametrize("value", [{}, [0], {0}], ids=["dict", "list", "set"])
+def test_unhashable_cell_is_value_error_naming_the_cell(value):
+    """A table or action value that cannot be looked up leaves the carrier."""
+    with pytest.raises(ValueError) as exc:
+        FiniteOmegaAlgebra([0, 1], Signature([("f", 1)]), {"f": {(0,): 0, (1,): value}})
+    assert str(exc.value) == "table for 'f' leaves the carrier at (1,)"
+    action = {(a, m): m for a in range(2) for m in range(3)}
+    action[1, 2] = value
+    with pytest.raises(ValueError) as exc:
+        Representation(point_set(2), point_set(3), action)
+    assert str(exc.value) == "action leaves the carrier at (1, 2)"
+    with pytest.raises(ValueError) as exc:
+        Representation(point_set(2), point_set(3), lambda a, m: value if a else m)
+    assert str(exc.value) == "action leaves the carrier at (1, 0)"
+
+
 # ---------------------------------------------------------------------------
 # classification
 

@@ -210,8 +210,10 @@ def oracle_build_error(carrier, ops, tables):
 def oracle_action_error(acting, acted, act):
     for a in acting:
         for m in acted:
-            if (a, m) not in act or act[a, m] not in set(acted):
+            if (a, m) not in act:
                 return f"action is not total at ({a!r}, {m!r})"
+            if act[a, m] not in set(acted):
+                return f"action leaves the carrier at ({a!r}, {m!r})"
     return None
 
 
