@@ -10,12 +10,14 @@ which realizes the mirror convention concretely.
 
 Matrix rank over the ring is computed by row elimination with left
 multipliers, the elimination realization of the rank criterion for plane
-membership.
+membership.  An AffineMap of the right-hand convention and a Plane each
+eliminate once, when built, and keep the inverse linear part or the span's
+row operations; no product re-checks an inverse (see invert_matrix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import Algebra, Element, _mul_add, mul
@@ -77,7 +79,7 @@ def identity_matrix(alg: Algebra, n: int):
 
 
 def _forward_eliminate(work: list, ncols: int, hand: str = "right",
-                       stop_at_gap: bool = False) -> list:
+                       stop_at_gap: bool = False, error: type = NotDivisionRing) -> list:
     """Forward elimination over the ring on the rows `work`, in place.
 
     Pivots are the first nonzero entry scanning the first `ncols` columns
@@ -89,7 +91,7 @@ def _forward_eliminate(work: list, ncols: int, hand: str = "right",
     row's pivot are not read again and keep their values.  With
     `stop_at_gap` the elimination ends at the first column without a
     pivot.  Returns the inverses of the pivots in row order, as many as the
-    rank; a nonzero pivot without an inverse raises NotInvertible.
+    rank; a nonzero pivot without an inverse raises `error`.
     """
     right = hand == "right"
     inverses = []
@@ -104,7 +106,10 @@ def _forward_eliminate(work: list, ncols: int, hand: str = "right",
             continue
         work[rank], work[pr] = work[pr], work[rank]
         top = work[rank]
-        inv = top[c].inverse()
+        try:
+            inv = top[c].inverse()
+        except NotInvertible as exc:
+            raise error(str(exc)) from exc
         inverses.append(inv)
         for r in range(rank + 1, len(work)):
             d = work[r][c]
@@ -123,31 +128,20 @@ def nc_rank(rows: Sequence[Sequence[Element]]) -> int:
     NotDivisionRing.
     """
     work = [list(r) for r in rows]
-    try:
-        return len(_forward_eliminate(work, len(work[0]) if work else 0))
-    except NotInvertible as exc:
-        raise NotDivisionRing(str(exc)) from exc
+    return len(_forward_eliminate(work, len(work[0]) if work else 0))
 
 
-def invert_matrix(m, hand: str = "right"):
-    """Two-sided inverse over the ring, or SingularLinearPart.
+def _augmented(m) -> list:
+    """The rows of [m | I] as lists, to be eliminated in place."""
+    unit = identity_matrix(m[0][0].algebra, len(m)) if m else ()
+    return [list(row) + list(u) for row, u in zip(m, unit)]
 
-    Forward elimination of [m | I] (see _forward_eliminate), then back
-    substitution on the right block from the last pivot up: each pivot row
-    is normalized by its pivot's inverse and cleared from the rows above.
-    Multipliers act from the left under the right-hand convention and from
-    the right under the left-hand one.
-    """
-    n = len(m)
-    alg = m[0][0].algebra
-    unit = identity_matrix(alg, n)
-    work = [list(row) + list(unit[r]) for r, row in enumerate(m)]
-    try:
-        inverses = _forward_eliminate(work, n, hand, stop_at_gap=True)
-    except NotInvertible as exc:
-        raise SingularLinearPart(str(exc)) from exc
-    if len(inverses) < n:
-        raise SingularLinearPart("matrix has no inverse over the ring")
+
+def _back_substitute(work: list, inverses: list, hand: str = "right") -> tuple:
+    """The inverse of a square m from [m | I] forward-eliminated with a
+    pivot in every column: from the last pivot up, each pivot row is
+    normalized by its pivot's inverse and cleared from the rows above."""
+    n = len(work)
     right = hand == "right"
     for r in range(n - 1, -1, -1):
         inv = inverses[r]
@@ -158,11 +152,27 @@ def invert_matrix(m, hand: str = "right"):
             if not d.is_zero():
                 work[s][n:] = [_mul_add(x, ((-1, d, y) if right else (-1, y, d),))
                                for x, y in zip(work[s][n:], top)]
-    out = tuple(tuple(work[r][n:]) for r in range(n))
-    check = matrix_mul(m, out, hand)
-    if check != unit:
-        raise SingularLinearPart("one-sided inverse only")
-    return out
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def invert_matrix(m, hand: str = "right"):
+    """Two-sided inverse over the ring, or SingularLinearPart.
+
+    Forward elimination of [m | I] up to the first column without a pivot,
+    then back substitution, with multipliers on the left under the
+    right-hand convention and on the right under the left-hand one.  The
+    result E has E m = I, and m E = I needs no check: each step multiplied
+    [m | I] by an invertible elementary matrix (a row swap, row_s - (d
+    p^-1) row_r, or a row scaled by p^-1, where Element.inverse made p^-1
+    two-sided), so m = E^-1.  This holds over any associative unital
+    algebra, zero divisors included (T. Y. Lam, A First Course in
+    Noncommutative Rings, GTM 131).
+    """
+    work = _augmented(m)
+    inverses = _forward_eliminate(work, len(m), hand, stop_at_gap=True, error=SingularLinearPart)
+    if len(inverses) < len(m):
+        raise SingularLinearPart("matrix has no inverse over the ring")
+    return _back_substitute(work, inverses, hand)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +184,15 @@ class AffineMap:
     """A'^i = sum_j A^j P[j][i] + R^i (right-hand convention).
 
     The linear part must have full rank over the ring; this is checked at
-    construction so the affine maps form a group.
+    construction so the affine maps form a group.  The check is nc_rank's
+    elimination, right-handed under either hand; a right-hand map runs it
+    on [P | I] and keeps the inverse linear part for inverse_affine.
     """
 
     linear: tuple
     shift: tuple
     hand: str = "right"
+    _inverse: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, linear, shift, hand="right", _checked=False):
         linear = tuple(tuple(row) for row in linear)
@@ -192,8 +205,14 @@ class AffineMap:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "hand", hand)
-        if not _checked and nc_rank(linear) != n:
+        if _checked:
+            return
+        work = _augmented(linear) if hand == "right" else [list(row) for row in linear]
+        inverses = _forward_eliminate(work, n)
+        if len(inverses) != n:
             raise SingularLinearPart("linear part is singular")
+        if hand == "right":
+            object.__setattr__(self, "_inverse", _back_substitute(work, inverses))
 
     @property
     def n(self) -> int:
@@ -230,7 +249,7 @@ def compose_affine(m1: AffineMap, m2: AffineMap) -> AffineMap:
 
 def inverse_affine(m: AffineMap) -> AffineMap:
     """The group inverse: composing either way gives the identity."""
-    pinv = invert_matrix(m.linear, m.hand)
+    pinv = m._inverse if m._inverse is not None else invert_matrix(m.linear, m.hand)
     minus = tuple(-x for x in m.shift)
     return AffineMap(pinv, matrix_mul((minus,), pinv, m.hand)[0], m.hand, _checked=True)
 
@@ -241,10 +260,16 @@ def inverse_affine(m: AffineMap) -> AffineMap:
 
 @dataclass(frozen=True)
 class Plane:
-    """A plane through `anchor` spanned by independent direction vectors."""
+    """A plane through `anchor` spanned by independent direction vectors.
+
+    Construction runs nc_rank's elimination once, on [S | I] with S the
+    span columns, and keeps rows k.. of the right block: row operations
+    that take S to echelon form with those rows zero.
+    """
 
     anchor: tuple
     span: tuple
+    _ops: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __init__(self, anchor, span):
         anchor = tuple(anchor)
@@ -253,27 +278,29 @@ class Plane:
             raise DimensionMismatch("span vectors must match point dimension")
         k = len(span)
         if k:
-            cols = _column_matrix(span)
-            if nc_rank(cols) != k:
+            work = _augmented([[v[r] for v in span] for r in range(len(anchor))])
+            if len(_forward_eliminate(work, k)) != k:
                 raise DimensionMismatch("span vectors are dependent")
+            object.__setattr__(self, "_ops", tuple(tuple(row[k:]) for row in work[k:]))
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "span", span)
 
 
-def _column_matrix(vectors):
-    n = len(vectors[0])
-    return [[v[r] for v in vectors] for r in range(n)]
-
-
 def plane_contains(plane: Plane, point: Point) -> bool:
     """Membership through the rank criterion: appending the difference
-    column must not raise the rank of the span columns."""
+    column must not raise the rank of the span columns.  Eliminating that
+    column gives the plane's row operations times the difference, and the
+    rank rises at its first nonzero entry, a pivot as in nc_rank."""
     diff = vec_between(plane.anchor, point)
-    k = len(plane.span)
-    if k == 0:
+    if not plane.span:
         return all(d.is_zero() for d in diff)
-    cols = _column_matrix(plane.span + (diff,))
-    return nc_rank(cols) == k
+    zero = plane.anchor[0].algebra.zero
+    for row in plane._ops:
+        x = _mul_add(zero, [(1, e, d) for e, d in zip(row, diff)])
+        if not x.is_zero():
+            _forward_eliminate([[x]], 1)  # NotDivisionRing if the pivot has no inverse
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +322,8 @@ class VectorScalarProduct:
         axes = tuple(axes)
         if not axes:
             raise DimensionMismatch("need at least one axis product")
-        dim = axes[0].var_count
-        alg = axes[0].algebra
-        for g in axes:
-            if g.var_count != dim or g.algebra != alg:
-                raise DimensionMismatch("axis products disagree on the ring")
+        if any(g.var_count != axes[0].var_count or g.algebra != axes[0].algebra for g in axes):
+            raise DimensionMismatch("axis products disagree on the ring")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -313,12 +337,8 @@ class VectorScalarProduct:
 
 def euclidean_product(alg: Algebra, n: int) -> VectorScalarProduct:
     """Per-axis product polarized from the sum-of-squares metric on the ring."""
-    dim = alg.dim
-    grid = [
-        [alg.unit if a == b else alg.zero for b in range(dim)] for a in range(dim)
-    ]
-    axis = BilinearMatrix(grid)
-    return VectorScalarProduct([axis] * n)
+    grid = [[alg.unit if a == b else alg.zero for b in range(alg.dim)] for a in range(alg.dim)]
+    return VectorScalarProduct([BilinearMatrix(grid)] * n)
 
 
 def eval_vector_product(g: VectorScalarProduct, v: Vector, w: Vector) -> Element:
@@ -330,16 +350,10 @@ def eval_vector_product(g: VectorScalarProduct, v: Vector, w: Vector) -> Element
 
 def is_orthonormal(g: VectorScalarProduct, basis: Sequence[Vector]) -> bool:
     """Unit length on each vector, zero product across distinct vectors."""
-    if len(basis) != g.n:
-        return False
-    unit = g.algebra.unit
-    zero = g.algebra.zero
-    for a, va in enumerate(basis):
-        for b, vb in enumerate(basis):
-            want = unit if a == b else zero
-            if eval_vector_product(g, va, vb) != want:
-                return False
-    return True
+    unit, zero = g.algebra.unit, g.algebra.zero
+    return len(basis) == g.n and all(
+        eval_vector_product(g, va, vb) == (unit if a == b else zero)
+        for a, va in enumerate(basis) for b, vb in enumerate(basis))
 
 
 def preserves_form(m: AffineMap, g: VectorScalarProduct) -> bool:
@@ -355,16 +369,10 @@ def preserves_form(m: AffineMap, g: VectorScalarProduct) -> bool:
         return False
     for r in range(g.n):
         for s in range(g.n):
-            for x in range(alg.dim):
-                for y in range(alg.dim):
-                    v = tuple(
-                        alg.basis_element(x) if t == r else alg.zero
-                        for t in range(g.n)
-                    )
-                    w = tuple(
-                        alg.basis_element(y) if t == s else alg.zero
-                        for t in range(g.n)
-                    )
+            for x in alg.basis():
+                for y in alg.basis():
+                    v = tuple(x if t == r else alg.zero for t in range(g.n))
+                    w = tuple(y if t == s else alg.zero for t in range(g.n))
                     lhs = eval_vector_product(g, apply_linear(m, v), apply_linear(m, w))
                     if lhs != eval_vector_product(g, v, w):
                         return False

@@ -244,11 +244,10 @@ def solve_axxa(a: Element, b: Element) -> SylvesterSolution:
     a._check(b)
     alg = a.algebra
     s, den = _two_sided_rows(a)
-    sol = ratlin.solve(s, [den * y for y in b.coords])
-    if sol is None:
-        return SylvesterSolution("none", None, alg.dim - ratlin.rank(s))
-    # a consistent system's nullity is that of the homogeneous equation
-    x, nullity = sol
+    # the nullity is that of the homogeneous equation, whatever the outcome
+    x, nullity = ratlin._solve(s, [den * y for y in b.coords])
+    if x is None:
+        return SylvesterSolution("none", None, nullity)
     kind = "unique" if nullity == 0 else "infinite"
     return SylvesterSolution(kind, Element(alg, x), nullity)
 

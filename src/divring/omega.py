@@ -65,11 +65,14 @@ def _tabulate(what: str, table, carriers: Sequence, index: Mapping) -> tuple:
     is the mapping's copy or the callable's values as a dict; flat is the
     tuple of the values' indices in itertools.product order.  A ValueError
     names the first cell in that order that is missing ("is not total") or
-    whose value is not in index ("leaves the carrier")."""
+    whose value is not in index ("leaves the carrier"), else the mapping's
+    first key outside the product ("has a cell outside the carriers")."""
     cells = list(itertools.product(*carriers))
     table = {cell: table(*cell) for cell in cells} if callable(table) else dict(table)
     try:
-        return table, tuple([index[table[cell]] for cell in cells])
+        flat = tuple([index[table[cell]] for cell in cells])
+        if len(table) == len(cells):
+            return table, flat
     except (KeyError, TypeError):
         pass
     for cell in cells:
@@ -79,6 +82,9 @@ def _tabulate(what: str, table, carriers: Sequence, index: Mapping) -> tuple:
             index[table[cell]]
         except (KeyError, TypeError):
             raise ValueError(f"{what} leaves the carrier at {cell!r}") from None
+    product = set(cells)
+    extra = next(key for key in table if key not in product)
+    raise ValueError(f"{what} has a cell outside the carriers at {extra!r}")
 
 
 class FiniteOmegaAlgebra:
@@ -87,11 +93,11 @@ class FiniteOmegaAlgebra:
     Each table is a mapping from argument tuples to values or a callable
     of the arguments; construction raises ValueError naming the first
     argument tuple, in itertools.product order, that a mapping misses or
-    whose value is not a carrier element.  The carrier is read as indices
-    0..n-1 and each table as one flat tuple of value indices,
-    (a_1, .., a_r) at sum a_k n^(r-k), the itertools.product order:
-    same_structure, the law checks of Representation and the engine read
-    these tuples.  `tables` is the label-level view.  Neither may be
+    whose value is not a carrier element, else its first other key.  The
+    carrier is read as indices 0..n-1 and each table as one flat tuple of
+    value indices, (a_1, .., a_r) at sum a_k n^(r-k), the itertools.product
+    order: same_structure, the law checks of Representation and the engine
+    read these tuples.  `tables` is the label-level view.  Neither may be
     mutated after construction.
     """
 
@@ -164,8 +170,8 @@ class Representation:
     m*a).  The action is a mapping from pairs (a, m) to acted elements or
     a callable of a and m; construction raises ValueError naming the first
     pair, in carrier order, that a mapping misses or whose value is not an
-    acted element.  It is kept as one image row of acted-carrier indices
-    per actor, in acting-carrier order, and `action` is the label-level
+    acted element, else its first other key.  It is kept as one image row
+    of acted-carrier indices per actor, in acting-carrier order, and `action` is the label-level
     view.  Neither may be mutated after construction.
     The endomorphism and rep_kind laws are checked on the rows and the flat
     tables, a failure naming its first witness in carrier order (actor,

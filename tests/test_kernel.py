@@ -13,15 +13,25 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from divring import ratlin
-from divring.affine import invert_matrix, matrix_mul, nc_rank
+from divring.affine import (
+    AffineMap,
+    Plane,
+    invert_matrix,
+    inverse_affine,
+    matrix_mul,
+    nc_rank,
+    plane_contains,
+)
 from divring.algebra import (
     BasisChange,
     Element,
+    build_algebra,
     change_basis,
     complex_algebra,
     inverse,
@@ -30,6 +40,7 @@ from divring.algebra import (
     rational_algebra,
 )
 from divring.errors import (
+    DimensionMismatch,
     DivRingError,
     NotDivisionRing,
     NotInvertible,
@@ -519,6 +530,187 @@ def test_invert_matrix_matches_oracle(alg, hand):
             assert_matrix(got, want[1])
         else:
             assert (kind, got) == want
+
+
+# ---------------------------------------------------------------------------
+# affine maps and planes: one elimination when built, no checking product
+
+
+def matrix_algebra():
+    """M2(Q) on the basis 1, E11, E12, E21 (E22 = 1 - E11): associative and
+    unital with zero divisors, and a ring where eliminating with left and
+    with right multipliers can reach different verdicts."""
+    c = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        c[0][i][i] = c[i][0][i] = Fraction(1)
+    c[1][1][1] = c[1][2][2] = c[2][3][1] = c[3][1][3] = c[3][2][0] = Fraction(1)
+    c[3][2][1] = Fraction(-1)
+    return build_algebra(4, c)
+
+
+M2 = matrix_algebra()
+AFFINE_RINGS = [quaternion_algebra(), SPLIT, M2]
+AFFINE_IDS = ["quaternion", "split-complex", "M2(Q)"]
+
+
+def draw_affine_entry(rng, alg):
+    """draw_entry, with a rank-one matrix u v^T now and then in M2(Q)."""
+    if alg is M2 and rng.randrange(4) == 0:
+        u = [rng.randint(-2, 2) for _ in range(2)]
+        v = [rng.randint(-2, 2) for _ in range(2)]
+        a = u[1] * v[1]
+        return [Fraction(x) for x in (a, u[0] * v[0] - a, u[0] * v[1], u[1] * v[0])]
+    return draw_entry(rng, alg)
+
+
+def draw_affine_matrix(rng, alg, n, hand):
+    """draw_ring_matrix, with rank-one entries now and then in M2(Q)."""
+    m = draw_ring_matrix(rng, alg, n, n, hand)
+    if alg is M2:
+        for row in m:
+            for c in range(n):
+                if rng.randrange(3) == 0:
+                    row[c] = tuple(draw_affine_entry(rng, alg))
+    return m
+
+
+def coords(matrix):
+    return [[e.coords for e in row] for row in matrix]
+
+
+@pytest.mark.parametrize("hand", ["right", "left"])
+@pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
+def test_inverses_are_two_sided_by_oracle(alg, hand):
+    """invert_matrix and inverse_affine multiply nothing to check their
+    result; the oracle product does, both ways round."""
+    rng = random.Random(5100 + alg.dim + len(hand))
+    unit, zero = alg.unit_coords, ozero(alg)
+    inverted = inverted_maps = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        m = draw_affine_matrix(rng, alg, n, hand)
+        identity = [[unit if r == c else zero for c in range(n)] for r in range(n)]
+        kind, inv = outcome(lambda: invert_matrix(elements(alg, m), hand))
+        if kind == "ok":
+            assert oracle_matrix_mul(alg, m, coords(inv), hand) == identity
+            assert oracle_matrix_mul(alg, coords(inv), m, hand) == identity
+            inverted += 1
+        shift = [tuple(draw_entry(rng, alg)) for _ in range(n)]
+        kind, amap = outcome(lambda: AffineMap(elements(alg, m), elements(alg, [shift])[0], hand))
+        if kind != "ok":
+            continue
+        kind, back = outcome(lambda: inverse_affine(amap))
+        if hand == "right":
+            # the constructor's elimination already brought [P | I] to [I | P^-1]
+            assert kind == "ok"
+        if kind != "ok":
+            continue
+        q = coords(back.linear)
+        assert oracle_matrix_mul(alg, m, q, hand) == identity
+        assert oracle_matrix_mul(alg, q, m, hand) == identity
+        # the inverse's shift is -R P^-1
+        shifted = oracle_matrix_mul(alg, [shift], q, hand)[0]
+        assert [oadd(x, y.coords) for x, y in zip(shifted, back.shift)] == [zero] * n
+        inverted_maps += 1
+    assert inverted > 0 and inverted_maps > 0
+
+
+def former_affine_map(linear):
+    """AffineMap's former decision: accepted iff nc_rank(P) == n."""
+    if nc_rank(linear) != len(linear):
+        raise SingularLinearPart("linear part is singular")
+    return True
+
+
+def former_plane(anchor, span):
+    """Plane's former decision: the span columns have rank k."""
+    if span and nc_rank([[v[r] for v in span] for r in range(len(anchor))]) != len(span):
+        raise DimensionMismatch("span vectors are dependent")
+    return True
+
+
+def former_contains(plane, point):
+    """plane_contains' former definition: rank k of [span | diff]."""
+    diff = [q - p for p, q in zip(plane.anchor, point)]
+    if not plane.span:
+        return all(d.is_zero() for d in diff)
+    return nc_rank([[v[r] for v in plane.span] + [diff[r]] for r in range(len(diff))]) == len(plane.span)
+
+
+def oracle_verdict(alg, m, hand):
+    """The oracle elimination's verdict on a square matrix with the hand's
+    multipliers: full rank, short rank or a pivot without an inverse."""
+    try:
+        return oracle_gauss_jordan(alg, [list(row) for row in m], len(m), hand) == len(m)
+    except OracleSingular:
+        return None
+
+
+@pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
+def test_affine_map_decision_matches_former_definition(alg):
+    """Both hands decide as nc_rank did, with right-hand multipliers, also
+    where eliminating with the map's own hand would decide otherwise."""
+    rng = random.Random(5200 + alg.dim)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        for hand in ("right", "left"):
+            m = draw_affine_matrix(rng, alg, n, hand)
+            linear = elements(alg, m)
+            shift = linear[0]
+            want = outcome(lambda: former_affine_map(linear))
+            assert outcome(lambda: AffineMap(linear, shift, hand) is not None) == want
+            seen[want[0]] += 1
+            if alg is M2 and hand == "left" and not seen["hands differ"]:
+                seen["hands differ"] += oracle_verdict(alg, m, "right") != oracle_verdict(alg, m, "left")
+    assert seen["ok"] > 0 and seen[SingularLinearPart] > 0
+    if alg is not AFFINE_RINGS[0]:
+        assert seen[NotDivisionRing] > 0
+    if alg is M2:
+        assert seen["hands differ"] > 0
+
+
+@pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
+def test_plane_membership_matches_former_definition(alg):
+    """Plane and plane_contains give the booleans, the exception classes
+    and the messages of the rank criterion on [span | diff]."""
+    rng = random.Random(5300 + alg.dim)
+    seen = Counter()
+
+    def vector(n):
+        return [tuple(draw_affine_entry(rng, alg)) for _ in range(n)]
+
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, n)
+        span = [vector(n) for _ in range(k)]
+        if k > 1 and rng.randrange(3) == 0:
+            c = tuple(draw_entry(rng, alg))
+            span[-1] = [oracle_mul(alg, x, c) for x in span[0]]
+        anchor = vector(n)
+        span_e, anchor_e = elements(alg, span), elements(alg, [anchor])[0]
+        want = outcome(lambda: former_plane(anchor_e, span_e))
+        assert outcome(lambda: Plane(anchor_e, span_e) is not None) == want
+        seen["plane", want[0]] += 1
+        if want[0] != "ok":
+            continue
+        plane = Plane(anchor_e, span_e)
+        for _ in range(6):
+            point = anchor
+            if rng.randrange(2):
+                for v in span:
+                    c = tuple(draw_entry(rng, alg))
+                    point = [oadd(p, oracle_mul(alg, x, c)) for p, x in zip(point, v)]
+            if rng.randrange(2):
+                point = [oadd(p, x) for p, x in zip(point, vector(n))]
+            point = elements(alg, [point])[0]
+            want = outcome(lambda: former_contains(plane, point))
+            assert outcome(lambda: plane_contains(plane, point)) == want
+            seen["point", want if want[0] == "ok" else want[0]] += 1
+    assert seen["plane", "ok"] > 0 and seen["plane", DimensionMismatch] > 0
+    assert seen["point", ("ok", True)] > 0 and seen["point", ("ok", False)] > 0
+    if alg is not AFFINE_RINGS[0]:
+        assert seen["plane", NotDivisionRing] > 0 and seen["point", NotDivisionRing] > 0
 
 
 def oracle_two_sided_solve(alg, a, b):

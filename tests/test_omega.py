@@ -121,6 +121,24 @@ def test_unhashable_cell_is_value_error_naming_the_cell(value):
     assert str(exc.value) == "action leaves the carrier at (1, 0)"
 
 
+def test_cell_outside_the_carriers_is_value_error_naming_it():
+    """A mapping key that is no cell of the carrier product is rejected, the
+    first such key in the mapping's order named, after every cell checks."""
+    with pytest.raises(ValueError) as exc:
+        FiniteOmegaAlgebra([0, 1], Signature([("f", 1)]), {"f": {(0,): 0, (1,): 1, (5,): 7, 6: 0}})
+    assert str(exc.value) == "table for 'f' has a cell outside the carriers at (5,)"
+    action = {(a, m): m for a in range(2) for m in range(3)}
+    action[9, 9] = "z"
+    with pytest.raises(ValueError) as exc:
+        Representation(point_set(2), point_set(3), action)
+    assert str(exc.value) == "action has a cell outside the carriers at (9, 9)"
+    # a missing cell is reported first
+    del action[0, 1]
+    with pytest.raises(ValueError) as exc:
+        Representation(point_set(2), point_set(3), action)
+    assert str(exc.value) == "action is not total at (0, 1)"
+
+
 # ---------------------------------------------------------------------------
 # classification
 
