@@ -8,11 +8,11 @@ transformation rule A'^i = sum_j A^j P[j][i] + R^i; passing hand="left"
 to the transformation operations transposes every multiplication order,
 which realizes the mirror convention concretely.
 
-Matrix rank over the ring is computed by row elimination with left
-multipliers, the elimination realization of the rank criterion for plane
-membership.  An AffineMap of the right-hand convention and a Plane each
-eliminate once, when built, and keep the inverse linear part or the span's
-row operations; no product re-checks an inverse (see invert_matrix).
+Each hand decides and inverts with its own multipliers, and nc_rank is the
+rank under the right-hand convention; the two differ over a skew field: over
+the quaternions P = [[1, i], [j, k]] has rank 2, yet (j, -1) P = 0 under the
+left-hand convention.  An AffineMap and a Plane eliminate once, when built,
+and keep P^-1 or the span's row operations; no product re-checks an inverse.
 """
 
 from __future__ import annotations
@@ -121,13 +121,15 @@ def _forward_eliminate(work: list, ncols: int, hand: str = "right",
 
 
 def nc_rank(rows: Sequence[Sequence[Element]]) -> int:
-    """Rank by forward elimination with left multipliers.
+    """Rank under the right-hand convention, by elimination with left multipliers.
 
     Pivots are the first nonzero entry scanning columns left to right (see
     _forward_eliminate).  A pivot without an inverse aborts with
-    NotDivisionRing.
+    NotDivisionRing, and rows of unequal length with DimensionMismatch.
     """
     work = [list(r) for r in rows]
+    if any(len(r) != len(work[0]) for r in work):
+        raise DimensionMismatch("rows differ in length")
     return len(_forward_eliminate(work, len(work[0]) if work else 0))
 
 
@@ -183,10 +185,10 @@ def invert_matrix(m, hand: str = "right"):
 class AffineMap:
     """A'^i = sum_j A^j P[j][i] + R^i (right-hand convention).
 
-    The linear part must have full rank over the ring; this is checked at
-    construction so the affine maps form a group.  The check is nc_rank's
-    elimination, right-handed under either hand; a right-hand map runs it
-    on [P | I] and keeps the inverse linear part for inverse_affine.
+    The linear part must be invertible, so the maps of either hand form a
+    group: construction eliminates [P | I] with the map's own multipliers
+    and nc_rank's pivot rule and keeps P^-1, so a map is accepted exactly
+    when invert_matrix inverts P (see the module's quaternion example).
     """
 
     linear: tuple
@@ -194,7 +196,7 @@ class AffineMap:
     hand: str = "right"
     _inverse: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, linear, shift, hand="right", _checked=False):
+    def __init__(self, linear, shift, hand="right", _checked=False, _inverse=None):
         linear = tuple(tuple(row) for row in linear)
         shift = tuple(shift)
         n = len(linear)
@@ -205,14 +207,13 @@ class AffineMap:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "hand", hand)
-        if _checked:
-            return
-        work = _augmented(linear) if hand == "right" else [list(row) for row in linear]
-        inverses = _forward_eliminate(work, n)
-        if len(inverses) != n:
-            raise SingularLinearPart("linear part is singular")
-        if hand == "right":
-            object.__setattr__(self, "_inverse", _back_substitute(work, inverses))
+        if not _checked:
+            work = _augmented(linear)
+            inverses = _forward_eliminate(work, n, hand)
+            if len(inverses) != n:
+                raise SingularLinearPart("linear part is singular")
+            _inverse = _back_substitute(work, inverses, hand)
+        object.__setattr__(self, "_inverse", _inverse)
 
     @property
     def n(self) -> int:
@@ -248,10 +249,11 @@ def compose_affine(m1: AffineMap, m2: AffineMap) -> AffineMap:
 
 
 def inverse_affine(m: AffineMap) -> AffineMap:
-    """The group inverse: composing either way gives the identity."""
+    """The group inverse: composing either way gives the identity.  Only a
+    compose_affine result has no P^-1 yet; the inverse keeps P as its own."""
     pinv = m._inverse if m._inverse is not None else invert_matrix(m.linear, m.hand)
-    minus = tuple(-x for x in m.shift)
-    return AffineMap(pinv, matrix_mul((minus,), pinv, m.hand)[0], m.hand, _checked=True)
+    back = matrix_mul((tuple(-x for x in m.shift),), pinv, m.hand)[0]
+    return AffineMap(pinv, back, m.hand, _checked=True, _inverse=m.linear)
 
 
 # ---------------------------------------------------------------------------

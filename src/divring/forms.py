@@ -23,7 +23,6 @@ from . import ratlin
 from .algebra import Algebra, Element, _mul_add, mul
 from .errors import (
     DimensionMismatch,
-    DivRingError,
     PivotConditionFailed,
     ZeroDiagonalEntry,
 )
@@ -330,17 +329,14 @@ def diagonalize(f: QuadraticMatrix, try_all_pivots: bool = False) -> Diagonaliza
             cov[j] = outcome.witness
         dinv = d.inverse()
         # strip the square: subtract dinv * (sum a^j h_j)^2, symmetrized, as
-        # (dinv h_r) h_c / 2 + (dinv h_c) h_r / 2 with one reduction per entry
+        # (dinv h_r) h_c / 2 + (dinv h_c) h_r / 2 with one reduction per entry;
+        # with h_p = d and d h_t + h_t d = 2 d g this zeroes row and column p
+        # exactly, since (h_t + dinv h_t d) / 2 = g = m[p][t] = m[t][p]
         left = {r: mul(dinv, cov[r]) for r in active}
         half = -_HALF
         for r in active:
             for c in active:
                 m[r][c] = _mul_add(m[r][c], ((half, left[r], cov[c]), (half, left[c], cov[r])))
-        for t in active:
-            if not (m[p][t].is_zero() and m[t][p].is_zero()):
-                raise DivRingError(
-                    f"completing the square at pivot {p} left variable {t} coupled to it"
-                )
         # pull the covector back to original variables through Q^T
         pulled = tuple(_mul_add(alg.zero, [(q[cur][orig], h, None) for cur, h in cov.items()])
                        for orig in range(n))

@@ -193,6 +193,21 @@ def test_singular_linear_part_rejected():
         AffineMap([[ONE, ZERO], [I, ZERO]], [ZERO, ZERO])
 
 
+def test_each_hand_decides_with_its_own_multipliers():
+    # (j, -1) P = 0 under the left-hand convention: the left-hand map would
+    # send (j, -1) to the origin, while the right-hand rank of P is 2
+    linear = [[ONE, I], [J, K]]
+    assert matrix_mul([(J, -ONE)], linear, "left") == ((ZERO, ZERO),)
+    assert nc_rank(linear) == 2
+    with pytest.raises(SingularLinearPart, match="^linear part is singular$"):
+        AffineMap(linear, [ZERO, ZERO], hand="left")
+    m = AffineMap(linear, [ONE, J])
+    inv = inverse_affine(m)
+    for pt in [(J, -ONE), (ONE, K), (I + J, ZERO)]:
+        assert apply_affine(inv, apply_affine(m, pt)) == pt
+        assert apply_affine(m, apply_affine(inv, pt)) == pt
+
+
 # ---------------------------------------------------------------------------
 # rank over the ring
 
@@ -211,6 +226,12 @@ def test_rank_invariances(rng):
     assert nc_rank([rows[1], rows[0]]) == base
     scaled = [[mul(I + J, x) for x in rows[0]], rows[1]]
     assert nc_rank(scaled) == base
+
+
+@pytest.mark.parametrize("rows", [[[ONE, I], [J]], [[ONE], [J, K]]])
+def test_rank_of_rows_of_unequal_length_is_dimension_mismatch(rows):
+    with pytest.raises(DimensionMismatch, match="^rows differ in length$"):
+        nc_rank(rows)
 
 
 def test_rank_of_left_multiples(rng):

@@ -279,6 +279,28 @@ def test_affine_commands(capsys):
     assert out == "no\n"
 
 
+@pytest.mark.parametrize("rows", [[["1", "i"], ["j"]], [["1"], ["j", "k"]]])
+def test_rank_of_rows_of_unequal_length_exits_2(tmp_path, capsys, rows):
+    doc = tmp_path / "rows.json"
+    dump_json(str(doc), {"algebra": "quaternion", "rows": rows})
+    code, out, err = run_cli(capsys, "affine", "rank", str(doc))
+    assert code == 2 and out == ""
+    assert err == "error: DimensionMismatch: rows differ in length\n"
+
+
+def test_left_hand_compose_of_left_singular_map_exits_2(tmp_path, capsys):
+    # (j, -1) P = 0 under the left-hand convention; the right hand inverts P
+    doc = tmp_path / "map.json"
+    dump_json(str(doc), {"algebra": "quaternion", "linear": [["1", "i"], ["j", "k"]],
+                         "shift": ["0", "0"]})
+    code, out, err = run_cli(capsys, "--hand", "left", "affine", "compose",
+                             "--m1", str(doc), "--m2", str(doc))
+    assert code == 2 and out == ""
+    assert err == "error: SingularLinearPart: linear part is singular\n"
+    code, out, _ = run_cli(capsys, "affine", "compose", "--m1", str(doc), "--m2", str(doc))
+    assert code == 0 and out.startswith("linear[0]: ")
+
+
 def test_calc_commands(capsys):
     code, out, _ = run_cli(capsys, "calc", "pushforward",
                            "--chart", data("chart_mixing.json"),

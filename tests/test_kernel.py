@@ -18,10 +18,11 @@ from fractions import Fraction
 
 import pytest
 
-from divring import ratlin
+from divring import affine, ratlin
 from divring.affine import (
     AffineMap,
     Plane,
+    compose_affine,
     invert_matrix,
     inverse_affine,
     matrix_mul,
@@ -582,7 +583,9 @@ def coords(matrix):
 @pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
 def test_inverses_are_two_sided_by_oracle(alg, hand):
     """invert_matrix and inverse_affine multiply nothing to check their
-    result; the oracle product does, both ways round."""
+    result; the oracle product does, both ways round.  Under either hand
+    the constructor accepts a map exactly when invert_matrix inverts P,
+    and every accepted map inverts."""
     rng = random.Random(5100 + alg.dim + len(hand))
     unit, zero = alg.unit_coords, ozero(alg)
     inverted = inverted_maps = 0
@@ -596,15 +599,13 @@ def test_inverses_are_two_sided_by_oracle(alg, hand):
             assert oracle_matrix_mul(alg, coords(inv), m, hand) == identity
             inverted += 1
         shift = [tuple(draw_entry(rng, alg)) for _ in range(n)]
-        kind, amap = outcome(lambda: AffineMap(elements(alg, m), elements(alg, [shift])[0], hand))
-        if kind != "ok":
+        accepted, amap = outcome(lambda: AffineMap(elements(alg, m), elements(alg, [shift])[0], hand))
+        assert (accepted == "ok") == (kind == "ok")
+        if accepted != "ok":
             continue
+        # the constructor's elimination already brought [P | I] to [I | P^-1]
         kind, back = outcome(lambda: inverse_affine(amap))
-        if hand == "right":
-            # the constructor's elimination already brought [P | I] to [I | P^-1]
-            assert kind == "ok"
-        if kind != "ok":
-            continue
+        assert kind == "ok" and back.linear == inv
         q = coords(back.linear)
         assert oracle_matrix_mul(alg, m, q, hand) == identity
         assert oracle_matrix_mul(alg, q, m, hand) == identity
@@ -613,6 +614,53 @@ def test_inverses_are_two_sided_by_oracle(alg, hand):
         assert [oadd(x, y.coords) for x, y in zip(shifted, back.shift)] == [zero] * n
         inverted_maps += 1
     assert inverted > 0 and inverted_maps > 0
+
+
+@pytest.mark.parametrize("hand", ["right", "left"])
+def test_inverting_twice_eliminates_nothing(monkeypatch, hand):
+    """An AffineMap eliminates once, when built, and its inverse keeps P as
+    P^-1's inverse; only a composite eliminates, once, when inverted."""
+    alg = quaternion_algebra()
+    calls = Counter()
+    eliminate = affine._forward_eliminate
+
+    def counted(*args, **kwargs):
+        calls["eliminate"] += 1
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(affine, "_forward_eliminate", counted)
+    one, i, j, k = alg.basis()
+    m = AffineMap([[one, i], [j, one + k]], [i, alg.zero], hand)
+    assert calls["eliminate"] == 1
+    back = inverse_affine(inverse_affine(m))
+    assert calls["eliminate"] == 1
+    assert back.linear == m.linear and back.shift == m.shift
+    composite = compose_affine(m, m)
+    back = inverse_affine(inverse_affine(composite))
+    assert calls["eliminate"] == 2
+    assert back.linear == composite.linear and back.shift == composite.shift
+
+
+@pytest.mark.parametrize("alg", RINGS + [M2], ids=RING_IDS + ["M2(Q)"])
+def test_inverse_is_two_sided_on_every_ring(alg):
+    """algebra.inverse multiplies nothing to check x a = unit; the oracle
+    product does, both ways round."""
+    rng = random.Random(5400 + alg.dim)
+    seen = Counter()
+    for _ in range(80):
+        x = draw_affine_entry(rng, alg)
+        if not any(x):
+            continue
+        kind, got = outcome(lambda: inverse(alg.element(x)))
+        seen[kind] += 1
+        if kind == "ok":
+            assert oracle_mul(alg, x, got.coords) == alg.unit_coords
+            assert oracle_mul(alg, got.coords, x) == alg.unit_coords
+        else:
+            assert (kind, got) == (NotInvertible, SINGULAR)
+    assert seen["ok"] > 0
+    if alg is SPLIT or alg is M2:
+        assert seen[NotInvertible] > 0
 
 
 def former_affine_map(linear):
@@ -637,19 +685,23 @@ def former_contains(plane, point):
     return nc_rank([[v[r] for v in plane.span] + [diff[r]] for r in range(len(diff))]) == len(plane.span)
 
 
-def oracle_verdict(alg, m, hand):
-    """The oracle elimination's verdict on a square matrix with the hand's
-    multipliers: full rank, short rank or a pivot without an inverse."""
+def oracle_affine_map(alg, m, hand):
+    """The outcome of AffineMap from the oracle elimination of a square
+    matrix with the hand's multipliers: full rank, short rank or a pivot
+    without an inverse."""
     try:
-        return oracle_gauss_jordan(alg, [list(row) for row in m], len(m), hand) == len(m)
+        if oracle_gauss_jordan(alg, [list(row) for row in m], len(m), hand) == len(m):
+            return "ok", True
+        return SingularLinearPart, "linear part is singular"
     except OracleSingular:
-        return None
+        return NotDivisionRing, SINGULAR
 
 
 @pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
 def test_affine_map_decision_matches_former_definition(alg):
-    """Both hands decide as nc_rank did, with right-hand multipliers, also
-    where eliminating with the map's own hand would decide otherwise."""
+    """Right-hand maps decide as nc_rank did; left-hand maps decide as the
+    oracle elimination with left-hand multipliers, also where the two
+    hands differ on the same linear part."""
     rng = random.Random(5200 + alg.dim)
     seen = Counter()
     for _ in range(150):
@@ -658,16 +710,16 @@ def test_affine_map_decision_matches_former_definition(alg):
             m = draw_affine_matrix(rng, alg, n, hand)
             linear = elements(alg, m)
             shift = linear[0]
-            want = outcome(lambda: former_affine_map(linear))
+            right = outcome(lambda: former_affine_map(linear))
+            want = right if hand == "right" else oracle_affine_map(alg, m, hand)
             assert outcome(lambda: AffineMap(linear, shift, hand) is not None) == want
             seen[want[0]] += 1
-            if alg is M2 and hand == "left" and not seen["hands differ"]:
-                seen["hands differ"] += oracle_verdict(alg, m, "right") != oracle_verdict(alg, m, "left")
+            seen["hands differ"] += want != right
     assert seen["ok"] > 0 and seen[SingularLinearPart] > 0
     if alg is not AFFINE_RINGS[0]:
         assert seen[NotDivisionRing] > 0
-    if alg is M2:
-        assert seen["hands differ"] > 0
+    # the split-complex numbers commute, so both hands decide alike
+    assert (seen["hands differ"] > 0) == (alg is not SPLIT)
 
 
 @pytest.mark.parametrize("alg", AFFINE_RINGS, ids=AFFINE_IDS)
