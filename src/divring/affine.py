@@ -11,8 +11,12 @@ which realizes the mirror convention concretely.
 Each hand decides and inverts with its own multipliers, and nc_rank is the
 rank under the right-hand convention; the two differ over a skew field: over
 the quaternions P = [[1, i], [j, k]] has rank 2, yet (j, -1) P = 0 under the
-left-hand convention.  An AffineMap and a Plane eliminate once, when built,
-and keep P^-1 or the span's row operations; no product re-checks an inverse.
+left-hand convention.  Every elimination over the ring follows one policy: it
+runs over every column, a nonzero pivot without an inverse raises
+NotDivisionRing, and invert_matrix, the only inversion, raises
+SingularLinearPart below full rank.  An AffineMap and a Plane eliminate once,
+when built, and keep P^-1 or the span's row operations; no product re-checks
+an inverse.
 """
 
 from __future__ import annotations
@@ -78,20 +82,19 @@ def identity_matrix(alg: Algebra, n: int):
     )
 
 
-def _forward_eliminate(work: list, ncols: int, hand: str = "right",
-                       stop_at_gap: bool = False, error: type = NotDivisionRing) -> list:
+def _forward_eliminate(work: list, ncols: int, hand: str = "right") -> list:
     """Forward elimination over the ring on the rows `work`, in place.
 
     Pivots are the first nonzero entry scanning the first `ncols` columns
-    left to right.  Each row below a pivot row r, with pivot p and entry d
-    in the pivot column, is cleared right of that column: under the
-    right-hand convention by row_s <- row_s - (d p^-1) row_r, under the
-    left-hand one by row_s <- row_s - row_r (p^-1 d), one `_mul_add` call
-    per entry, so each updated entry is reduced once.  Entries left of a
-    row's pivot are not read again and keep their values.  With
-    `stop_at_gap` the elimination ends at the first column without a
-    pivot.  Returns the inverses of the pivots in row order, as many as the
-    rank; a nonzero pivot without an inverse raises `error`.
+    left to right; a column without a pivot is skipped.  Each row below a
+    pivot row r, with pivot p and entry d in the pivot column, is cleared
+    right of that column: under the right-hand convention by row_s <- row_s
+    - (d p^-1) row_r, under the left-hand one by row_s <- row_s - row_r
+    (p^-1 d), one `_mul_add` call per entry, so each updated entry is
+    reduced once.  Entries left of a row's pivot are not read again and
+    keep their values.  Returns the inverses of the pivots in row order, as
+    many as the rank; a nonzero pivot without an inverse raises
+    NotDivisionRing.
     """
     right = hand == "right"
     inverses = []
@@ -101,15 +104,13 @@ def _forward_eliminate(work: list, ncols: int, hand: str = "right",
             break
         pr = next((r for r in range(rank, len(work)) if not work[r][c].is_zero()), None)
         if pr is None:
-            if stop_at_gap:
-                break
             continue
         work[rank], work[pr] = work[pr], work[rank]
         top = work[rank]
         try:
             inv = top[c].inverse()
         except NotInvertible as exc:
-            raise error(str(exc)) from exc
+            raise NotDivisionRing(str(exc)) from exc
         inverses.append(inv)
         for r in range(rank + 1, len(work)):
             d = work[r][c]
@@ -139,11 +140,28 @@ def _augmented(m) -> list:
     return [list(row) + list(u) for row, u in zip(m, unit)]
 
 
-def _back_substitute(work: list, inverses: list, hand: str = "right") -> tuple:
-    """The inverse of a square m from [m | I] forward-eliminated with a
-    pivot in every column: from the last pivot up, each pivot row is
-    normalized by its pivot's inverse and cleared from the rows above."""
-    n = len(work)
+def invert_matrix(m, hand: str = "right"):
+    """Two-sided inverse over the ring; the only routine that inverts a
+    matrix over D.
+
+    Forward elimination of [m | I] over every column, then back
+    substitution: from the last pivot up, each pivot row is normalized by
+    its pivot's inverse and cleared from the rows above.  Multipliers are
+    on the left under the right-hand convention and on the right under the
+    left-hand one.  A nonzero pivot without an inverse raises
+    NotDivisionRing, and rank below n raises SingularLinearPart.  The
+    result E has E m = I, and m E = I needs no check: each step multiplied
+    [m | I] by an invertible elementary matrix (a row swap, row_s - (d
+    p^-1) row_r, or a row scaled by p^-1, where Element.inverse made p^-1
+    two-sided), so m = E^-1.  This holds over any associative unital
+    algebra, zero divisors included (T. Y. Lam, A First Course in
+    Noncommutative Rings, GTM 131).
+    """
+    n = len(m)
+    work = _augmented(m)
+    inverses = _forward_eliminate(work, n, hand)
+    if len(inverses) < n:
+        raise SingularLinearPart("linear part is singular")
     right = hand == "right"
     for r in range(n - 1, -1, -1):
         inv = inverses[r]
@@ -157,26 +175,6 @@ def _back_substitute(work: list, inverses: list, hand: str = "right") -> tuple:
     return tuple(tuple(row[n:]) for row in work)
 
 
-def invert_matrix(m, hand: str = "right"):
-    """Two-sided inverse over the ring, or SingularLinearPart.
-
-    Forward elimination of [m | I] up to the first column without a pivot,
-    then back substitution, with multipliers on the left under the
-    right-hand convention and on the right under the left-hand one.  The
-    result E has E m = I, and m E = I needs no check: each step multiplied
-    [m | I] by an invertible elementary matrix (a row swap, row_s - (d
-    p^-1) row_r, or a row scaled by p^-1, where Element.inverse made p^-1
-    two-sided), so m = E^-1.  This holds over any associative unital
-    algebra, zero divisors included (T. Y. Lam, A First Course in
-    Noncommutative Rings, GTM 131).
-    """
-    work = _augmented(m)
-    inverses = _forward_eliminate(work, len(m), hand, stop_at_gap=True, error=SingularLinearPart)
-    if len(inverses) < len(m):
-        raise SingularLinearPart("matrix has no inverse over the ring")
-    return _back_substitute(work, inverses, hand)
-
-
 # ---------------------------------------------------------------------------
 # affine transformations
 
@@ -186,9 +184,9 @@ class AffineMap:
     """A'^i = sum_j A^j P[j][i] + R^i (right-hand convention).
 
     The linear part must be invertible, so the maps of either hand form a
-    group: construction eliminates [P | I] with the map's own multipliers
-    and nc_rank's pivot rule and keeps P^-1, so a map is accepted exactly
-    when invert_matrix inverts P (see the module's quaternion example).
+    group: construction keeps invert_matrix(P, hand) as P^-1, so a map is
+    accepted exactly when invert_matrix inverts P (see the module's
+    quaternion example).
     """
 
     linear: tuple
@@ -208,11 +206,7 @@ class AffineMap:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "hand", hand)
         if not _checked:
-            work = _augmented(linear)
-            inverses = _forward_eliminate(work, n, hand)
-            if len(inverses) != n:
-                raise SingularLinearPart("linear part is singular")
-            _inverse = _back_substitute(work, inverses, hand)
+            _inverse = invert_matrix(linear, hand)
         object.__setattr__(self, "_inverse", _inverse)
 
     @property

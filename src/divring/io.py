@@ -224,14 +224,8 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
                 return acc
 
     def parse_sum() -> NCPoly:
-        tok = peek()
-        negate = False
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            take()
-            negate = tok[1] == "-"
+        # a leading sign is parse_factor's unary sign: -1 is central
         acc = parse_term()
-        if negate:
-            acc = -acc
         while True:
             tok = peek()
             if tok is None:
@@ -245,10 +239,7 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
             else:
                 raise ParseError(f"unexpected token {tok[1]!r}")
 
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ParseError("trailing input in polynomial")
-    return result
+    return parse_sum()
 
 
 def format_poly(p: NCPoly) -> str:
@@ -295,10 +286,11 @@ def dump_json(path: str, payload) -> None:
 
 
 def _file_loader(load):
-    """A loader whose document of the wrong shape ends as ParseError naming
-    the file; domain errors, ParseError among them, pass unchanged.  A
-    source that is no path, such as a value read from another document,
-    is reported as a malformed value without a name."""
+    """A loader whose document of the wrong shape, or whose file cannot be
+    read, ends as ParseError naming the file; domain errors, ParseError
+    among them, pass unchanged.  A source that is no path, such as a value
+    read from another document, is reported as a malformed value without
+    a name."""
 
     @functools.wraps(load)
     def checked(source, *args, **kwargs):
@@ -306,6 +298,8 @@ def _file_loader(load):
             return load(source, *args, **kwargs)
         except DivRingError:
             raise
+        except OSError as exc:
+            raise ParseError(f"{exc.filename or source}: {exc.strerror or exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
             detail = f"({type(exc).__name__}: {exc})"
             if isinstance(source, (str, os.PathLike)):

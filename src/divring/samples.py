@@ -102,12 +102,4 @@ def translation_on_points() -> Representation:
 
 def toy_affine_tower() -> Tower:
     """Scalars on vectors on points: a finite affine plane as a tower."""
-    scalars = scalar_rep()
-    translations = Representation(
-        scalars.acted,
-        f3_point_set(),
-        lambda v, p: ((v[0] + p[0]) % 3, (v[1] + p[1]) % 3),
-        rep_kind="monoid-action",
-        name="F3^2 translations",
-    )
-    return Tower([scalars, translations])
+    return Tower([scalar_rep(), translation_on_points()])

@@ -1,10 +1,17 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from divring.algebra import BasisChange, change_basis, quaternion_algebra, rational_algebra
+from divring.algebra import (
+    BasisChange,
+    change_basis,
+    complex_algebra,
+    quaternion_algebra,
+    rational_algebra,
+)
 from divring.cli import main
 from divring.errors import ParseError
 from divring.io import (
@@ -69,6 +76,47 @@ def test_generic_coordinate_lists():
 def test_vector_round_trip(rng):
     vec = tuple(random_element(rng, H) for _ in range(3))
     assert parse_vector(H, format_vector(vec)) == vec
+
+
+FUZZ_ALGEBRAS = [H, complex_algebra(), rational_algebra()]
+FUZZ_TOKENS = ["x1", "0", "1", "2", "7", "/", "i", "j", "k", "+", "-", "*", "(", ")", ",", ";", " "]
+
+
+def parse_outcome(call):
+    """("ok", value of call()), or ParseError; any other exception escapes."""
+    try:
+        return "ok", call()
+    except ParseError:
+        return ParseError
+
+
+@pytest.mark.parametrize("alg", FUZZ_ALGEBRAS, ids=["quaternion", "complex", "rational"])
+def test_literal_parsers_end_in_a_value_or_parse_error(alg):
+    rng = random.Random(1800 + alg.dim)
+    for _ in range(4000):
+        text = "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 12)))
+        parse_outcome(lambda: parse_rational(text))
+        parse_outcome(lambda: parse_quaternion_literal(text))
+        parse_outcome(lambda: parse_element(alg, text))
+        parse_outcome(lambda: parse_vector(alg, text))
+        parse_outcome(lambda: parse_poly(alg, 2, text))
+
+
+@pytest.mark.parametrize("alg", FUZZ_ALGEBRAS, ids=["quaternion", "complex", "rational"])
+def test_leading_minus_negates_a_single_term(alg):
+    rng = random.Random(1900 + alg.dim)
+    factors = ["x1", "x2", "3", "2/7", "i", "k", "(1/2 - j)", "(1,2)", "(0,1,0,3)", "(5)", "-x1"]
+    parsed = 0
+    for _ in range(300):
+        term = " * ".join(rng.choice(factors) for _ in range(rng.randint(1, 3)))
+        want = parse_outcome(lambda: parse_poly(alg, 2, term))
+        got = parse_outcome(lambda: parse_poly(alg, 2, "-" + term))
+        if want is ParseError:
+            assert got is ParseError
+        else:
+            assert got == ("ok", -want[1])
+            parsed += 1
+    assert parsed > 0
 
 
 def test_algebra_payload_round_trip(tmp_path):
@@ -340,6 +388,29 @@ def test_parse_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "algebra", "check", "no-such-file.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "classify", "{}"],
+    ["algebra", "check", "{}"],
+    ["form", "diagonalize", "{}"],
+    ["affine", "rank", "{}"],
+    ["affine", "compose", "--m1", "{}", "--m2", data("map_b.json")],
+    ["affine", "plane-contains", "--plane", "{}", "--point", "0; 0; 0"],
+    ["calc", "pushforward", "--chart", "{}", "--point", "1; 2", "--vector", "0; 1"],
+])
+def test_directory_is_parse_error_naming_it(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_tower_level_naming_a_directory_is_parse_error(tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    dump_json(str(tower), {"levels": [os.path.abspath(data("c6.json")), str(tmp_path)]})
+    code, out, err = run_cli(capsys, "tower", "classify", str(tower))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, doc", [
