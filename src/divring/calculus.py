@@ -3,7 +3,8 @@
 Everything is restricted to polynomial charts so that directional
 derivatives are exact positional sums; no numerical differentiation
 appears anywhere.  Linear charts are inverted automatically over the ring;
-nonlinear charts need a user-supplied polynomial inverse.
+nonlinear charts need a user-supplied polynomial inverse.  An inverse is
+verified on integer Jacobians when both sides are affine, else by substitution.
 
 Sign conventions.  The source texts carry two incompatible signs relating
 a connection to parallel transport: under the "8.2" convention a field is
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
@@ -44,10 +46,10 @@ class Chart:
     """A polynomial coordinate transformation x' = g(x) on D^n.
 
     `components` map old coordinates to new ones; `inverse`, when present,
-    maps back and both compositions are verified to normalize to the
-    identity tuple.  Charts whose components are affine in the variables
-    are inverted automatically when no inverse is supplied, from the
-    Jacobian and shift read off their integer terms.
+    maps back and both compositions are verified to be the identity map:
+    on the Jacobians and shifts read off the integer terms when both sides
+    are affine, else by substitution.  Affine charts are inverted
+    automatically, from those Jacobians, when no inverse is supplied.
     """
 
     __slots__ = ("algebra", "n", "components", "inverse")
@@ -65,17 +67,20 @@ class Chart:
         self.algebra = alg
         self.n = n
         self.components = components
-        if inverse is None and all(c.degree() <= 1 for c in components):
-            inverse = _invert_affine_components(components)
+        parts = _affine_parts(components) if all(c.degree() <= 1 for c in components) else None
+        if inverse is None and parts is not None:
+            inverse = _invert_affine_components(components, parts)
         if inverse is not None:
             inverse = tuple(inverse)
-            if len(inverse) != n or any(
-                c.algebra != alg or c.nvars != n for c in inverse
-            ):
+            if len(inverse) != n or any(c.algebra != alg or c.nvars != n for c in inverse):
                 raise NoInverseChart("inverse has wrong shape")
-            fwd_then_back = tuple(c.substitute(inverse) for c in self.components)
-            back_then_fwd = tuple(c.substitute(self.components) for c in inverse)
-            if not (_is_identity(fwd_then_back) and _is_identity(back_then_fwd)):
+            if parts is not None and all(c.degree() <= 1 for c in inverse):
+                back = _affine_parts(inverse)
+                inverts = _composes_to_identity(back, parts) and _composes_to_identity(parts, back)
+            else:
+                inverts = _is_identity(tuple(c.substitute(inverse) for c in components)) \
+                    and _is_identity(tuple(c.substitute(components) for c in inverse))
+            if not inverts:
                 raise NoInverseChart("compositions do not normalize to the identity")
         self.inverse = inverse
 
@@ -116,20 +121,32 @@ def _affine_parts(polys: Sequence[NCPoly]) -> tuple:
     return big, tn, [poly._den * t2 for poly in polys for _ in range(m)]
 
 
+def _composes_to_identity(outer: tuple, inner: tuple) -> bool:
+    """Whether outer after inner is the identity, for affine tuples with
+    `_affine_parts` (B', t') and (B, t): B'B = I and B't + t' = 0, compared
+    on integers with B and t over the lcm f of their row denominators."""
+    f = lcm(*inner[2])
+    scale = [f // d for d in inner[2]]
+    cols = [*zip(*inner[0]), inner[1]]  # the columns of [B | t]
+    for i, (row, t, d) in enumerate(zip(*outer)):
+        w = [a * s for a, s in zip(row, scale)]
+        want = [d * f * (i == j) for j in range(len(row))] + [-t * f]
+        if [sum(a * b for a, b in zip(w, col)) for col in cols] != want:
+            return False
+    return True
+
+
 def _is_identity(polys: tuple) -> bool:
     """Whether a composition is the identity map.  Equal canonical forms
     decide it; where one affine map has several forms (over the complex
     numbers e_0 x e_1 and e_1 x e_0 agree as maps), a composition of
-    degree at most 1 is the identity when its shift is zero and its
-    Jacobian the identity (`_affine_parts`), which is exact."""
-    alg, n = polys[0].algebra, len(polys)
-    if polys == tuple(NCPoly.var(alg, n, v) for v in range(n)):
+    degree at most 1 is compared with the identity map on its Jacobian and
+    shift (`_composes_to_identity` after the identity tuple), which is exact."""
+    identity = tuple(NCPoly.var(polys[0].algebra, len(polys), v) for v in range(len(polys)))
+    if polys == identity:
         return True
-    if any(p.degree() > 1 for p in polys):
-        return False
-    big, tn, dens = _affine_parts(polys)
-    size = range(len(big))
-    return not any(tn) and big == [[dens[i] * (i == col) for col in size] for i in size]
+    return all(p.degree() <= 1 for p in polys) \
+        and _composes_to_identity(_affine_parts(polys), _affine_parts(identity))
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +180,12 @@ def _sandwich_solve(alg: Algebra, rhs: Sequence[int]) -> Optional[tuple]:
     return dict(zip(pivots, y)), d
 
 
-def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
+def _invert_affine_components(components: Sequence[NCPoly], parts: tuple) -> Optional[tuple]:
     """Solve for the inverse of an affine polynomial tuple.
 
     The forward map is y_j = L_j(x) + t_j with L_j linear over the
-    rationals in the ring coordinates of x.  The big rational Jacobian B
-    and the shift t are read from the components' terms (`_affine_parts`);
+    rationals in the ring coordinates of x; `parts` are the big rational
+    Jacobian B and the shift t read from its terms (`_affine_parts`).
     B is inverted by one integer elimination, each block of the inverse is
     re-expressed in sandwich form (`_sandwich_solve`), and the inverse
     polynomials are written as integer terms; failure at any step simply
@@ -176,7 +193,7 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     """
     alg = components[0].algebra
     n, m = len(components), alg.dim
-    big, tn, dens = _affine_parts(components)
+    big, tn, dens = parts
     binv, pivots, dbig = ratlin._row_operations(big)  # B^-1 = binv diag(dens) / dbig
     if len(pivots) < n * m:
         return None

@@ -191,9 +191,11 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
             raise ParseError("unexpected end of polynomial")
         kind, value = tok
         if kind == "op" and value in "+-":
-            take()
+            negate = False
+            while peek() in (("op", "+"), ("op", "-")):
+                negate ^= take()[1] == "-"
             inner = parse_factor()
-            return -inner if value == "-" else inner
+            return -inner if negate else inner
         if kind == "var":
             take()
             idx = int(value[1:]) - 1

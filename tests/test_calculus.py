@@ -17,6 +17,7 @@ from divring.calculus import (
     Chart,
     ConnectionCoefficients,
     _affine_parts,
+    _composes_to_identity,
     _invert_affine_components,
     _is_identity,
     apply_oneform,
@@ -135,6 +136,10 @@ def test_nonlinear_chart_needs_supplied_inverse():
     assert full.inverse is not None
 
 
+def auto_inverse(comps):
+    return _invert_affine_components(comps, _affine_parts(comps))
+
+
 def probe_jacobian(components):
     """The shift t (as Elements) and the rational Jacobian B of an affine
     tuple, by evaluation: t_j is component j at 0, and column v m + s of B
@@ -214,7 +219,7 @@ def test_auto_inverse_matches_sandwich_assembly(alg):
             comps.append(poly)
         if trial % 4 == 3:  # a repeated component or a constant chart
             comps = [comps[0]] * n if n == 2 else [NCPoly.const(alg, 1, alg.unit)]
-        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
+        want, got = sandwich_inverse(comps), auto_inverse(comps)
         if trial % 4 == 3:
             assert want is None and got is None and Chart(comps).inverse is None
         elif want is None:  # a random singular chart
@@ -263,7 +268,7 @@ def test_jacobian_read_matches_probe_oracle(alg):
         big, tn, dens = _affine_parts(comps)
         assert [[Fraction(x, d) for x in row] for row, d in zip(big, dens)] == want_b
         assert [Fraction(x, d) for x, d in zip(tn, dens)] == [x for tj in t for x in tj.coords]
-        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
+        want, got = sandwich_inverse(comps), auto_inverse(comps)
         if trial % 8 in (5, 7):
             assert ratlin.rank(want_b) < n * alg.dim
             assert want is None and got is None and Chart(comps).inverse is None
@@ -307,7 +312,7 @@ def test_linear_complex_charts_are_inverted():
                 poly = poly + NCPoly.const(C, n, a) * NCPoly.var(C, n, v) * NCPoly.const(C, n, b)
             comps.append(poly)
         chart = Chart(comps)
-        if _invert_affine_components(comps) is None:
+        if auto_inverse(comps) is None:
             assert chart.inverse is None
             continue
         inverted += 1
@@ -322,6 +327,115 @@ def test_linear_complex_charts_are_inverted():
         Chart([ci * x1, x2], [ci * x1, x2])
     with pytest.raises(NoInverseChart):
         Chart([x1, x2 + x1 * x1], [x1, x2 + x1 * x1])
+
+
+def substitution_decides(outer, inner):
+    """Oracle for one composition by substitution: substitute inner into
+    outer and normalize; the identity is equal to the variables, or of
+    degree at most 1 with zero shift and identity Jacobian found by
+    evaluation (`probe_jacobian`)."""
+    alg, n = outer[0].algebra, len(outer)
+    comp = tuple(c.substitute(list(inner)) for c in outer)
+    if comp == tuple(NCPoly.var(alg, n, v) for v in range(n)):
+        return True
+    if any(p.degree() > 1 for p in comp):
+        return False
+    t, big = probe_jacobian(comp)
+    size = range(n * alg.dim)
+    return not any(x for tj in t for x in tj.coords) \
+        and big == [[int(i == j) for j in size] for i in size]
+
+
+def block(poly, v, w):
+    """The terms of poly linear in x_v, moved onto x_w."""
+    return NCPoly(poly.algebra, poly.nvars,
+                  {((w,), bs): c for (vs, bs), c in poly.terms.items() if vs == (v,)})
+
+
+def block_transposed(inverse):
+    """An inverse whose off-diagonal blocks, x_2 in component 1 and x_1 in
+    component 2, are exchanged."""
+    first, second = inverse
+    return (first - block(first, 1, 1) + block(second, 0, 1),
+            second - block(second, 0, 0) + block(first, 1, 0))
+
+
+@pytest.mark.parametrize("alg", [rational_algebra(), complex_algebra(), quaternion_algebra(),
+                                 MOVED, split_complex_algebra()],
+                         ids=["rational", "complex", "quaternion", "moved-quaternion",
+                              "split-complex"])
+def test_jacobian_decision_matches_substitution_oracle(alg):
+    rng = random.Random(5190 + alg.dim)
+    decided = {True: 0, False: 0}
+    for trial in range(12):
+        n = 1 + trial % 2
+        comps = draw_affine(rng, alg, n, big=trial % 3 == 2)
+        parts = _affine_parts(comps)
+        auto = _invert_affine_components(comps, parts)
+        if auto is None:
+            continue
+        shift = NCPoly.const(alg, n, alg.unit)
+        candidates = [auto, (auto[0] + shift,) + auto[1:], (auto[0].scale(2),) + auto[1:],
+                      auto[::-1]]
+        for inverse in candidates:
+            back = _affine_parts(inverse)
+            for outer, inner, got in ((inverse, comps, _composes_to_identity(back, parts)),
+                                      (comps, inverse, _composes_to_identity(parts, back))):
+                assert got == substitution_decides(outer, inner)
+            want = substitution_decides(comps, inverse) and substitution_decides(inverse, comps)
+            try:
+                Chart(comps, inverse)
+                accepted = True
+            except NoInverseChart:
+                accepted = False
+            assert accepted == want
+            decided[want] += 1
+    assert decided[True] >= 4 and decided[False] >= 8
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda inv: (inv[0] + cconst(J), inv[1]),
+    lambda inv: (inv[0] + block(inv[0], 0, 0), inv[1]),
+    block_transposed,
+], ids=["wrong-shift", "scaled-block", "transposed-block"])
+def test_wrong_affine_inverse_rejected_without_substitution(monkeypatch, wrong):
+    chart = mixing_chart(I, ONE, J)
+
+    def no_substitution(self, values):
+        raise AssertionError("an affine pair was verified by substitution")
+
+    monkeypatch.setattr(NCPoly, "substitute", no_substitution)
+    with pytest.raises(NoInverseChart, match="compositions do not normalize"):
+        Chart(chart.components, wrong(chart.inverse))
+    assert Chart(chart.components, chart.inverse).inverse == chart.inverse
+
+
+def test_complex_inverse_in_another_sandwich_form_is_accepted():
+    C = complex_algebra()
+    x1, x2 = NCPoly.var(C, 2, 0), NCPoly.var(C, 2, 1)
+    i = NCPoly.const(C, 2, C.basis()[1])
+    comps = [i * x1 + x2 * i, x1 + NCPoly.const(C, 2, C.element([1, 3]))]
+    auto = Chart(comps).inverse
+    # e_p x e_q and e_q x e_p are one map over a commutative ring
+    swapped = tuple(NCPoly(C, 2, {(vs, bs[::-1]): c for (vs, bs), c in p.terms.items()})
+                    for p in auto)
+    assert swapped != auto
+    assert Chart(comps, swapped).inverse == swapped
+
+
+def test_affine_chart_with_quadratic_inverse_goes_through_substitution(monkeypatch):
+    x1, x2 = cvar(0), cvar(1)
+    substitute = NCPoly.substitute
+    calls = []
+
+    def counted(self, values):
+        calls.append(self)
+        return substitute(self, values)
+
+    monkeypatch.setattr(NCPoly, "substitute", counted)
+    with pytest.raises(NoInverseChart):
+        Chart([x1, x2], [x1, x2 + x1 * cconst(I) * x1])
+    assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from divring.algebra import (
 )
 from divring.cli import main
 from divring.errors import ParseError
+from divring.ncpoly import NCPoly
 from divring.io import (
     algebra_payload,
     dump_json,
@@ -220,6 +221,15 @@ def test_json_object_cell_leaves_the_carrier(tmp_path, capsys, where):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "leaves the carrier" in err
+
+
+@pytest.mark.parametrize("signs", [2000, 2001])
+def test_long_run_of_leading_signs_is_folded(signs):
+    x1 = NCPoly.var(H, 1, 0)
+    want = -x1 if signs % 2 else x1
+    assert parse_poly(H, 1, "-" * signs + "x1") == want
+    assert parse_poly(H, 1, "+-" * signs + "x1") == want
+    assert parse_poly(H, 1, "2 * " + "-" * signs + "x1") == want.scale(2)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +489,23 @@ def test_zero_denominator_exits_with_one_error_line(tmp_path, capsys, point, com
                              "--point", point, "--vector", "0; 1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "zero denominator" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("components, inverse, code, err", [
+    (["-" * 3000 + "x1", "x1 + x2"], None, 0, ""),
+    (["x1 + x2", "x2"], ["x1 - x2 + 1", "x2"], 2,
+     "error: NoInverseChart: compositions do not normalize to the identity\n"),
+])
+def test_pushforward_on_a_written_chart(tmp_path, capsys, components, inverse, code, err):
+    chart = str(tmp_path / "chart.json")
+    doc = {"algebra": "quaternion", "components": components, "vars": 2}
+    if inverse is not None:
+        doc["inverse"] = inverse
+    dump_json(chart, doc)
+    got_code, out, got_err = run_cli(capsys, "calc", "pushforward", "--chart", chart,
+                                     "--point", "1; 2", "--vector", "0; 1")
+    assert (got_code, got_err) == (code, err)
+    assert out.startswith("vector: ") if code == 0 else out == ""
 
 
 @pytest.mark.parametrize("argv", [
