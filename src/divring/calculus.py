@@ -46,10 +46,17 @@ class Chart:
     """A polynomial coordinate transformation x' = g(x) on D^n.
 
     `components` map old coordinates to new ones; `inverse`, when present,
-    maps back and both compositions are verified to be the identity map:
-    on the Jacobians and shifts read off the integer terms when both sides
-    are affine, else by substitution.  Affine charts are inverted
+    maps back and is verified to invert them: on the Jacobians and shifts
+    read off the integer terms when both sides are affine, else by
+    substituting each side into the other.  Affine charts are inverted
     automatically, from those Jacobians, when no inverse is supplied.
+
+    An affine pair, forward x -> Bx + t and inverse y -> B'y + t', is
+    decided by the one check that inverse after forward is the identity:
+    B'B = I and B't + t' = 0.  That check implies the other order.  B and
+    B' are square rational matrices, so B'B = I gives BB' = I; and
+    t' = -B't, so forward after inverse is y -> BB'y + Bt' + t
+    = y - BB't + t = y.
     """
 
     __slots__ = ("algebra", "n", "components", "inverse")
@@ -75,8 +82,7 @@ class Chart:
             if len(inverse) != n or any(c.algebra != alg or c.nvars != n for c in inverse):
                 raise NoInverseChart("inverse has wrong shape")
             if parts is not None and all(c.degree() <= 1 for c in inverse):
-                back = _affine_parts(inverse)
-                inverts = _composes_to_identity(back, parts) and _composes_to_identity(parts, back)
+                inverts = _composes_to_identity(_affine_parts(inverse), parts)
             else:
                 inverts = _is_identity(tuple(c.substitute(inverse) for c in components)) \
                     and _is_identity(tuple(c.substitute(components) for c in inverse))

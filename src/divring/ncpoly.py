@@ -21,13 +21,16 @@ Arithmetic runs on integers.  An `NCPoly` stores integer numerators
 terms; `terms`, the public dict of lowest-terms Fractions, is built from
 them on each read.  Every operation reads only the integer form, on
 integer term dicts or on `Element` numerators against the algebra's
-integer tables, and reduces once, at the end.  Substitution and
-evaluation walk each monomial left to right and compute every prefix
-e_{b0} x_{v1} e_{b1} ... once per call, shared by all monomials that
-start with it (`_prefix_values`); extending a prefix by a basis constant
-is one table-row lookup per term and leaves it unreduced.  The two
-directional derivatives are one positional sum (`_positional`)
-evaluated the same way.
+integer tables, and reduces once, at the end.  Substitution, evaluation
+and the two directional derivatives run a straight-line program
+(`_compile`), compiled once per polynomial and derivative order and
+cached on the immutable polynomial.  It computes every prefix
+e_{b0} x_{v1} e_{b1} ... of the monomials read left to right once per
+call, shared by all monomials that start with it; extending a prefix by
+a basis constant is one table-row lookup per term and leaves it
+unreduced.  The k-th derivative is the program of the terms with k
+ordered distinct variable positions moved to k direction slots
+(`_shifted_terms`), run on the point and the k directions laid end to end.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
 from .algebra import Algebra, Element, _element, _reduced, mul
+from .errors import AlgebraMismatch
 
 _ZERO = Fraction(0)
+_UNCOMPILED = (None, None, None)  # no program yet for orders 0, 1, 2
 
 
 def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
@@ -73,75 +78,91 @@ def _poly(alg: Algebra, nvars: int, num: dict, den: int) -> "NCPoly":
         num = {key: c // g for key, c in num.items()}
         den //= g
     p = object.__new__(NCPoly)
-    p.algebra, p.nvars, p._num, p._den = alg, nvars, num, den
+    p.algebra, p.nvars, p._num, p._den, p._programs = alg, nvars, num, den, _UNCOMPILED
     return p
 
 
-def _prefix_values(items: Iterable, first: Callable, times_var: Callable,
-                   times_basis: Callable) -> list:
-    """(coefficient, value) of every monomial, sharing monomial prefixes.
+def _compile(items: Iterable) -> tuple:
+    """The straight-line program (firsts, steps, leaves, size) of a term list.
 
-    `items` yields ((vars, basis), coefficient) pairs.  `first(b)` is the
-    value of e_b; `times_var(value, v)` and `times_basis(value, b)` extend
-    a prefix by variable v or basis constant e_b.  Each prefix is computed once per
-    call, in a trie keyed by the alternating sequence b0, v1, b1, ...
+    `items` yields ((vars, basis), coefficient) pairs.  The program's nodes
+    0 .. size - 1 are the monomial prefixes b0, v1, b1, ... that end in a
+    constant, numbered in the order first met, so each is made before it
+    is used.  `firsts` holds (b, node) for the nodes e_b.  A step
+    (parent, slot, kids) multiplies node `parent` by the value in `slot`
+    once and extends that product by e_b for each (b, node) of `kids`.
+    `leaves` holds (coefficient, node) per item, in item order.
     """
-    trie = {}
-    out = []
+    roots, firsts, steps, leaves = {}, [], [], []
+    size = 0
     for (vars_, bs), c in items:
-        node = trie.get(bs[0])
+        node = roots.get(bs[0])
         if node is None:
-            node = trie[bs[0]] = (first(bs[0]), {})
+            # a node is (number, {slot: ({b: node}, the step's kids)})
+            node = roots[bs[0]] = (size, {})
+            firsts.append((bs[0], size))
+            size += 1
         for pos, v in enumerate(vars_):
-            kids = node[1]
-            mid = kids.get(v)
+            mid = node[1].get(v)
             if mid is None:
-                mid = kids[v] = (times_var(node[0], v), {})
-            kids = mid[1]
+                mid = node[1][v] = ({}, [])
+                steps.append((node[0], v, mid[1]))
             b = bs[pos + 1]
-            node = kids.get(b)
+            node = mid[0].get(b)
             if node is None:
-                node = kids[b] = (times_basis(mid[0], b), {})
-        out.append((c, node[0]))
-    return out
+                node = mid[0][b] = (size, {})
+                mid[1].append((b, size))
+                size += 1
+        leaves.append((c, node[0]))
+    return firsts, steps, leaves, size
 
 
-def _evaluate(alg: Algebra, items: Iterable, coeff_den: int,
-              value: Callable) -> Element:
-    """Sum of coefficient-weighted monomial values in the algebra.
+def _program(f: "NCPoly", k: int) -> tuple:
+    """The program of f's k-th positional derivative (k = 0: f itself),
+    compiled on first use and kept on f."""
+    prog = f._programs[k]
+    if prog is None:
+        prog = _compile(_shifted_terms(f._num, f.nvars, k) if k else f._num.items())
+        f._programs = f._programs[:k] + (prog,) + f._programs[k + 1:]
+    return prog
 
-    `items` yields ((vars, basis), numerator) over `coeff_den`;
-    `value(v)` is the Element taking variable slot v.  A prefix times a
-    value is one `mul`, which raises AlgebraMismatch for a value of
-    another algebra; a prefix times e_b is one table-row lookup.
+
+def _evaluate(f: "NCPoly", k: int, values: Sequence[Element]) -> Element:
+    """Run f's order-k program on Elements; slot s reads values[s].
+
+    A node's value is its numerators over an unreduced denominator, made
+    an Element only to be multiplied.  A prefix times a value is one `mul`,
+    which raises AlgebraMismatch for a value of another algebra; a prefix
+    times e_b is one table-row lookup.
     """
-    n = alg.dim
-    rows = alg._rows
-    tden = alg._den
-
-    def times_basis(e, b):
-        # the prefix stays over an unreduced denominator: `mul` and the
-        # final sum read numerators and denominator, never lowest terms
-        a = e._num
-        out = [0] * n
-        for i in range(n):
-            if a[i]:
-                for k, c in rows[i * n + b]:
-                    out[k] += a[i] * c
-        return _element(alg, tuple(out), e._den * tden)
-
-    # the variable products stay on `mul`: the benchmark's tracer rebinds
-    # `ncpoly.mul`, and its traced calculus run needs `algebra.self_s` > 0,
-    # which a raw-integer trie would read as 0 (ROADMAP open item 1)
-    parts = _prefix_values(items, alg.basis_element,
-                           lambda e, v: mul(e, value(v)), times_basis)
-    den = lcm(*[e._den for _, e in parts])
+    firsts, steps, leaves, size = _program(f, k)
+    alg = f.algebra
+    n, rows, tden = alg.dim, alg._rows, alg._den
+    nodes = [None] * size
+    for b, node in firsts:
+        nodes[node] = tuple([int(i == b) for i in range(n)]), 1
+    for parent, slot, kids in steps:
+        # `mul` is looked up here on every step, never bound at compile
+        # time: the benchmark's tracer rebinds `ncpoly.mul`, and its traced
+        # calculus run needs `algebra.self_s` > 0 (ROADMAP open item 1)
+        e = mul(_element(alg, *nodes[parent]), values[slot])
+        den = e._den * tden
+        a = [(i * n, x) for i, x in enumerate(e._num) if x]
+        for b, node in kids:
+            out = [0] * n
+            for i, x in a:
+                for j, c in rows[i + b]:
+                    out[j] += x * c
+            nodes[node] = tuple(out), den
+    den = lcm(*{nodes[node][1] for _, node in leaves})
     acc = [0] * n
-    for c, e in parts:
-        f = c * (den // e._den)
-        for k, x in enumerate(e._num):
-            acc[k] += f * x
-    return _reduced(alg, acc, den * coeff_den)
+    for c, node in leaves:
+        num, d = nodes[node]
+        g = c * (den // d)
+        for j, x in enumerate(num):
+            if x:
+                acc[j] += g * x
+    return _reduced(alg, acc, den * f._den)
 
 
 class NCPoly:
@@ -151,10 +172,11 @@ class NCPoly:
     one positive denominator `_den`, with gcd(`_den`, numerators) = 1, so
     the zero polynomial has `_den` 1.  `terms` builds the lowest-terms
     Fraction dict on each read; it is not cached, and changing it leaves
-    the polynomial as it is.
+    the polynomial as it is.  `_programs` caches the compiled programs of
+    derivative orders 0, 1 and 2 (`_program`), each built on first use.
     """
 
-    __slots__ = ("algebra", "nvars", "_num", "_den")
+    __slots__ = ("algebra", "nvars", "_num", "_den", "_programs")
 
     def __init__(self, algebra: Algebra, nvars: int, terms: Mapping):
         clean = {}
@@ -166,12 +188,14 @@ class NCPoly:
                 raise ValueError("monomial must interleave constants and variables")
             if any(not 0 <= v < nvars for v in vars_):
                 raise ValueError("variable index out of range")
+            if any(not 0 <= b < algebra.dim for b in basis):
+                raise ValueError("basis index out of range")
             key = (tuple(vars_), tuple(basis))
             clean[key] = clean.get(key, _ZERO) + coeff
         # zeros are numerator 0 over 1, so dropping them keeps lowest terms
         nums, self._den = ratlin.over_common_denominator(clean.values())
         self._num = {k: c for k, c in zip(clean, nums) if c}
-        self.algebra, self.nvars = algebra, nvars
+        self.algebra, self.nvars, self._programs = algebra, nvars, _UNCOMPILED
 
     @property
     def terms(self) -> dict:
@@ -187,6 +211,8 @@ class NCPoly:
 
     @staticmethod
     def const(algebra: Algebra, nvars: int, value: Element) -> "NCPoly":
+        if value.algebra is not algebra and value.algebra != algebra:
+            raise AlgebraMismatch("constant lives in another algebra")
         num = {((), (s,)): c for s, c in enumerate(value._num) if c}
         return _poly(algebra, nvars, num, value._den)
 
@@ -303,7 +329,7 @@ class NCPoly:
     def evaluate(self, values: Sequence[Element]) -> Element:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        return _evaluate(self.algebra, self._num.items(), self._den, values.__getitem__)
+        return _evaluate(self, 0, values)
 
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
         """Plug a polynomial into every variable slot; replacements share a
@@ -315,33 +341,32 @@ class NCPoly:
             nv = replacements[0].nvars
         else:
             alg, nv = self.algebra, 0
-        n = alg.dim
-        rows = alg._rows
-        tden = alg._den
-
-        def first(b):
-            return {((), (b,)): 1}, 1
-
-        def times_var(val, v):
+        n, rows, tden = alg.dim, alg._rows, alg._den
+        firsts, steps, leaves, size = _program(self, 0)
+        # the same program as `evaluate`, on (term dict, denominator) values
+        nodes = [None] * size
+        for b, node in firsts:
+            nodes[node] = {((), (b,)): 1}, 1
+        for parent, v, kids in steps:
+            terms, d = nodes[parent]
             r = replacements[v]
-            return _dict_mul(alg, val[0], r._num), val[1] * r._den * tden
-
-        def times_basis(val, b):
-            # zeros that cancel here drop out of the final sum
-            out = {}
-            get = out.get
-            for (vars_, bs), c in val[0].items():
-                head = bs[:-1]
-                for k, x in rows[bs[-1] * n + b]:
-                    key = (vars_, head + (k,))
-                    out[key] = get(key, 0) + c * x
-            return out, val[1] * tden
-
-        parts = _prefix_values(self._num.items(), first, times_var, times_basis)
-        den = lcm(*[d for _, (_, d) in parts])
+            mid = _dict_mul(alg, terms, r._num)
+            d *= r._den * tden * tden
+            for b, node in kids:
+                # zeros that cancel here drop out of the final sum
+                out = {}
+                get = out.get
+                for (vars_, key_bs), c in mid.items():
+                    head = key_bs[:-1]
+                    for k, x in rows[key_bs[-1] * n + b]:
+                        key = (vars_, head + (k,))
+                        out[key] = get(key, 0) + c * x
+                nodes[node] = out, d
+        den = lcm(*[nodes[node][1] for _, node in leaves])
         out = {}
         get = out.get
-        for c, (terms, d) in parts:
+        for c, node in leaves:
+            terms, d = nodes[node]
             f = c * (den // d)
             for key, s in terms.items():
                 out[key] = get(key, 0) + f * s
@@ -373,12 +398,12 @@ def _shifted_terms(terms: Mapping, n: int, k: int):
 
 def _positional(f: NCPoly, sources: Sequence) -> Element:
     """The positional sum behind the directional derivatives: slot
-    j * n + v of the shifted terms reads sources[j][v]."""
+    j * n + v of the shifted terms reads sources[j][v], the sources laid
+    end to end in one list."""
     n = f.nvars
     if any(len(s) != n for s in sources):
         raise ValueError("wrong number of values")
-    return _evaluate(f.algebra, _shifted_terms(f._num, n, len(sources) - 1), f._den,
-                     lambda slot: sources[slot // n][slot % n])
+    return _evaluate(f, len(sources) - 1, [x for s in sources for x in s])
 
 
 def gateaux(f: NCPoly, x: Sequence[Element], a: Sequence[Element]) -> Element:

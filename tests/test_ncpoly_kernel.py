@@ -1,8 +1,9 @@
 """Differential tests of the integer polynomial kernel.
 
-`NCPoly` stores integer numerators over one denominator; its products,
-substitution, evaluation and directional derivatives share monomial
-prefixes.  Every result here is compared with inline oracles that never
+`NCPoly` stores integer numerators over one denominator; its products
+share monomial prefixes, and substitution, evaluation and directional
+derivatives run a program compiled once per polynomial and derivative
+order.  Every result here is compared with inline oracles that never
 call `ncpoly`: monomials are evaluated term by term with `algebra.mul`,
 `+` and `scale`, sums, scalings and products of term dicts are computed
 on Fraction dicts, products read straight from the public `constants`
@@ -37,6 +38,7 @@ from divring.calculus import (
     _sandwich_solve,
     express_constant_field,
 )
+from divring import ncpoly
 from divring.errors import AlgebraMismatch
 from divring.ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
 
@@ -244,6 +246,141 @@ def test_errors_are_raised_in_the_same_cases():
         oracle_gateaux(H, p.terms, point, [point[1], point[1]])
     # constant terms use no value at all
     assert (x1 - x1 + 3).evaluate([alien, alien]) == H.scalar(3)
+
+
+# ---------------------------------------------------------------------------
+# the compiled programs: cached per order, never stale, never shared
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_interleaved_orders_on_one_polynomial_match_oracles(alg):
+    for rng, nvars, raw in cases(alg, 6300 + alg.dim, count=10):
+        p = NCPoly(alg, nvars, raw)
+        for _ in range(3):
+            x, v, a = ([draw_element(rng, alg) for _ in range(nvars)] for _ in range(3))
+            assert p.evaluate(x) == oracle_value(alg, raw, x)
+            assert gateaux(p, x, a) == oracle_gateaux(alg, raw, x, a)
+            assert gateaux2(p, x, v, a) == oracle_gateaux2(alg, raw, x, v, a)
+            assert p.evaluate(a) == oracle_value(alg, raw, a)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_polynomials_derived_from_a_compiled_one_match_oracles(alg):
+    for rng, nvars, raw in cases(alg, 6400 + alg.dim, count=10):
+        p = NCPoly(alg, nvars, raw)
+        raw2 = draw_terms(rng, alg, nvars)
+        q = NCPoly(alg, nvars, raw2)
+        x, a = ([draw_element(rng, alg) for _ in range(nvars)] for _ in range(2))
+        p.evaluate(x), gateaux(p, x, a), gateaux2(p, x, a, x)  # compile all three orders
+        r = draw_q(rng)
+        t1, t2 = oracle_terms(raw), oracle_terms(raw2)
+        reps_raw = [draw_terms(rng, alg, nvars, count=3, max_deg=2) for _ in range(nvars)]
+        composed = p.substitute([NCPoly(alg, nvars, t) for t in reps_raw])
+        derived = [
+            (p + q, oracle_sum(t1, t2)),
+            (p - q, oracle_sum(t1, t2, -1)),
+            (p * q, oracle_product(alg, t1, t2)),
+            (p.scale(r), {key: r * c for key, c in t1.items() if r}),
+        ]
+        for got, terms in derived:
+            assert got.evaluate(x) == oracle_value(alg, terms, x)
+            assert gateaux(got, x, a) == oracle_gateaux(alg, terms, x, a)
+            assert gateaux2(got, x, a, x) == oracle_gateaux2(alg, terms, x, a, x)
+        inner = [oracle_value(alg, t, x) for t in reps_raw]
+        assert composed.evaluate(x) == oracle_value(alg, raw, inner)
+        assert p.evaluate(x) == oracle_value(alg, raw, x)
+
+
+def test_each_order_is_compiled_once(monkeypatch):
+    H = quaternion_algebra()
+    rng = random.Random(6500)
+    p = NCPoly(H, 2, draw_terms(rng, H, 2, count=8))
+    compiled = []
+    compile_ = ncpoly._compile
+
+    def counted(items):
+        items = list(items)
+        compiled.append(items)
+        return compile_(items)
+
+    monkeypatch.setattr(ncpoly, "_compile", counted)
+    reps = [NCPoly.var(H, 2, 1), NCPoly.var(H, 2, 0)]
+    for _ in range(3):
+        x, v, a = ([draw_element(rng, H) for _ in range(2)] for _ in range(3))
+        p.evaluate(x)
+        gateaux(p, x, a)
+        gateaux2(p, x, v, a)
+        p.substitute(reps)
+        p.constant_term()
+    # orders 0, 1 and 2, in that order; substitute shares order 0
+    assert len(compiled) == 3
+    assert [len(items) for items in compiled] == [
+        sum(len(vs) ** k - (k == 2) * len(vs) for vs, _ in p._num) for k in range(3)]
+    # a fresh but equal polynomial compiles its own programs
+    q = p + NCPoly.zero(H, 2)
+    assert q == p
+    q.evaluate(x)
+    assert len(compiled) == 4
+
+
+def distinct_variable_prefixes(terms):
+    """The keys (b0, v1, b1, ..., vj) of every monomial prefix ending in a
+    variable: one variable product each."""
+    return {tuple(x for pair in zip(bs, vars_[:j + 1]) for x in pair)
+            for vars_, bs in terms for j in range(len(vars_))}
+
+
+def test_rebound_mul_sees_every_variable_product(monkeypatch):
+    H = quaternion_algebra()
+    rng = random.Random(6600)
+    raw = draw_terms(rng, H, 2, count=10)
+    p = NCPoly(H, 2, raw)
+    x, a = ([draw_element(rng, H) for _ in range(2)] for _ in range(2))
+    p.evaluate(x), gateaux(p, x, a)  # compiled before the rebinding
+    seen = []
+
+    def traced(left, right):
+        seen.append(right)
+        return mul(left, right)
+
+    monkeypatch.setattr(ncpoly, "mul", traced)
+    assert p.evaluate(x) == oracle_value(H, raw, x)
+    prefixes = distinct_variable_prefixes(p._num)
+    assert len(seen) == len(prefixes)
+    assert sorted(map(id, seen)) == sorted(id(x[key[-1]]) for key in prefixes)
+    seen.clear()
+    assert gateaux(p, x, a) == oracle_gateaux(H, raw, x, a)
+    # every term once per position, that position reading slot 2 + v, a[v]
+    prefixes = distinct_variable_prefixes(
+        {(tuple(v + 2 * (i == j) for i, v in enumerate(vs)), bs)
+         for vs, bs in p._num for j in range(len(vs))})
+    assert sorted(map(id, seen)) == sorted(id((x + a)[key[-1]]) for key in prefixes)
+
+
+# ---------------------------------------------------------------------------
+# malformed keys and constants of another algebra
+
+
+@pytest.mark.parametrize("key", [((0,), (0, 5)), ((0,), (0, -1)), ((0,), (0, 4)),
+                                 ((0,), (4, 0)), ((), (7,))])
+def test_basis_index_out_of_range_is_rejected(key):
+    with pytest.raises(ValueError, match="basis index out of range"):
+        NCPoly(quaternion_algebra(), 1, {key: 1})
+
+
+def test_constant_of_another_algebra_is_rejected():
+    H, C = quaternion_algebra(), complex_algebra()
+    p = NCPoly.var(C, 1, 0)
+    alien = H.element([0, 0, 0, 1])
+    with pytest.raises(AlgebraMismatch):
+        NCPoly.const(C, 1, alien)
+    for combine in (lambda: p + alien, lambda: p - alien, lambda: p * alien,
+                    lambda: p.__radd__(alien), lambda: p.__rsub__(alien),
+                    lambda: p.__rmul__(alien)):
+        with pytest.raises(AlgebraMismatch):
+            combine()
+    # an equal algebra built separately is the same ring
+    assert (p + complex_algebra().element([0, 1])).evaluate([C.unit]) == C.element([1, 1])
 
 
 # ---------------------------------------------------------------------------
