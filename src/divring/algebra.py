@@ -258,6 +258,8 @@ class Element:
         return hash((self.algebra, self.coords))
 
     def __add__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
         self._check(other)
         da, db = self._den, other._den
         if da == db:
@@ -268,6 +270,8 @@ class Element:
         return _reduced(self.algebra, num, da)
 
     def __sub__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
         self._check(other)
         da, db = self._den, other._den
         if da == db:
@@ -281,13 +285,17 @@ class Element:
         return _element(self.algebra, tuple(-x for x in self._num), self._den)
 
     def __mul__(self, other):
-        if isinstance(other, Element):
+        if other.__class__ is Element:
             return mul(self, other)
-        return self.scale(other)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented  # e.g. an NCPoly, which multiplies from the right
 
     def __rmul__(self, other):
         # rationals are central, so scaling from the left is the same
-        return self.scale(other)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
 
     def scale(self, q) -> "Element":
         q = Fraction(q)

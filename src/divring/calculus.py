@@ -3,8 +3,8 @@
 Everything is restricted to polynomial charts so that directional
 derivatives are exact positional sums; no numerical differentiation
 appears anywhere.  Linear charts are inverted automatically over the ring;
-nonlinear charts need a user-supplied polynomial inverse.  An inverse is
-verified on integer Jacobians when both sides are affine, else by substitution.
+nonlinear charts need a user-supplied polynomial inverse, verified by one
+substitution: inverse after forward must be the identity map.
 
 Sign conventions.  The source texts carry two incompatible signs relating
 a connection to parallel transport: under the "8.2" convention a field is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
@@ -45,18 +44,15 @@ def _check_length(n: int, *vectors: Sequence):
 class Chart:
     """A polynomial coordinate transformation x' = g(x) on D^n.
 
-    `components` map old coordinates to new ones; `inverse`, when present,
-    maps back and is verified to invert them: on the Jacobians and shifts
-    read off the integer terms when both sides are affine, else by
-    substituting each side into the other.  Affine charts are inverted
-    automatically, from those Jacobians, when no inverse is supplied.
+    `components` map old coordinates to new ones; `inverse` maps back.  A
+    supplied inverse h must pass one check, h after g is the identity map
+    (`_is_identity`); affine charts are inverted exactly when none is given.
 
-    An affine pair, forward x -> Bx + t and inverse y -> B'y + t', is
-    decided by the one check that inverse after forward is the identity:
-    B'B = I and B't + t' = 0.  That check implies the other order.  B and
-    B' are square rational matrices, so B'B = I gives BB' = I; and
-    t' = -B't, so forward after inverse is y -> BB'y + Bt' + t
-    = y - BB't + t = y.
+    One side is enough.  On rational coordinates g and h are polynomial
+    self-maps of Q^N, N = n dim D, and h(g(x)) = x is a polynomial identity,
+    so it holds on C^N, where it makes g injective.  An injective polynomial
+    self-map of C^N is bijective (Ax 1968; Bass, Connell and Wright, Bull.
+    AMS 1982): every y is some g(x), and g(h(y)) = g(h(g(x))) = g(x) = y.
     """
 
     __slots__ = ("algebra", "n", "components", "inverse")
@@ -66,28 +62,18 @@ class Chart:
         components = tuple(components)
         if not components:
             raise ValueError("chart needs at least one component")
-        alg = components[0].algebra
-        n = len(components)
-        for c in components:
-            if c.algebra != alg or c.nvars != n:
-                raise ValueError("components must share the ring and arity")
-        self.algebra = alg
-        self.n = n
-        self.components = components
-        parts = _affine_parts(components) if all(c.degree() <= 1 for c in components) else None
-        if inverse is None and parts is not None:
-            inverse = _invert_affine_components(components, parts)
+        alg, n = components[0].algebra, len(components)
+        if any(c.algebra != alg or c.nvars != n for c in components):
+            raise ValueError("components must share the ring and arity")
+        self.algebra, self.n, self.components = alg, n, components
         if inverse is not None:
             inverse = tuple(inverse)
             if len(inverse) != n or any(c.algebra != alg or c.nvars != n for c in inverse):
                 raise NoInverseChart("inverse has wrong shape")
-            if parts is not None and all(c.degree() <= 1 for c in inverse):
-                inverts = _composes_to_identity(_affine_parts(inverse), parts)
-            else:
-                inverts = _is_identity(tuple(c.substitute(inverse) for c in components)) \
-                    and _is_identity(tuple(c.substitute(components) for c in inverse))
-            if not inverts:
+            if not _is_identity(tuple(c.substitute(components) for c in inverse)):
                 raise NoInverseChart("compositions do not normalize to the identity")
+        elif all(c.degree() <= 1 for c in components):
+            inverse = _invert_affine_components(components)
         self.inverse = inverse
 
     def require_inverse(self) -> tuple:
@@ -102,15 +88,29 @@ class Chart:
         return tuple(c.evaluate(list(xp)) for c in self.require_inverse())
 
 
+@lru_cache(maxsize=None)
+def _triples(alg: Algebra) -> tuple:
+    """Entry (p m + s) m + q: the pairs (r, c) of the nonzero coordinates
+    c / alg._den ** 2 of e_p e_s e_q, read once per algebra."""
+    m, rows = alg.dim, alg._rows
+    out = []
+    for p, s, q in product(range(m), repeat=3):
+        acc = [0] * m
+        for k, a in rows[p * m + s]:
+            for r, b in rows[k * m + q]:
+                acc[r] += a * b
+        out.append(tuple((r, c) for r, c in enumerate(acc) if c))
+    return tuple(out)
+
+
 def _affine_parts(polys: Sequence[NCPoly]) -> tuple:
     """(big, tn, dens) of an affine tuple y_j = L_j(x) + t_j, read from
     the integer terms: row i of the rational Jacobian B on the ring
     coordinates is big[i] / dens[i], coordinate i of the shift t is
     tn[i] / dens[i].  A term c e_p x_v e_q adds c (e_p e_s e_q)_r to
-    B[j m + r][v m + s], two walks of the table rows; a constant c e_b
-    adds c to coordinate b of t_j."""
+    B[j m + r][v m + s], a constant c e_b adds c to t_j's coordinate b."""
     alg = polys[0].algebra
-    n, m, rows, t2 = len(polys), alg.dim, alg._rows, alg._den ** 2
+    n, m, triples, t2 = len(polys), alg.dim, _triples(alg), alg._den ** 2
     big = [[0] * (n * m) for _ in range(n * m)]
     tn = [0] * (n * m)
     for j, poly in enumerate(polys):
@@ -118,57 +118,59 @@ def _affine_parts(polys: Sequence[NCPoly]) -> tuple:
             if not vars_:
                 tn[j * m + bs[0]] += c * t2
                 continue
-            p, q = bs
-            col = vars_[0] * m
             for s in range(m):
-                for k, a in rows[p * m + s]:
-                    for r, b in rows[k * m + q]:
-                        big[j * m + r][col + s] += c * a * b
+                for r, a in triples[(bs[0] * m + s) * m + bs[1]]:
+                    big[j * m + r][vars_[0] * m + s] += c * a
     return big, tn, [poly._den * t2 for poly in polys for _ in range(m)]
 
 
-def _composes_to_identity(outer: tuple, inner: tuple) -> bool:
-    """Whether outer after inner is the identity, for affine tuples with
-    `_affine_parts` (B', t') and (B, t): B'B = I and B't + t' = 0, compared
-    on integers with B and t over the lcm f of their row denominators."""
-    f = lcm(*inner[2])
-    scale = [f // d for d in inner[2]]
-    cols = [*zip(*inner[0]), inner[1]]  # the columns of [B | t]
-    for i, (row, t, d) in enumerate(zip(*outer)):
-        w = [a * s for a, s in zip(row, scale)]
-        want = [d * f * (i == j) for j in range(len(row))] + [-t * f]
-        if [sum(a * b for a, b in zip(w, col)) for col in cols] != want:
-            return False
-    return True
-
-
 def _is_identity(polys: tuple) -> bool:
-    """Whether a composition is the identity map.  Equal canonical forms
-    decide it; where one affine map has several forms (over the complex
-    numbers e_0 x e_1 and e_1 x e_0 agree as maps), a composition of
-    degree at most 1 is compared with the identity map on its Jacobian and
-    shift (`_composes_to_identity` after the identity tuple), which is exact."""
-    identity = tuple(NCPoly.var(polys[0].algebra, len(polys), v) for v in range(len(polys)))
-    if polys == identity:
-        return True
-    return all(p.degree() <= 1 for p in polys) \
-        and _composes_to_identity(_affine_parts(polys), _affine_parts(identity))
+    """Whether n polynomials in n variables are the identity map of D^n.
+
+    d_v = polys[v] - x_v is read as a commutative polynomial map on the
+    rational coordinates x_{u,s} of x_u = sum_s x_{u,s} e_s: a term
+    c e_b0 x_v1 e_b1 ... x_vk e_bk adds, for each choice s_1 .. s_k, c times
+    coordinate r of e_b0 e_s1 e_b1 ... e_bk to the coefficient of
+    x_{v1,s1} ... x_{vk,sk} in coordinate r, over d_v's denominator times
+    alg._den ** (2k).  Q is infinite, so the map is zero exactly when every
+    coefficient is.  Each round takes one factor e_s e_b and sums partial
+    products alike in their term's rest and their choices.  Cost: at most
+    m^k `_triples` walks per degree-k term, m = dim D."""
+    alg, n = polys[0].algebra, len(polys)
+    m, triples = alg.dim, _triples(alg)
+    for v, poly in enumerate(polys):
+        states = {}  # (rest of the term, sorted choices) -> partial product
+        for (vars_, bs), c in (poly - NCPoly.var(alg, n, v))._num.items():
+            states.setdefault((tuple(zip(vars_, bs[1:])), ()), [0] * m)[bs[0]] += c
+        while states:
+            done, states = states, {}
+            for (rest, picks), vec in done.items():
+                if not any(vec):
+                    continue
+                if not rest:  # a whole monomial with a nonzero coefficient
+                    return False
+                (u, b), rest = rest[0], rest[1:]
+                for s in range(m):
+                    out = states.setdefault((rest, tuple(sorted(picks + ((u, s),)))), [0] * m)
+                    for i, x in enumerate(vec):
+                        if x:
+                            for r, c in triples[(i * m + s) * m + b]:
+                                out[r] += x * c
+    return True
 
 
 @lru_cache(maxsize=None)
 def _sandwich_elimination(alg: Algebra) -> tuple:
     """`ratlin._row_operations` (ops, pivots, d) of the sandwich system S,
     once per algebra.  Row (r, t), column (p, q) of S is coordinate r of
-    e_p e_t e_q; solving it writes a rational-linear map of the ring as
-    sum_pq c_pq e_p x e_q, which is how inverse Jacobian blocks become
-    polynomials again.  S is read from the table rows over alg._den ** 2,
-    a factor folded into ops, so ops S / d is the reduced form of S."""
-    m, rows = alg.dim, alg._rows
+    e_p e_t e_q; solving it writes a rational-linear map of the ring, an
+    inverse Jacobian block, as sum_pq c_pq e_p x e_q.  S is `_triples` over
+    alg._den ** 2, a factor folded into ops, so ops S / d is reduced."""
+    m, triples = alg.dim, _triples(alg)
     s = [[0] * (m * m) for _ in range(m * m)]
     for p, t, q in product(range(m), repeat=3):
-        for k, a in rows[p * m + t]:
-            for r, b in rows[k * m + q]:
-                s[r * m + t][p * m + q] += a * b
+        for r, c in triples[(p * m + t) * m + q]:
+            s[r * m + t][p * m + q] += c
     ops, pivots, d = ratlin._row_operations(s)
     return [[alg._den ** 2 * x for x in row] for row in ops], pivots, d
 
@@ -186,20 +188,20 @@ def _sandwich_solve(alg: Algebra, rhs: Sequence[int]) -> Optional[tuple]:
     return dict(zip(pivots, y)), d
 
 
-def _invert_affine_components(components: Sequence[NCPoly], parts: tuple) -> Optional[tuple]:
-    """Solve for the inverse of an affine polynomial tuple.
+def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
+    """The inverse of an affine polynomial tuple y_j = L_j(x) + t_j, or None.
 
-    The forward map is y_j = L_j(x) + t_j with L_j linear over the
-    rationals in the ring coordinates of x; `parts` are the big rational
-    Jacobian B and the shift t read from its terms (`_affine_parts`).
-    B is inverted by one integer elimination, each block of the inverse is
-    re-expressed in sandwich form (`_sandwich_solve`), and the inverse
-    polynomials are written as integer terms; failure at any step simply
-    leaves the chart without an inverse.
+    B (`_affine_parts`) is inverted by one integer elimination and each
+    block of the inverse is put in sandwich form; failure leaves the chart
+    without an inverse.  The result is exact, so it is never checked.  At
+    full rank the rows E of `ratlin._row_operations` satisfy E big = dbig I,
+    so B^-1 = E diag(dens) / dbig; `_sandwich_solve` solves S c = rhs on
+    integers or returns None, so sum_pq c_pq e_p h e_q is block (v, j) of
+    B^-1; the constant is -(B^-1 t)_v.  So x = B^-1 (y - t), the inverse.
     """
     alg = components[0].algebra
     n, m = len(components), alg.dim
-    big, tn, dens = parts
+    big, tn, dens = _affine_parts(components)
     binv, pivots, dbig = ratlin._row_operations(big)  # B^-1 = binv diag(dens) / dbig
     if len(pivots) < n * m:
         return None
@@ -211,8 +213,6 @@ def _invert_affine_components(components: Sequence[NCPoly], parts: tuple) -> Opt
     fs, ft = den // (dbig * ds), den // dbig
     out = []
     for v in range(n):
-        # x_v = sum_j sum_pq c_pq e_p (y_j - t_j) e_q: the linear terms are
-        # the c_pq, the constant is -(B^-1 t)_v
         num = {}
         for j in range(n):
             rhs = [binv[v * m + r][j * m + s] for r in range(m) for s in range(m)]

@@ -332,15 +332,18 @@ class NCPoly:
         return _evaluate(self, 0, values)
 
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
-        """Plug a polynomial into every variable slot; replacements share a
-        common ring and determine the variable count of the result."""
+        """Plug a polynomial into every variable slot; replacements live in
+        this polynomial's algebra, share one variable count and give it to
+        the result."""
         if len(replacements) != self.nvars:
             raise ValueError("wrong number of replacements")
-        if replacements:
-            alg = replacements[0].algebra
-            nv = replacements[0].nvars
-        else:
-            alg, nv = self.algebra, 0
+        alg = self.algebra
+        nv = replacements[0].nvars if replacements else 0
+        for r in replacements:
+            if r.algebra is not alg and r.algebra != alg:
+                raise AlgebraMismatch("replacement lives in another algebra")
+            if r.nvars != nv:
+                raise ValueError("replacements differ in their number of variables")
         n, rows, tden = alg.dim, alg._rows, alg._den
         firsts, steps, leaves, size = _program(self, 0)
         # the same program as `evaluate`, on (term dict, denominator) values

@@ -12,12 +12,12 @@ from divring.algebra import (
     mul,
     quaternion_algebra,
     rational_algebra,
+    transform_vector,
 )
 from divring.calculus import (
     Chart,
     ConnectionCoefficients,
     _affine_parts,
-    _composes_to_identity,
     _invert_affine_components,
     _is_identity,
     apply_oneform,
@@ -136,10 +136,6 @@ def test_nonlinear_chart_needs_supplied_inverse():
     assert full.inverse is not None
 
 
-def auto_inverse(comps):
-    return _invert_affine_components(comps, _affine_parts(comps))
-
-
 def probe_jacobian(components):
     """The shift t (as Elements) and the rational Jacobian B of an affine
     tuple, by evaluation: t_j is component j at 0, and column v m + s of B
@@ -196,10 +192,8 @@ def sandwich_inverse(components):
 
 
 # a basis-changed quaternion algebra: table denominator 2, composite unit
-MOVED = change_basis(
-    quaternion_algebra(),
-    BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]),
-)
+MOVED_BASIS = BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]])
+MOVED = change_basis(quaternion_algebra(), MOVED_BASIS)
 
 
 @pytest.mark.parametrize("alg", [rational_algebra(), complex_algebra(), MOVED],
@@ -219,7 +213,7 @@ def test_auto_inverse_matches_sandwich_assembly(alg):
             comps.append(poly)
         if trial % 4 == 3:  # a repeated component or a constant chart
             comps = [comps[0]] * n if n == 2 else [NCPoly.const(alg, 1, alg.unit)]
-        want, got = sandwich_inverse(comps), auto_inverse(comps)
+        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
         if trial % 4 == 3:
             assert want is None and got is None and Chart(comps).inverse is None
         elif want is None:  # a random singular chart
@@ -268,7 +262,7 @@ def test_jacobian_read_matches_probe_oracle(alg):
         big, tn, dens = _affine_parts(comps)
         assert [[Fraction(x, d) for x in row] for row, d in zip(big, dens)] == want_b
         assert [Fraction(x, d) for x, d in zip(tn, dens)] == [x for tj in t for x in tj.coords]
-        want, got = sandwich_inverse(comps), auto_inverse(comps)
+        want, got = sandwich_inverse(comps), _invert_affine_components(comps)
         if trial % 8 in (5, 7):
             assert ratlin.rank(want_b) < n * alg.dim
             assert want is None and got is None and Chart(comps).inverse is None
@@ -312,7 +306,7 @@ def test_linear_complex_charts_are_inverted():
                 poly = poly + NCPoly.const(C, n, a) * NCPoly.var(C, n, v) * NCPoly.const(C, n, b)
             comps.append(poly)
         chart = Chart(comps)
-        if auto_inverse(comps) is None:
+        if _invert_affine_components(comps) is None:
             assert chart.inverse is None
             continue
         inverted += 1
@@ -370,17 +364,15 @@ def test_jacobian_decision_matches_substitution_oracle(alg):
     for trial in range(12):
         n = 1 + trial % 2
         comps = draw_affine(rng, alg, n, big=trial % 3 == 2)
-        parts = _affine_parts(comps)
-        auto = _invert_affine_components(comps, parts)
+        auto = _invert_affine_components(comps)
         if auto is None:
             continue
         shift = NCPoly.const(alg, n, alg.unit)
         candidates = [auto, (auto[0] + shift,) + auto[1:], (auto[0].scale(2),) + auto[1:],
                       auto[::-1]]
         for inverse in candidates:
-            back = _affine_parts(inverse)
-            for outer, inner, got in ((inverse, comps, _composes_to_identity(back, parts)),
-                                      (comps, inverse, _composes_to_identity(parts, back))):
+            for outer, inner in ((inverse, comps), (comps, inverse)):
+                got = _is_identity(tuple(c.substitute(list(inner)) for c in outer))
                 assert got == substitution_decides(outer, inner)
             want = substitution_decides(comps, inverse) and substitution_decides(inverse, comps)
             try:
@@ -398,13 +390,8 @@ def test_jacobian_decision_matches_substitution_oracle(alg):
     lambda inv: (inv[0] + block(inv[0], 0, 0), inv[1]),
     block_transposed,
 ], ids=["wrong-shift", "scaled-block", "transposed-block"])
-def test_wrong_affine_inverse_rejected_without_substitution(monkeypatch, wrong):
+def test_wrong_affine_inverse_rejected(wrong):
     chart = mixing_chart(I, ONE, J)
-
-    def no_substitution(self, values):
-        raise AssertionError("an affine pair was verified by substitution")
-
-    monkeypatch.setattr(NCPoly, "substitute", no_substitution)
     with pytest.raises(NoInverseChart, match="compositions do not normalize"):
         Chart(chart.components, wrong(chart.inverse))
     assert Chart(chart.components, chart.inverse).inverse == chart.inverse
@@ -436,6 +423,155 @@ def test_affine_chart_with_quadratic_inverse_goes_through_substitution(monkeypat
     with pytest.raises(NoInverseChart):
         Chart([x1, x2], [x1, x2 + x1 * cconst(I) * x1])
     assert calls
+
+
+def test_complex_quadratic_inverse_in_either_sandwich_form_is_accepted():
+    # over the complex numbers x1 i x1 and i x1 x1 are two forms of one map
+    C = complex_algebra()
+    i = C.basis()[1]
+    x1, x2 = NCPoly.var(C, 2, 0), NCPoly.var(C, 2, 1)
+    forward = [x1, x2 + x1 * i * x1]
+    point = [C.element([1, 3]), C.element([-2, 5])]
+    for inverse in ([x1, x2 - i * x1 * x1], [x1, x2 - x1 * i * x1]):
+        chart = Chart(forward, inverse)
+        assert chart.inverse == tuple(inverse)
+        assert list(chart.backward(chart.forward(point))) == point
+        assert list(chart.forward(chart.backward(point))) == point
+    for wrong in ([x1, x2 + i * x1 * x1], [x1, x2 - x1 * x1], [x1 + x2, x2 - i * x1 * x1]):
+        with pytest.raises(NoInverseChart):
+            Chart(forward, wrong)
+
+
+def test_hall_identity_is_the_zero_map():
+    # [x, y] is a pure quaternion, so its square is real and central
+    x, y, z = (NCPoly.var(H, 3, v) for v in range(3))
+
+    def comm(a, b):
+        return a * b - b * a
+
+    hall = comm(comm(x, y) ** 2, z)
+    assert not hall.is_zero()
+    assert _is_identity((x + hall, y, z))
+    assert not _is_identity((x + comm(x, y), y, z))
+    assert Chart([x + hall, y, z], [x, y, z]).inverse == (x, y, z)
+
+
+def test_building_an_affine_chart_substitutes_nothing(monkeypatch):
+    def no_substitution(self, values):
+        raise AssertionError("an auto-inverted chart was checked by substitution")
+
+    monkeypatch.setattr(NCPoly, "substitute", no_substitution)
+    rng = random.Random(5230)
+    charts = [mixing_chart(I, ONE, J)]
+    for alg in (rational_algebra(), complex_algebra(), H, MOVED, split_complex_algebra()):
+        chart = Chart(draw_affine(rng, alg, 2, big=False))
+        while chart.inverse is None:
+            chart = Chart(draw_affine(rng, alg, 2, big=False))
+        charts.append(chart)
+    monkeypatch.undo()
+    for chart in charts:
+        point = [random_element(rng, chart.algebra, 4) for _ in range(2)]
+        assert list(chart.backward(chart.forward(point))) == point
+
+
+# `_is_identity` against an evaluation oracle.  An expression is a tree of
+# ("x", v), ("c", element) and (op, left, right) for op in "+", "-", "*";
+# it is read once as a polynomial and once, by the oracle, with Element
+# arithmetic only.
+
+
+def tree_poly(tree, alg, n):
+    if tree[0] == "x":
+        return NCPoly.var(alg, n, tree[1])
+    if tree[0] == "c":
+        return NCPoly.const(alg, n, tree[1])
+    a, b = tree_poly(tree[1], alg, n), tree_poly(tree[2], alg, n)
+    return a + b if tree[0] == "+" else a - b if tree[0] == "-" else a * b
+
+
+def tree_value(tree, point):
+    if tree[0] == "x":
+        return point[tree[1]]
+    if tree[0] == "c":
+        return tree[1]
+    a, b = tree_value(tree[1], point), tree_value(tree[2], point)
+    return a + b if tree[0] == "+" else a - b if tree[0] == "-" else mul(a, b)
+
+
+def oracle_is_identity(trees, alg, rng):
+    """Whether each tree v gives coordinate v at four random points with
+    coordinates in [-10^6, 10^6].  The coordinates of a nonzero map of
+    degree <= 3 vanish at such a point with probability below 2 * 10^-6
+    (Schwartz and Zippel), so a seeded run decides as the exact test does."""
+    for _ in range(4):
+        point = [alg.element([rng.randint(-10**6, 10**6) for _ in range(alg.dim)])
+                 for _ in trees]
+        if [tree_value(t, point) for t in trees] != point:
+            return False
+    return True
+
+
+def quaternion_units(alg):
+    """1, i, j, k of a quaternion algebra, in its own basis."""
+    if alg is MOVED:
+        return [transform_vector(e, MOVED_BASIS, MOVED) for e in quaternion_algebra().basis()]
+    return alg.basis()
+
+
+def draw_zero_map(rng, alg, n, units):
+    """A zero map of degree <= 3 whose polynomial is usually not zero: a
+    commutator over a commutative ring, else a commutator with a central
+    value, A + conj(A) or A conj(A), where conj(A) = -(1/2) sum_u u A u."""
+    def affine():
+        tree = ("c", random_element(rng, alg, 2))
+        for v in rng.sample(range(n), rng.randint(1, n)):
+            a, b = (random_element(rng, alg, 2, nonzero=True) for _ in range(2))
+            tree = ("+", tree, ("*", ("*", ("c", a), ("x", v)), ("c", b)))
+        return tree
+
+    def comm(a, b):
+        return ("-", ("*", a, b), ("*", b, a))
+
+    if units is None:
+        zero = comm(affine(), affine())
+        return ("*", zero, affine()) if rng.randrange(2) else zero
+    a = affine()
+    conj = ("*", ("c", alg.scalar(Fraction(-1, 2))), ("+", ("+", ("+",
+            *[("*", ("*", ("c", u), a), ("c", u)) for u in units[:2]]),
+            ("*", ("*", ("c", units[2]), a), ("c", units[2]))),
+            ("*", ("*", ("c", units[3]), a), ("c", units[3]))))
+    if rng.randrange(2):
+        return comm(("*", a, conj), affine())
+    return ("*", comm(("+", a, conj), affine()), affine())
+
+
+@pytest.mark.parametrize("alg", [rational_algebra(), complex_algebra(), quaternion_algebra(),
+                                 MOVED, split_complex_algebra()],
+                         ids=["rational", "complex", "quaternion", "moved-quaternion",
+                              "split-complex"])
+def test_is_identity_matches_evaluation_oracle(alg):
+    units = quaternion_units(alg) if alg.dim == 4 else None
+    if units is not None:
+        one, i, j, k = units
+        assert one == alg.unit and mul(i, j) == k and mul(k, k) == -one
+    rng = random.Random(5240 + alg.dim)
+    decided = {True: 0, False: 0}
+    hidden = 0
+    for trial in range(16):
+        n = 1 + trial // 4 % 2
+        trees = [("+", ("x", v), draw_zero_map(rng, alg, n, units)) for v in range(n)]
+        if trial % 4 == 1:  # a shifted component
+            trees[-1] = ("+", trees[-1], ("c", random_element(rng, alg, 2, nonzero=True)))
+        elif trial % 4 == 2:  # a square or a product of the variables
+            trees[0] = ("+", trees[0], ("*", ("x", 0), ("x", n - 1)))
+        elif trial % 4 == 3:  # the zero map scaled away from the variable
+            trees[0] = ("*", ("c", alg.scalar(2)), trees[0])
+        polys = tuple(tree_poly(t, alg, n) for t in trees)
+        want = oracle_is_identity(trees, alg, rng)
+        assert _is_identity(polys) == want
+        decided[want] += 1
+        hidden += want and polys != tuple(NCPoly.var(alg, n, v) for v in range(n))
+    assert decided[True] >= 4 and decided[False] >= 8 and hidden >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,15 @@ def test_pushforward_on_a_written_chart(tmp_path, capsys, components, inverse, c
     assert out.startswith("vector: ") if code == 0 else out == ""
 
 
+def test_pushforward_on_a_complex_chart_with_a_reordered_inverse(tmp_path, capsys):
+    # x1 (0,1) x1 and (0,1) x1 x1 are one map over the complex numbers
+    chart = str(tmp_path / "chart.json")
+    dump_json(chart, {"algebra": "complex", "components": ["x1", "x2 + x1 * (0,1) * x1"],
+                      "inverse": ["x1", "x2 - (0,1) * x1 * x1"], "vars": 2})
+    assert run_cli(capsys, "calc", "pushforward", "--chart", chart, "--point", "1,0; 2,0",
+                   "--vector", "0,0; 1,0") == (0, "vector: 0,0; 1,0\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["pushforward", "--point", "1; 2; 3", "--vector", "1; 2; 3"],
     ["pushforward", "--point", "1; 2", "--vector", "1"],

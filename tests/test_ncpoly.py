@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
-from divring.algebra import mul, quaternion_algebra, rational_algebra
-from divring.errors import ParseError
+from divring.algebra import complex_algebra, mul, quaternion_algebra, rational_algebra
+from divring.errors import AlgebraMismatch, ParseError
 from divring.io import format_poly, parse_poly
 from divring.ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
 from conftest import random_element, random_rational
@@ -70,6 +71,32 @@ def test_substitution_is_composition(rng):
         t = random_element(rng, H)
         direct = outer.evaluate([p.evaluate([t]) for p in inner])
         assert composed.evaluate([t]) == direct
+
+
+def test_substitute_rejects_replacements_of_another_ring():
+    C, Q = complex_algebra(), rational_algebra()
+    for alg in (C, Q):  # quaternion polynomial, complex or rational replacement
+        with pytest.raises(AlgebraMismatch):
+            (var(0) * const(K)).substitute([NCPoly.var(alg, 1, 0)])
+    with pytest.raises(AlgebraMismatch):  # complex polynomial, quaternion replacement
+        (NCPoly.var(C, 1, 0) * C.basis()[1]).substitute([var(0)])
+    with pytest.raises(ValueError, match="number of variables"):
+        var(0, 2).substitute([var(0, 1), var(1, 2)])
+    assert (var(0) * const(K)).substitute([var(1, 2)]) == var(1, 2) * const(K, 2)
+
+
+@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub],
+                         ids=["mul", "add", "sub"])
+def test_element_on_the_left_of_a_polynomial(op):
+    x = var(0, 2) + var(1, 2) * const(J, 2)
+    assert op(I, x) == op(const(I, 2), x)
+    assert op(x, I) == op(x, const(I, 2))
+    if op is operator.mul:
+        assert I * x != x * I
+    with pytest.raises(TypeError):
+        op(I, "x")
+    assert op(I, I) == {operator.mul: -ONE, operator.add: I.scale(2),
+                        operator.sub: H.zero}[op]
 
 
 def test_degree_bookkeeping():
