@@ -14,6 +14,15 @@ algebra keeps, besides its Fraction tensor `constants`, the same table as
 integer numerators over one common denominator.  A product, sum or
 scaling is then integer work with one gcd reduction of the result.
 
+The product runs a straight-line function, compiled lazily on an
+algebra's first product, so an algebra that never multiplies pays
+nothing.  The generated code is keyed on the table's support: its
+dimension, the positions (i, j, k) of the nonzero integer constants and
+whether each is +1, -1 or another value.  It is compiled once per support
+and the other constants are bound per algebra as arguments of a generated
+factory, so the many basis-changed algebras of one support share one
+compilation and no constant is ever formatted into source text.
+
 Normally the unit is a basis vector (`unit_index`); after an arbitrary
 change of basis it becomes a rational combination of basis vectors, which
 is stored as explicit `unit_coords` instead.
@@ -58,7 +67,7 @@ class Algebra:
     """
 
     __slots__ = ("dim", "constants", "unit_index", "unit_coords", "name",
-                 "_rows", "_terms", "_den", "_unit", "_hash")
+                 "_rows", "_terms", "_den", "_unit", "_hash", "_compiled")
 
     def __init__(self, dim, constants, unit_index=0, unit_coords=None, name=None):
         if dim <= 0:
@@ -88,6 +97,7 @@ class Algebra:
         self.unit_coords = unit_coords
         self.name = name
         self._hash = None
+        self._compiled = None  # the product, compiled on the first one
         flat, self._den = ratlin.over_common_denominator(
             [c for plane in tensor for row in plane for c in row]
         )
@@ -175,6 +185,13 @@ class Algebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     # -- misc --------------------------------------------------------------------
+
+    def __getstate__(self):
+        # pickle and copy leave out the compiled product, an exec'd
+        # function; the copy compiles its own on its first product
+        state = {name: getattr(self, name) for name in Algebra.__slots__}
+        state["_compiled"] = None
+        return None, state
 
     def __eq__(self, other):
         if self is other:
@@ -359,13 +376,64 @@ def build_algebra(dim, constants, unit_index=0, name=None) -> Algebra:
     return Algebra(dim, constants, unit_index, name=name)
 
 
-def _product(a: Element, b: Element) -> list:
+def _product(a: Element, b: Element) -> tuple:
     """Unreduced numerators of a*b over a._den * b._den * algebra._den."""
-    out = [0] * a.algebra.dim
-    anum, bnum = a._num, b._num
-    for i, j, k, c in a.algebra._terms:
-        out[k] += anum[i] * bnum[j] * c
-    return out
+    f = a.algebra._compiled
+    if f is None:
+        f = _compile_product(a.algebra)
+    return f(a._num, b._num)
+
+
+def _support(alg: Algebra) -> tuple:
+    """The table's support: (dim, (i, j, k, s) per nonzero integer constant),
+    s = c for c = +1 or -1 and s = 0 for any other constant c."""
+    return alg.dim, tuple((i, j, k, c if c in (1, -1) else 0) for i, j, k, c in alg._terms)
+
+
+def _product_source(support: tuple) -> str:
+    """Source of `make(c0, c1, ...)`, which returns the straight-line
+    product of a table with this support.  The product unpacks both
+    numerator tuples and returns coordinate k as the sum of +-a_i*b_j, or
+    c*a_i*b_j with the constants that are not +-1 as arguments in term
+    order.  The text holds identifiers, `+`, `-`, `*` and no literal, so
+    no constant is ever formatted; each k has a term, as e_k = unit e_k."""
+    dim, terms = support
+    sums, args = [""] * dim, []
+    for i, j, k, s in terms:
+        if s:
+            sums[k] += f" {'-' if s < 0 else '+'} a{i}*b{j}"
+        else:
+            args.append(f"c{len(args)}")
+            sums[k] += f" + {args[-1]}*a{i}*b{j}"
+    # each sum opens with " + " or " - ": drop the first, keep "-" of the second
+    coords = "".join(("-" if t[1] == "-" else "") + t[3:] + ", " for t in sums)
+    a = "".join(f"a{i}, " for i in range(dim))
+    b = "".join(f"b{i}, " for i in range(dim))
+    return (f"def make({', '.join(args)}):\n"
+            f"    def product(a, b):\n"
+            f"        {a}= a\n"
+            f"        {b}= b\n"
+            f"        return ({coords})\n"
+            f"    return product\n")
+
+
+@lru_cache(maxsize=256)
+def _product_factory(support: tuple):
+    """`make` of `_product_source(support)`, compiled once per support.
+
+    Bounded, so that a process changing bases without end keeps a flat
+    footprint; an evicted support only costs its next algebra a compile."""
+    namespace = {}
+    exec(_product_source(support), namespace)
+    return namespace["make"]
+
+
+def _compile_product(alg: Algebra):
+    """Bind the algebra's constants other than +-1 into its support's
+    compiled product and keep the result on the algebra."""
+    f = _product_factory(_support(alg))(*(c for _, _, _, c in alg._terms if c not in (1, -1)))
+    alg._compiled = f
+    return f
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -379,11 +447,11 @@ def _mul_add(acc: Element, terms) -> Element:
     """acc + sum q * a * b over the triples (q, a, b) of `terms`.
 
     q is a rational weight (an int or a Fraction); b is an Element, or None
-    for the term q * a.  Each product is formed by the loop of `mul`
-    without its reduction, the terms are added on integer numerators over
-    the least common multiple of their denominators, and the sum is reduced
-    once.  Terms with a zero factor are skipped, so acc itself comes back
-    when nothing is added.
+    for the term q * a.  Each product is formed by the compiled product of
+    `mul` without its reduction, the terms are added on integer numerators
+    over the least common multiple of their denominators, and the sum is
+    reduced once.  Terms with a zero factor are skipped, so acc itself
+    comes back when nothing is added.
     """
     alg = acc.algebra
     num, den = acc._num, acc._den

@@ -18,6 +18,7 @@ literal "9.1" formula; every operation accepts sign="8.2"|"9.1" to flip.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -71,7 +72,7 @@ class Chart:
             if len(inverse) != n or any(c.algebra != alg or c.nvars != n for c in inverse):
                 raise NoInverseChart("inverse has wrong shape")
             if not _is_identity(tuple(c.substitute(components) for c in inverse)):
-                raise NoInverseChart("compositions do not normalize to the identity")
+                raise NoInverseChart("inverse after chart is not the identity map")
         elif all(c.degree() <= 1 for c in components):
             inverse = _invert_affine_components(components)
         self.inverse = inverse
@@ -175,17 +176,21 @@ def _sandwich_elimination(alg: Algebra) -> tuple:
     return [[alg._den ** 2 * x for x in row] for row in ops], pivots, d
 
 
-def _sandwich_solve(alg: Algebra, rhs: Sequence[int]) -> Optional[tuple]:
-    """`ratlin.solve(S, rhs)` for the sandwich system S and an integer rhs,
-    as one integer matrix-vector product: ({column: numerator}, d) with
-    the solution numerators / d at the pivot columns and zero at the free
-    ones, or None when inconsistent.  S may be singular (it is over the
-    complex numbers)."""
-    ops, pivots, d = _sandwich_elimination(alg)
-    y = [sum(a * b for a, b in zip(row, rhs)) for row in ops]
-    if any(y[len(pivots):]):
-        return None
-    return dict(zip(pivots, y)), d
+def _sandwich_solve(alg: Algebra, columns: Sequence[Sequence[int]]) -> Optional[list]:
+    """`ratlin.solve(S, X)` for the sandwich system S and the integer
+    right-hand sides `columns` of X, as one integer matrix product: per
+    column, {column of S: numerator} with the solution numerators over
+    `_sandwich_elimination(alg)[2]` at the pivot columns and zero at the
+    free ones, or None when a column is inconsistent.  S may be singular
+    (it is over the complex numbers)."""
+    ops, pivots, _ = _sandwich_elimination(alg)
+    out = []
+    for col in columns:
+        y = [sum(map(operator.mul, row, col)) for row in ops]
+        if any(y[len(pivots):]):
+            return None
+        out.append(dict(zip(pivots, y)))
+    return out
 
 
 def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
@@ -196,8 +201,9 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     without an inverse.  The result is exact, so it is never checked.  At
     full rank the rows E of `ratlin._row_operations` satisfy E big = dbig I,
     so B^-1 = E diag(dens) / dbig; `_sandwich_solve` solves S c = rhs on
-    integers or returns None, so sum_pq c_pq e_p h e_q is block (v, j) of
-    B^-1; the constant is -(B^-1 t)_v.  So x = B^-1 (y - t), the inverse.
+    integers for the n^2 blocks at once or returns None, so sum_pq c_pq
+    e_p h e_q is block (v, j) of B^-1; the constant is -(B^-1 t)_v.  So
+    x = B^-1 (y - t), the inverse.
     """
     alg = components[0].algebra
     n, m = len(components), alg.dim
@@ -206,6 +212,12 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     if len(pivots) < n * m:
         return None
     ds = _sandwich_elimination(alg)[2]
+    # column v n + j: block (v, j) of binv read row by row, the right-hand
+    # side whose solution puts that block in sandwich form
+    sols = _sandwich_solve(alg, [[binv[v * m + r][j * m + s] for r in range(m) for s in range(m)]
+                                 for v in range(n) for j in range(n)])
+    if sols is None:
+        return None
     # every term over |dbig * ds|: block j's sandwich coefficients are
     # dens[j m] times integers over dbig * ds, the constant -(B^-1 t) is
     # -(binv tn) / dbig as the dens cancel, and both pivots may be negative
@@ -215,12 +227,8 @@ def _invert_affine_components(components: Sequence[NCPoly]) -> Optional[tuple]:
     for v in range(n):
         num = {}
         for j in range(n):
-            rhs = [binv[v * m + r][j * m + s] for r in range(m) for s in range(m)]
-            sol = _sandwich_solve(alg, rhs)
-            if sol is None:
-                return None
             f = fs * dens[j * m]
-            num.update({((j,), divmod(pq, m)): c * f for pq, c in sol[0].items() if c})
+            num.update({((j,), divmod(pq, m)): c * f for pq, c in sols[v * n + j].items() if c})
         for r in range(m):
             c = -sum(x * y for x, y in zip(binv[v * m + r], tn))
             if c:

@@ -5,7 +5,9 @@ numerators, so no float may enter: no float or complex literal, no use of
 the `float` or `complex` names and no true division `/`, which turns two
 integers into a float.  Integer numerators divide with `//`, Fractions
 are built with `Fraction(a, b)`.  Invariants are checked by raising,
-never by `assert`, which `python -O` strips.
+never by `assert`, which `python -O` strips.  The same holds for the
+product code that `algebra` generates from each table support, which
+must also hold no literal at all: constants are arguments, never text.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import ast
 from pathlib import Path
 
 import divring
+from divring.algebra import _product_source, _support
+from test_product import PRODUCT_ALGEBRAS
 
 SOURCES = sorted(Path(divring.__file__).parent.glob("*.py"))
 
@@ -46,3 +50,11 @@ def test_library_source_is_exact():
              for path in SOURCES
              for line, what in inexact_nodes(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def test_generated_products_are_exact_and_hold_no_constant():
+    for alg in PRODUCT_ALGEBRAS:
+        tree = ast.parse(_product_source(_support(alg)))
+        assert inexact_nodes(tree) == []
+        # index digits live in names such as a3 and c12, never in literals
+        assert [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)] == []

@@ -494,7 +494,7 @@ def test_zero_denominator_exits_with_one_error_line(tmp_path, capsys, point, com
 @pytest.mark.parametrize("components, inverse, code, err", [
     (["-" * 3000 + "x1", "x1 + x2"], None, 0, ""),
     (["x1 + x2", "x2"], ["x1 - x2 + 1", "x2"], 2,
-     "error: NoInverseChart: compositions do not normalize to the identity\n"),
+     "error: NoInverseChart: inverse after chart is not the identity map\n"),
 ])
 def test_pushforward_on_a_written_chart(tmp_path, capsys, components, inverse, code, err):
     chart = str(tmp_path / "chart.json")

@@ -34,6 +34,7 @@ from divring.calculus import (
     Chart,
     _directional_poly,
     _invert_affine_components,
+    _sandwich_elimination,
     _sandwich_solve,
     express_constant_field,
 )
@@ -586,8 +587,9 @@ def test_sandwich_solve_matches_ratlin_solve(alg):
     m, basis = alg.dim, alg.basis()
     s = [[mul(mul(basis[p], basis[t]), basis[q]).coords[r] for p in range(m) for q in range(m)]
          for r in range(m) for t in range(m)]
-    k = len(s)
+    k, d = len(s), _sandwich_elimination(alg)[2]
     seen = {True: 0, False: 0}
+    solved, failing = [], []
     for trial in range(16):
         if trial % 2:  # consistent: the image of a drawn vector
             x = [draw_q(rng) for _ in range(k)]
@@ -595,14 +597,21 @@ def test_sandwich_solve_matches_ratlin_solve(alg):
         else:  # drawn freely; inconsistent when S is singular
             rhs = [draw_big_q(rng) if rng.randrange(3) else Fraction(0) for _ in range(k)]
         nums, den = ratlin.over_common_denominator(rhs)
-        want, got = ratlin.solve(s, rhs), _sandwich_solve(alg, nums)
+        want, got = ratlin.solve(s, rhs), _sandwich_solve(alg, [nums])
         seen[want is not None] += 1
         if want is None:
             assert got is None
+            failing.append(nums)
             continue
-        sol, d = got
+        sol, = got
         assert set(sol) <= set(range(k))
         assert [Fraction(sol.get(c, 0), d * den) for c in range(k)] == want[0]
+        solved.append((nums, sol))
     assert seen[True] >= 8
+    # one product solves every column at once; one inconsistent column fails it
+    columns = [nums for nums, _ in solved]
+    assert _sandwich_solve(alg, columns) == [sol for _, sol in solved]
+    for nums in failing:
+        assert _sandwich_solve(alg, columns + [nums]) is None
     # only the complex numbers, of these four, have a singular sandwich matrix
     assert (seen[False] > 0) == (alg.dim == 2)
