@@ -14,14 +14,14 @@ algebra keeps, besides its Fraction tensor `constants`, the same table as
 integer numerators over one common denominator.  A product, sum or
 scaling is then integer work with one gcd reduction of the result.
 
-The product runs a straight-line function, compiled lazily on an
-algebra's first product, so an algebra that never multiplies pays
-nothing.  The generated code is keyed on the table's support: its
-dimension, the positions (i, j, k) of the nonzero integer constants and
-whether each is +1, -1 or another value.  It is compiled once per support
-and the other constants are bound per algebra as arguments of a generated
-factory, so the many basis-changed algebras of one support share one
-compilation and no constant is ever formatted into source text.
+The product (`_times`), the only routine that multiplies two coordinate
+vectors, runs a straight-line function compiled on an algebra's first
+product.  It is keyed on the table's support: its dimension, the
+positions (i, j, k) of the nonzero integer constants and whether each is
++1, -1 or another value.  It is compiled once per support and the other
+constants are bound per algebra as arguments of a generated factory, so
+the basis-changed algebras of one support share one compilation and no
+constant is ever formatted into source text.
 
 Normally the unit is a basis vector (`unit_index`); after an arbitrary
 change of basis it becomes a rational combination of basis vectors, which
@@ -120,6 +120,7 @@ class Algebra:
         self._validate_associativity()
 
     # -- validation ----------------------------------------------------------
+    # both walk the rows, not `_times`: nothing compiles before a product
 
     def _validate_unit(self):
         # sum_i u_i C[i][j][.] = e_j = sum_i u_i C[j][i][.]; over integers
@@ -167,7 +168,7 @@ class Algebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        return _element(self, tuple(int(j == i) for j in range(self.dim)), 1)
+        return _element(self, _unit_vectors(self.dim)[i], 1)
 
     @property
     def zero(self) -> "Element":
@@ -212,6 +213,12 @@ class Algebra:
     def __repr__(self):
         label = self.name or f"dim-{self.dim}"
         return f"Algebra({label})"
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(n: int) -> tuple:
+    """The integer coordinates of e_0 .. e_{n-1}, shared by every algebra."""
+    return tuple(tuple(int(i == b) for i in range(n)) for b in range(n))
 
 
 def _delta_index(coords) -> Optional[int]:
@@ -378,9 +385,9 @@ def build_algebra(dim, constants, unit_index=0, name=None) -> Algebra:
 
 def _product(a: Element, b: Element) -> tuple:
     """Unreduced numerators of a*b over a._den * b._den * algebra._den."""
-    f = a.algebra._compiled
+    f = a.algebra._compiled  # `_times` inlined: the hottest path
     if f is None:
-        f = _compile_product(a.algebra)
+        f = _times(a.algebra)
     return f(a._num, b._num)
 
 
@@ -428,11 +435,15 @@ def _product_factory(support: tuple):
     return namespace["make"]
 
 
-def _compile_product(alg: Algebra):
-    """Bind the algebra's constants other than +-1 into its support's
-    compiled product and keep the result on the algebra."""
-    f = _product_factory(_support(alg))(*(c for _, _, _, c in alg._terms if c not in (1, -1)))
-    alg._compiled = f
+def _times(alg: Algebra):
+    """The algebra's compiled product: integer coordinate vectors x, y ->
+    the numerators of x y over alg._den, a tuple.  On first use the
+    constants other than +-1 are bound into the support's compiled
+    function, which is kept on the algebra."""
+    f = alg._compiled
+    if f is None:
+        f = alg._compiled = _product_factory(_support(alg))(
+            *(c for _, _, _, c in alg._terms if c not in (1, -1)))
     return f
 
 
@@ -493,7 +504,8 @@ def inverse(a: Element) -> Element:
     divisors: a pivot in every column makes y -> a*y a bijection of the
     algebra, and a*(x*a) = (a*x)*a = a*unit, so x*a = unit (a finite-
     dimensional associative algebra is Dedekind-finite; T. Y. Lam, A First
-    Course in Noncommutative Rings, GTM 131).
+    Course in Noncommutative Rings, GTM 131).  The matrix is read off
+    `_terms` in one pass: built by `_times` per column it was slower.
     """
     if a.is_zero():
         raise ZeroElement("zero has no inverse")
@@ -557,40 +569,34 @@ def _int_matrix(m) -> tuple[list[tuple[int, ...]], int]:
     return [flat[r * n:(r + 1) * n] for r in range(n)], den
 
 
+def _row_times(v, m) -> list:
+    """The integer row vector v . m, skipping the zeros of v and of m."""
+    out = [0] * len(m)
+    for k, x in enumerate(v):
+        if x:
+            for el, y in enumerate(m[k]):
+                if y:
+                    out[el] += x * y
+    return out
+
+
 def change_basis(alg: Algebra, bc: BasisChange) -> Algebra:
     """Structural constants in the new basis e'_i = sum_j matrix[i][j] e_j.
 
-    C'[i][j][l] = sum_{p,q,k} M[i][p] M[j][q] C[p][q][k] Minv[k][l].  The
-    result is validated again, which doubles as a tensor-law check.  The
-    unit element generally stops being a basis vector, in which case the
-    returned algebra carries explicit unit coordinates.
+    C'[i][j][l] = sum_k (e'_i e'_j)_k Minv[k][l].  The result is validated
+    again, which doubles as a tensor-law check.  The unit element generally
+    stops being a basis vector, in which case the returned algebra carries
+    explicit unit coordinates.
     """
     if bc.dim != alg.dim:
         raise ValueError("basis change has wrong dimension")
-    n = alg.dim
-    m, dm = bc._int_matrix
-    minv, dinv = bc._int_inverse
+    n, times = alg.dim, _times(alg)
+    (m, dm), (minv, dinv) = bc._int_matrix, bc._int_inverse
     den = dm * dm * alg._den * dinv
-    new = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mi, mj = m[i], m[j]
-            prod = [0] * n
-            for p, q, k, c in alg._terms:
-                prod[k] += mi[p] * mj[q] * c
-            out = [0] * n
-            for k in range(n):
-                if prod[k]:
-                    row = minv[k]
-                    for el in range(n):
-                        if row[el]:
-                            out[el] += prod[k] * row[el]
-            new[i][j] = [Fraction(x, den) for x in out]
+    new = [[[Fraction(x, den) for x in _row_times(times(m[i], m[j]), minv)]
+            for j in range(n)] for i in range(n)]
     u, du = alg._unit
-    unit_den = du * dinv
-    unit_new = [
-        Fraction(sum(u[j] * minv[j][i] for j in range(n)), unit_den) for i in range(n)
-    ]
+    unit_new = [Fraction(x, du * dinv) for x in _row_times(u, minv)]
     return Algebra(n, new, unit_coords=unit_new)
 
 
@@ -603,14 +609,12 @@ def transform_vector(a: Element, bc: BasisChange, target: Optional[Algebra] = No
     """
     if bc.dim != a.algebra.dim:
         raise ValueError("basis change has wrong dimension")
-    n = bc.dim
-    if target is not None and target.dim != n:
+    if target is not None and target.dim != bc.dim:
         raise ValueError("coordinate length does not match algebra dimension")
     minv, dinv = bc._int_inverse
     # old row vector = new row vector . matrix, hence new = old . inverse
-    num = a._num
-    new = [sum(num[j] * minv[j][i] for j in range(n)) for i in range(n)]
-    return _reduced(target if target is not None else a.algebra, new, a._den * dinv)
+    return _reduced(target if target is not None else a.algebra,
+                    _row_times(a._num, minv), a._den * dinv)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, mul  # noqa: F401 (the benchmark's tracer rebinds it)
+from .algebra import Algebra, Element, _times, mul  # noqa: F401 (a benchmark tracer rebinds mul)
 from .errors import DimensionMismatch, NoInverseChart
 from .ncpoly import NCPoly, _poly, gateaux, gateaux2, gateaux_poly
 
@@ -89,19 +89,14 @@ class Chart:
         return tuple(c.evaluate(list(xp)) for c in self.require_inverse())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _triples(alg: Algebra) -> tuple:
     """Entry (p m + s) m + q: the pairs (r, c) of the nonzero coordinates
-    c / alg._den ** 2 of e_p e_s e_q, read once per algebra."""
-    m, rows = alg.dim, alg._rows
-    out = []
-    for p, s, q in product(range(m), repeat=3):
-        acc = [0] * m
-        for k, a in rows[p * m + s]:
-            for r, b in rows[k * m + q]:
-                acc[r] += a * b
-        out.append(tuple((r, c) for r, c in enumerate(acc) if c))
-    return tuple(out)
+    c / alg._den ** 2 of e_p e_s e_q, two compiled products, once per
+    algebra (bounded, as `_product_factory` is)."""
+    m, times, e = alg.dim, _times(alg), [x._num for x in alg.basis()]
+    return tuple(tuple((r, c) for r, c in enumerate(times(times(e[p], e[s]), e[q])) if c)
+                 for p, s, q in product(range(m), repeat=3))
 
 
 def _affine_parts(polys: Sequence[NCPoly]) -> tuple:
@@ -136,7 +131,7 @@ def _is_identity(polys: tuple) -> bool:
     alg._den ** (2k).  Q is infinite, so the map is zero exactly when every
     coefficient is.  Each round takes one factor e_s e_b and sums partial
     products alike in their term's rest and their choices.  Cost: at most
-    m^k `_triples` walks per degree-k term, m = dim D."""
+    m^k `_triples` walks per degree-k term, m = dim D; they beat `_times`."""
     alg, n = polys[0].algebra, len(polys)
     m, triples = alg.dim, _triples(alg)
     for v, poly in enumerate(polys):
@@ -160,7 +155,7 @@ def _is_identity(polys: tuple) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _sandwich_elimination(alg: Algebra) -> tuple:
     """`ratlin._row_operations` (ops, pivots, d) of the sandwich system S,
     once per algebra.  Row (r, t), column (p, q) of S is coordinate r of

@@ -218,7 +218,8 @@ class SylvesterSolution:
 
 def _two_sided_rows(a: Element) -> tuple[list[list[int]], int]:
     """Integer rows s over a denominator den with (a x + x a) coords =
-    (s / den) . x coords, s[k][j] / den = sum_i a^i (C[i][j][k] + C[j][i][k])."""
+    (s / den) . x coords, s[k][j] / den = sum_i a^i (C[i][j][k] + C[j][i][k]).
+    One pass over the table; products with each e_j by `_times` were slower."""
     alg = a.algebra
     n = alg.dim
     num = a._num

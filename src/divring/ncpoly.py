@@ -27,10 +27,12 @@ and the two directional derivatives run a straight-line program
 cached on the immutable polynomial.  It computes every prefix
 e_{b0} x_{v1} e_{b1} ... of the monomials read left to right once per
 call, shared by all monomials that start with it; extending a prefix by
-a basis constant is one table-row lookup per term and leaves it
-unreduced.  The k-th derivative is the program of the terms with k
-ordered distinct variable positions moved to k direction slots
-(`_shifted_terms`), run on the point and the k directions laid end to end.
+a basis constant is one unreduced call of `algebra._times`, the only
+routine that multiplies two coordinate vectors.  Term dicts extend
+monomials, not vectors, and read the table rows.  The k-th derivative is
+the program of the terms with k ordered distinct variable positions moved
+to k direction slots (`_shifted_terms`), run on the point and the k
+directions laid end to end.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, _element, _reduced, mul
+from .algebra import Algebra, Element, _element, _reduced, _times, _unit_vectors, mul
 from .errors import AlgebraMismatch
 
 _ZERO = Fraction(0)
@@ -49,7 +51,8 @@ _UNCOMPILED = (None, None, None)  # no program yet for orders 0, 1, 2
 
 
 def _dict_mul(alg: Algebra, t1: Mapping, t2: Mapping) -> dict:
-    """Product of two integer term dicts; zeros are dropped.
+    """Product of two integer term dicts; zeros are dropped.  It joins
+    monomials, not coordinate vectors, so it reads the table rows.
 
     The table rows carry the algebra's common denominator, so the result
     is over the product of the operands' denominators times `alg._den`.
@@ -133,29 +136,24 @@ def _evaluate(f: "NCPoly", k: int, values: Sequence[Element]) -> Element:
     A node's value is its numerators over an unreduced denominator, made
     an Element only to be multiplied.  A prefix times a value is one `mul`,
     which raises AlgebraMismatch for a value of another algebra; a prefix
-    times e_b is one table-row lookup.
+    times e_b is one unreduced compiled product.
     """
     firsts, steps, leaves, size = _program(f, k)
     alg = f.algebra
-    n, rows, tden = alg.dim, alg._rows, alg._den
+    tden, times, e_b = alg._den, _times(alg), _unit_vectors(alg.dim)
     nodes = [None] * size
     for b, node in firsts:
-        nodes[node] = tuple([int(i == b) for i in range(n)]), 1
+        nodes[node] = e_b[b], 1
     for parent, slot, kids in steps:
         # `mul` is looked up here on every step, never bound at compile
         # time: the benchmark's tracer rebinds `ncpoly.mul`, and its traced
         # calculus run needs `algebra.self_s` > 0 (ROADMAP open item 1)
         e = mul(_element(alg, *nodes[parent]), values[slot])
         den = e._den * tden
-        a = [(i * n, x) for i, x in enumerate(e._num) if x]
         for b, node in kids:
-            out = [0] * n
-            for i, x in a:
-                for j, c in rows[i + b]:
-                    out[j] += x * c
-            nodes[node] = tuple(out), den
+            nodes[node] = times(e._num, e_b[b]), den
     den = lcm(*{nodes[node][1] for _, node in leaves})
-    acc = [0] * n
+    acc = [0] * alg.dim
     for c, node in leaves:
         num, d = nodes[node]
         g = c * (den // d)
@@ -334,7 +332,7 @@ class NCPoly:
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
         """Plug a polynomial into every variable slot; replacements live in
         this polynomial's algebra, share one variable count and give it to
-        the result."""
+        the result.  Via `_dict_mul`, extending a prefix by e_b was slower."""
         if len(replacements) != self.nvars:
             raise ValueError("wrong number of replacements")
         alg = self.algebra

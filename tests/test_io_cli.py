@@ -541,3 +541,41 @@ def test_outputs_are_reproducible(capsys):
     b = run_cli(capsys, "tower", "basis", data("mod3_tower.json"),
                 "--gens", "2:(1,0),(0,1),(1,1);3:(0,0),(1,0)")
     assert a == b
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["algebra", "check", "{brace}"], "error: {brace}: Expecting property name"),
+    (["tower", "classify", data("mod3_tower.json"), "--max-product", "10"],
+     "error: carrier product 243 exceeds the bound 10\n"),
+    (["rep", "closure", data("c6.json"), "--gens", "zz"],
+     "error: unknown carrier label 'zz'\n"),
+    (["tower", "closure", data("mod3_tower.json"), "--gens", "9:a"],
+     "error: level 9 out of range\n"),
+    (["tower", "closure", data("mod3_tower.json"), "--gens", "x:a"],
+     "error: bad tower generator chunk 'x:a'\n"),
+])
+def test_bad_cli_input_exits_1_with_one_error_line(tmp_path, capsys, argv, err):
+    brace = tmp_path / "brace.json"
+    brace.write_text("{", encoding="utf-8")
+    code, out, got = run_cli(capsys, *(a.format(brace=brace) for a in argv))
+    assert code == 1 and out == ""
+    assert got.startswith(err.format(brace=brace)) and got.count("\n") == 1
+
+
+@pytest.mark.parametrize("dt", ["1", "i", "1 + j", "-2/3 + k"])
+def test_geodesic_sign_convention_flips_the_connection_term(capsys, dt):
+    # along the flat line (t, t) the second derivative vanishes, and the
+    # chart x'2 = x2 + x1 x1 has Gamma(v)(a) = (0, -(v a + a v)), so the
+    # residual is second -/+ Gamma = (0, +/- 2 dt dt) under "9.1" / "8.2"
+    argv = ["calc", "geodesic", "--chart", data("chart_quadratic.json"),
+            "--path", "x1; x1", "--t0", "5/7", "--dt", dt]
+    step = parse_element(H, dt)
+    second = (H.zero, H.zero)
+    gamma = (H.zero, -(step * step + step * step))
+    for sign, flip in (("9.1", -1), ("8.2", 1)):
+        want = tuple(s + g.scale(flip) for s, g in zip(second, gamma))
+        assert run_cli(capsys, "--sign-convention", sign, *argv) == (
+            0, f"residual: {format_vector(want)}\n", "")
+    if dt == "1":
+        assert run_cli(capsys, "--sign-convention", "9.1", *argv)[1] == "residual: 0; 2\n"
+        assert run_cli(capsys, *argv)[1] == "residual: 0; -2\n"
