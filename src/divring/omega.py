@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -87,6 +89,11 @@ def _tabulate(what: str, table, carriers: Sequence, index: Mapping) -> tuple:
     raise ValueError(f"{what} has a cell outside the carriers at {extra!r}")
 
 
+def _readers(flat: tuple, n: int) -> tuple:
+    """One itemgetter per n-value row of flat (a nullary table: one row)."""
+    return tuple([itemgetter(*flat[i:i + n]) for i in range(0, len(flat), max(n, 1))])
+
+
 class FiniteOmegaAlgebra:
     """A finite carrier with a total table for every signature operation.
 
@@ -97,11 +104,11 @@ class FiniteOmegaAlgebra:
     carrier is read as indices 0..n-1 and each table as one flat tuple of
     value indices, (a_1, .., a_r) at sum a_k n^(r-k), the itertools.product
     order: same_structure, the law checks of Representation and the engine
-    read these tuples.  `tables` is the label-level view.  Neither may be
-    mutated after construction.
+    read these tuples, the morphism checks one itemgetter per n-value row.
+    `tables` is the label-level view.  None may be mutated after construction.
     """
 
-    __slots__ = ("carrier", "signature", "tables", "name", "_index", "_flat")
+    __slots__ = ("carrier", "signature", "tables", "name", "_index", "_flat", "_readers")
 
     def __init__(self, carrier, signature, tables, name=None,
                  carrier_bound=DEFAULT_CARRIER_BOUND):
@@ -117,10 +124,13 @@ class FiniteOmegaAlgebra:
         self.signature = signature
         self.name = name
         self._index = {m: i for i, m in enumerate(self.carrier)}
-        self.tables, self._flat = {}, {}
+        self.tables, self._flat, self._readers = {}, {}, {}
         for op, arity in signature.ops:
+            if op not in tables:
+                raise ValueError(f"no table for {op!r}")
             self.tables[op], self._flat[op] = _tabulate(
                 f"table for {op!r}", tables[op], [self.carrier] * arity, self._index)
+            self._readers[op] = _readers(self._flat[op], len(self.carrier))
 
     def apply(self, op: str, args: Sequence) -> object:
         return self.tables[op][tuple(args)]
@@ -171,8 +181,8 @@ class Representation:
     a callable of a and m; construction raises ValueError naming the first
     pair, in carrier order, that a mapping misses or whose value is not an
     acted element, else its first other key.  It is kept as one image row
-    of acted-carrier indices per actor, in acting-carrier order, and `action` is the label-level
-    view.  Neither may be mutated after construction.
+    of acted-carrier indices per actor, in acting-carrier order, each with
+    an itemgetter reader; `action` is the label-level view.  None may change.
     The endomorphism and rep_kind laws are checked on the rows and the flat
     tables, a failure naming its first witness in carrier order (actor,
     operation and arguments; or law and witness); `validate=False` skips
@@ -180,7 +190,7 @@ class Representation:
     """
 
     __slots__ = ("acting", "acted", "action", "rep_kind", "handedness", "name",
-                 "_rows")
+                 "_rows", "_readers")
 
     def __init__(self, acting, acted, action, rep_kind="raw", handedness="left",
                  name=None, validate=True):
@@ -194,6 +204,7 @@ class Representation:
                                       acted._index)
         n = len(acted.carrier)
         self._rows = tuple([flat[a * n:a * n + n] for a in range(len(acting.carrier))])
+        self._readers = _readers(flat, n)
         self.rep_kind = rep_kind
         self.handedness = handedness
         self.name = name
@@ -625,9 +636,10 @@ def word_generators(word) -> set:
 # The engine runs on carrier indices, the flat operation tables and the
 # action rows; labels and words are made only for results.  One semi-naive
 # round loop (_rounds) yields the closure words, the membership trials of
-# basis extraction and the straight-line programs that enumeration runs
-# once per candidate.  The public functions here and in towers wrap these
-# routines.
+# basis extraction and the straight-line programs that enumeration builds
+# once per tower in a bounded cache (_search) and runs once per candidate,
+# checking it row by row through itemgetter readers.  The public functions
+# here and in towers wrap these routines.
 
 
 def _rounds(rep: Representation, actors: Sequence, start: Sequence):
@@ -778,17 +790,22 @@ def _index_row(h: Mapping, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
 
 
 def _op_break(h: Sequence, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
-    """None when the index row h respects every operation of src: dst's
-    flat table at the h-images of each tuple is h of src's value there.
-    Otherwise the first operation that fails, in signature order, as
-    (op, arity, lhs, rhs), the two sides as flat lists."""
-    n, image = len(dst.carrier), h.__getitem__
+    """None when the index row h respects every operation of src: for each
+    argument prefix, dst's row at its h-images read through itemgetter(*h)
+    is src's reader of its row applied to h.  Otherwise the first failing
+    operation, in signature order, as (op, arity, lhs, rhs) flat lists."""
+    if not h:  # an empty carrier has no nullary operation
+        return None
+    n, read = len(dst.carrier), itemgetter(*h)
     for op, arity in src.signature.ops:
-        pos = [0]
-        for _ in range(arity):
-            pos = [p * n + x for p in pos for x in h]
-        lhs, rhs = list(map(dst._flat[op].__getitem__, pos)), list(map(image, src._flat[op]))
+        table, starts = dst._flat[op], [0]
+        for _ in range(arity - 1):
+            starts = [(s + x) * n for s in starts for x in h]
+        lhs = [read(table[s:s + n]) for s in starts] if arity else [table[0]]
+        rhs = [r(h) for r in src._readers[op]]
         if lhs != rhs:
+            if arity and len(h) > 1:
+                lhs, rhs = [v for row in lhs for v in row], [v for row in rhs for v in row]
             return op, arity, lhs, rhs
     return None
 
@@ -796,10 +813,11 @@ def _op_break(h: Sequence, src: FiniteOmegaAlgebra, dst: FiniteOmegaAlgebra):
 def _maps_action(h: Sequence, lower: Sequence, f: Representation,
                  g: Representation) -> bool:
     """h(f(a)(m)) = g(lower(a))(h(m)) for index rows h of the acted carrier
-    and lower of the acting one: each actor row of f through h is g's row
-    of lower(a) read at h."""
+    and lower of the acting one: g's row of lower(a) read through
+    itemgetter(*h) is f's reader of a's row applied to h."""
     rows = g._rows
-    return [h[v] for row in f._rows for v in row] == [rows[b][x] for b in lower for x in h]
+    return not h or (list(map(itemgetter(*h), map(rows.__getitem__, lower)))
+                     == [r(h) for r in f._readers])
 
 
 def _is_level_endomorphism(rep: Representation, h: Sequence, lower: Sequence) -> bool:
@@ -833,6 +851,15 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
     ])
 
 
+@lru_cache(maxsize=256)
+def _search(reps: tuple) -> tuple:
+    """Per level of the tower, its basis as carrier indices and the _rounds steps of its closure."""
+    basis = _basis(reps, [rep.acted.carrier for rep in reps])
+    gens = tuple([tuple([rep.acted._index[x] for x in level]) for rep, level in zip(reps, basis)])
+    return gens, tuple([tuple([s for fresh in _rounds(rep, range(len(rep.acting.carrier)), g)
+                               for s in fresh]) for rep, g in zip(reps, gens)])
+
+
 def _endomorphisms(reps: Sequence) -> list:
     """All endomorphisms (h_2, .., h_n), ordered by the basis images of the
     lowest level first, each level's images in carrier-lexicographic order.
@@ -840,17 +867,15 @@ def _endomorphisms(reps: Sequence) -> list:
     An endomorphism is determined by its images of a basis: h_k(m) is the
     value of the closure word of m when the basis of every level j <= k
     takes its images under h_j.  Each level's closure of its basis is
-    compiled once into a straight-line program over indices, one step per
+    compiled into a straight-line program over indices, one step per
     derived member in word-table order: (m, flat table, argument slots) for
     an operation, (m, actor row, slot) for an action, with the row of
     h_{k-1}(actor) for the index map h_{k-1} chosen one level down (the
-    identity under level 2).  Each candidate runs the program into an index
-    row, kept when it passes the level check.
+    identity under level 2); bases and programs are built once per tower,
+    in a bounded cache (_search).  Each candidate runs the program into an
+    index row, kept as new dicts when it passes the row-reader checks.
     """
-    basis = _basis(reps, [rep.acted.carrier for rep in reps])
-    gens = [[rep.acted._index[x] for x in level] for rep, level in zip(reps, basis)]
-    programs = [[s for fresh in _rounds(rep, range(len(rep.acting.carrier)), g) for s in fresh]
-                for rep, g in zip(reps, gens)]
+    gens, programs = _search(tuple(reps))
     out = []
 
     def extend(k, chosen, lower):

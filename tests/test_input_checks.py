@@ -192,6 +192,8 @@ CASES = {
                           ValueError, "carrier labels must be distinct"),
     "carrier-bound": (lambda: FiniteOmegaAlgebra(range(5), Signature([]), {}, carrier_bound=4),
                       ValueError, "carrier size 5 exceeds bound 4"),
+    "table-missing": (lambda: FiniteOmegaAlgebra([], Signature([("mul", 2)]), {}),
+                      ValueError, "no table for 'mul'"),
     "rep_kind": (lambda: Representation(cyclic_group(2), point_set(2),
                                         lambda a, m: (a + m) % 2, rep_kind="group"),
                  ValueError, "unknown rep_kind 'group'"),

@@ -4,15 +4,21 @@ Seeded random algebras (carriers of 1-6 labels mixing ints, strings and
 tuples; operations of arity 0-3) carry raw representations built without
 validation and towers of height 2 and 3.  Each oracle is written here, on
 labels only: the breadth-first label-keyed closure loop, a greedy basis over
-the set-only saturations, and brute force over every carrier map.
+the set-only saturations, and brute force over every carrier map.  The
+row-reader morphism checks are compared with the flat-list checks they
+replaced, on carriers of 0 to 48 elements, and the cached endomorphism
+search with fresh, evicted, copied and pickled representations.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
-from divring.errors import NotGenerating, NotRepEndomorphism
+from divring import omega
+from divring.errors import NotEndomorphism, NotGenerating, NotRepEndomorphism
 from divring.omega import (
     Act,
     App,
@@ -20,14 +26,25 @@ from divring.omega import (
     Gen,
     Representation,
     Signature,
+    _first_break,
+    _maps_action,
+    _op_break,
+    check_morphism,
     closure,
     endo_coordinates,
     enumerate_rep_endomorphisms,
     extract_basis,
+    is_homomorphism,
     is_rep_endomorphism,
     naive_closure,
 )
-from divring.samples import cyclic_group, generation_rep, point_set
+from divring.samples import (
+    cyclic_group,
+    generation_rep,
+    point_set,
+    toy_affine_tower,
+    translation_rep,
+)
 from divring.towers import (
     Tower,
     enumerate_tower_endomorphisms,
@@ -252,10 +269,17 @@ def affine_lines():
         validate=False)]) for n in (2, 3, 4)]
 
 
+def sample_towers():
+    """generation_rep(n) for n = 1..6 and translation_rep(6), as height-2
+    towers: brute force tries all 6^6 maps of the largest."""
+    return [Tower([rep]) for rep in [*map(generation_rep, range(1, 7)), translation_rep(6)]]
+
+
 @pytest.mark.parametrize("height,max_size", [(2, 4), (3, 3)])
 def test_enumeration_matches_brute_force(height, max_size):
     cases = towers(630 + height, 50, height, max_size)
-    for tower, rng in cases + [(t, None) for t in affine_lines() if height == 3]:
+    extra = affine_lines() if height == 3 else sample_towers()
+    for tower, rng in cases + [(t, None) for t in extra]:
         full = [alg.carrier for alg in tower.algebras[1:]]
         basis = tower_basis(tower, full)
 
@@ -297,3 +321,207 @@ def test_endomorphism_check_matches_oracle(height):
                 if height == 2:
                     with pytest.raises(NotRepEndomorphism):
                         endo_coordinates(tower.reps[0], carriers[0], bad[0])
+
+
+# ---------------------------------------------------------------------------
+# row-reader checks against the flat-list checks they replaced
+
+
+def flat_op_break(h, src, dst):
+    """The flat-list operation check: dst's table at the h-images of every
+    argument tuple against h of src's value, in itertools.product order."""
+    n, image = len(dst.carrier), h.__getitem__
+    for op, arity in src.signature.ops:
+        pos = [0]
+        for _ in range(arity):
+            pos = [p * n + x for p in pos for x in h]
+        lhs, rhs = list(map(dst._flat[op].__getitem__, pos)), list(map(image, src._flat[op]))
+        if lhs != rhs:
+            return op, arity, lhs, rhs
+    return None
+
+
+def flat_maps_action(h, lower, f, g):
+    """The flat-list action check: every actor row of f through h against
+    g's row of lower(a) read at h."""
+    rows = g._rows
+    return [h[v] for row in f._rows for v in row] == [rows[b][x] for b in lower for x in h]
+
+
+def algebra_pair(rng, n_src, n_dst):
+    """Two algebras of one signature (arities 0-3; nullary only on nonempty
+    carriers, ternary only up to 13 elements) and a label map h from the
+    first carrier to the second, onto when n_src >= n_dst.  dst's tables
+    are random; src's value at each tuple is an h-preimage of dst's value
+    at the h-images when h reaches it, so an onto h is a homomorphism;
+    half the time one src cell is then redrawn.  Returns (src, dst, h)."""
+    src_c = [("s", i) for i in rng.sample(range(n_src), n_src)]
+    dst_c = [f"d{i}" for i in range(n_dst)]
+    if n_dst <= n_src:
+        images = dst_c + [rng.choice(dst_c) for _ in range(n_src - n_dst)]
+        rng.shuffle(images)
+    else:
+        images = [rng.choice(dst_c) for _ in src_c]
+    h = dict(zip(src_c, images))
+    pre = {}
+    for x, y in h.items():
+        pre.setdefault(y, []).append(x)
+    ops = [(name, arity) for name, arity in zip("cumt", range(4))
+           if rng.random() < 0.7 and (arity or min(n_src, n_dst))
+           and (arity < 3 or max(n_src, n_dst) <= 13)]
+    dst_tables = {op: {args: rng.choice(dst_c) for args in itertools.product(dst_c, repeat=arity)}
+                  for op, arity in ops}
+    src_tables = {op: {args: rng.choice(pre.get(dst_tables[op][tuple(h[x] for x in args)], src_c))
+                       for args in itertools.product(src_c, repeat=arity)}
+                  for op, arity in ops}
+    if src_c and ops and rng.random() < 0.5:
+        op, arity = rng.choice(ops)
+        src_tables[op][tuple(rng.choice(src_c) for _ in range(arity))] = rng.choice(src_c)
+    signature = Signature(ops)
+    return (FiniteOmegaAlgebra(src_c, signature, src_tables),
+            FiniteOmegaAlgebra(dst_c, signature, dst_tables), h)
+
+
+ALGEBRA_SIZES = [(0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 1), (3, 2), (2, 5), (5, 5),
+                 (8, 3), (13, 13), (30, 48), (48, 7), (48, 48)]
+
+
+def test_operation_check_matches_flat_lists():
+    rng = random.Random(650)
+    broken_arities, passed = set(), 0
+    for n_src, n_dst in ALGEBRA_SIZES:
+        for _ in range(12):
+            src, dst, h = algebra_pair(rng, n_src, n_dst)
+            row = [dst.index(h[m]) for m in src.carrier]
+            want = flat_op_break(row, src, dst)
+            assert _op_break(row, src, dst) == want
+            assert _op_break(tuple(row), src, dst) == want
+            assert is_homomorphism(h, src, dst) is (want is None)
+            if want is None:
+                passed += 1
+            else:
+                broken_arities.add(want[1])
+            # the target's own endomorphism check, on a random self-map
+            self_map = [rng.randrange(n_dst) for _ in range(n_dst)]
+            assert _op_break(self_map, dst, dst) == flat_op_break(self_map, dst, dst)
+            assert _op_break(range(n_dst), dst, dst) is None
+    assert broken_arities == {0, 1, 2, 3} and passed > 20
+
+
+REP_SIZES = [(0, 0, 0, 0), (0, 2, 3, 3), (2, 2, 0, 0), (2, 2, 0, 3), (1, 1, 1, 1),
+             (3, 2, 2, 2), (2, 4, 3, 2), (5, 5, 8, 8), (3, 1, 48, 6), (4, 4, 48, 48),
+             (2, 3, 5, 9)]
+
+
+def test_action_check_matches_flat_lists():
+    rng = random.Random(651)
+    outcomes = set()
+    for n_a, n_b, n_m, n_n in REP_SIZES:
+        for _ in range(12):
+            acting_f, acting_g, r = algebra_pair(rng, n_a, n_b)
+            acted_f, acted_g, big_r = algebra_pair(rng, n_m, n_n)
+            g = Representation(acting_g, acted_g, {
+                (b, y): rng.choice(acted_g.carrier)
+                for b in acting_g.carrier for y in acted_g.carrier}, validate=False)
+            pre = {}
+            for x, y in big_r.items():
+                pre.setdefault(y, []).append(x)
+            # an action with R(f(a)(m)) = g(r(a))(R(m)) wherever R reaches
+            # the right-hand side, then half the time one cell redrawn
+            action = {(a, m): rng.choice(pre.get(g.act(r[a], big_r[m]), acted_f.carrier))
+                      for a in acting_f.carrier for m in acted_f.carrier}
+            if action and rng.random() < 0.5:
+                action[rng.choice(list(action))] = rng.choice(acted_f.carrier)
+            f = Representation(acting_f, acted_f, action, validate=False)
+            lower = [acting_g.index(r[a]) for a in acting_f.carrier]
+            row = [acted_g.index(big_r[m]) for m in acted_f.carrier]
+            want = flat_maps_action(row, lower, f, g)
+            assert _maps_action(row, lower, f, g) is want
+            assert _maps_action(tuple(row), tuple(lower), f, g) is want
+            morphism = (flat_op_break(lower, acting_f, acting_g) is None
+                        and flat_op_break(row, acted_f, acted_g) is None and want)
+            assert check_morphism(r, big_r, f, g) is morphism
+            outcomes.add((want, morphism))
+            # f's own action check under a random acted self-map
+            self_map = [rng.randrange(n_m) for _ in range(n_m)]
+            assert (_maps_action(self_map, range(n_a), f, f)
+                    is flat_maps_action(self_map, range(n_a), f, f))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_non_endomorphic_action_names_the_flat_witness():
+    rng = random.Random(652)
+    raised = 0
+    for size in [1, 2, 3, 5, 9, 13] * 10:
+        alg, _, _ = algebra_pair(rng, size, size)
+        acting = point_set(rng.randint(1, 4))
+        # every actor acts as the identity, then half the time one cell moves
+        action = {(a, m): m for a in acting.carrier for m in alg.carrier}
+        if rng.random() < 0.5:
+            action[rng.choice(list(action))] = rng.choice(alg.carrier)
+        want = None
+        for a in acting.carrier:
+            row = [alg.index(action[a, m]) for m in alg.carrier]
+            broken = flat_op_break(row, alg, alg)
+            if broken is not None:
+                op, arity, lhs, rhs = broken
+                want = (a, op, _first_break(lhs, rhs, *[alg.carrier] * arity))
+                break
+        if want is None:
+            Representation(acting, alg, action)
+            continue
+        with pytest.raises(NotEndomorphism) as info:
+            Representation(acting, alg, action)
+        assert (info.value.actor, info.value.op) == want[:2]
+        assert str(info.value) == \
+            f"transformation of {want[0]!r} breaks operation {want[1]!r} at {want[2]!r}"
+        raised += 1
+    assert 10 < raised < 60
+
+
+# ---------------------------------------------------------------------------
+# the endomorphism search, built once per tower
+
+
+def test_search_is_built_once_per_tower(monkeypatch):
+    built = []
+    basis = omega._basis
+    monkeypatch.setattr(omega, "_basis", lambda reps, gens: built.append(reps) or basis(reps, gens))
+    tower, rep = toy_affine_tower(), translation_rep(5)
+    assert enumerate_tower_endomorphisms(tower) == enumerate_tower_endomorphisms(tower)
+    assert enumerate_rep_endomorphisms(rep) == enumerate_rep_endomorphisms(rep)
+    assert built == [tower.reps, (rep,)]
+
+
+def test_search_cache_is_bounded():
+    reps = [translation_rep(1 + i % 4) for i in range(300)]
+    first = [enumerate_rep_endomorphisms(rep) for rep in reps]
+    info = omega._search.cache_info()
+    assert info.currsize == info.maxsize == 256
+    assert enumerate_rep_endomorphisms(reps[0]) == first[0]
+    assert omega._search.cache_info().misses == info.misses + 1  # evicted, built again
+    assert enumerate_rep_endomorphisms(reps[-1]) == first[-1]
+    assert omega._search.cache_info().misses == info.misses + 1
+
+
+def test_returned_endomorphisms_are_fresh():
+    rep, tower = generation_rep(6), toy_affine_tower()
+    endos, maps = enumerate_rep_endomorphisms(rep), enumerate_tower_endomorphisms(tower)
+    want = [list(r.items()) for r in endos]
+    want_maps = [[list(h.items()) for h in m] for m in maps]
+    endos[0][0] = 5
+    endos[1].clear()
+    endos.pop()
+    maps[0][1][(0, 0)] = (1, 1)
+    maps[1][0].clear()
+    assert [list(r.items()) for r in enumerate_rep_endomorphisms(rep)] == want
+    assert [[list(h.items()) for h in m] for m in enumerate_tower_endomorphisms(tower)] == want_maps
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_enumerate_alike(clone):
+    rep, tower = translation_rep(6), toy_affine_tower()
+    want, want_maps = enumerate_rep_endomorphisms(rep), enumerate_tower_endomorphisms(tower)
+    assert enumerate_rep_endomorphisms(clone(rep)) == want
+    assert enumerate_tower_endomorphisms(clone(tower)) == want_maps
