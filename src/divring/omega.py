@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -190,7 +189,7 @@ class Representation:
     """
 
     __slots__ = ("acting", "acted", "action", "rep_kind", "handedness", "name",
-                 "_rows", "_readers")
+                 "_rows", "_readers", "_search")
 
     def __init__(self, acting, acted, action, rep_kind="raw", handedness="left",
                  name=None, validate=True):
@@ -205,6 +204,7 @@ class Representation:
         n = len(acted.carrier)
         self._rows = tuple([flat[a * n:a * n + n] for a in range(len(acting.carrier))])
         self._readers = _readers(flat, n)
+        self._search = None  # basis and closure program, on first enumeration
         self.rep_kind = rep_kind
         self.handedness = handedness
         self.name = name
@@ -637,9 +637,9 @@ def word_generators(word) -> set:
 # action rows; labels and words are made only for results.  One semi-naive
 # round loop (_rounds) yields the closure words, the membership trials of
 # basis extraction and the straight-line programs that enumeration builds
-# once per tower in a bounded cache (_search) and runs once per candidate,
-# checking it row by row through itemgetter readers.  The public functions
-# here and in towers wrap these routines.
+# once per representation, keeps on it (_search) and runs once per
+# candidate, checking it row by row through itemgetter readers.  The
+# public functions here and in towers wrap these routines.
 
 
 def _rounds(rep: Representation, actors: Sequence, start: Sequence):
@@ -851,13 +851,12 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
     ])
 
 
-@lru_cache(maxsize=256)
-def _search(reps: tuple) -> tuple:
-    """Per level of the tower, its basis as carrier indices and the _rounds steps of its closure."""
-    basis = _basis(reps, [rep.acted.carrier for rep in reps])
-    gens = tuple([tuple([rep.acted._index[x] for x in level]) for rep, level in zip(reps, basis)])
-    return gens, tuple([tuple([s for fresh in _rounds(rep, range(len(rep.acting.carrier)), g)
-                               for s in fresh]) for rep, g in zip(reps, gens)])
+def _search(rep: Representation) -> tuple:
+    """rep's basis as acted-carrier indices and the _rounds steps of its closure, kept on rep."""
+    if rep._search is None:
+        gens = tuple([rep.acted._index[x] for x in _basis((rep,), [rep.acted.carrier])[0]])
+        rep._search = gens, tuple([s for f in _rounds(rep, range(len(rep.acting.carrier)), gens) for s in f])
+    return rep._search
 
 
 def _endomorphisms(reps: Sequence) -> list:
@@ -871,11 +870,12 @@ def _endomorphisms(reps: Sequence) -> list:
     derived member in word-table order: (m, flat table, argument slots) for
     an operation, (m, actor row, slot) for an action, with the row of
     h_{k-1}(actor) for the index map h_{k-1} chosen one level down (the
-    identity under level 2); bases and programs are built once per tower,
-    in a bounded cache (_search).  Each candidate runs the program into an
-    index row, kept as new dicts when it passes the row-reader checks.
+    identity under level 2).  A basis is minimal under the whole level
+    below, so a representation's basis and program, kept on it (_search),
+    serve every tower it is a level of.  Each candidate runs the programs
+    into index rows, kept as new dicts when they pass the row checks.
     """
-    gens, programs = _search(tuple(reps))
+    gens, programs = zip(*[_search(rep) for rep in reps])
     out = []
 
     def extend(k, chosen, lower):

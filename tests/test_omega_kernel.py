@@ -6,8 +6,8 @@ validation and towers of height 2 and 3.  Each oracle is written here, on
 labels only: the breadth-first label-keyed closure loop, a greedy basis over
 the set-only saturations, and brute force over every carrier map.  The
 row-reader morphism checks are compared with the flat-list checks they
-replaced, on carriers of 0 to 48 elements, and the cached endomorphism
-search with fresh, evicted, copied and pickled representations.
+replaced, on carriers of 0 to 48 elements, and the kept endomorphism
+search with fresh, repeated, copied and pickled representations.
 """
 
 import copy
@@ -480,28 +480,25 @@ def test_non_endomorphic_action_names_the_flat_witness():
 
 
 # ---------------------------------------------------------------------------
-# the endomorphism search, built once per tower
+# the endomorphism search, built once per representation and kept on it
 
 
-def test_search_is_built_once_per_tower(monkeypatch):
+def test_search_is_built_once_per_representation(monkeypatch):
     built = []
     basis = omega._basis
     monkeypatch.setattr(omega, "_basis", lambda reps, gens: built.append(reps) or basis(reps, gens))
     tower, rep = toy_affine_tower(), translation_rep(5)
     assert enumerate_tower_endomorphisms(tower) == enumerate_tower_endomorphisms(tower)
     assert enumerate_rep_endomorphisms(rep) == enumerate_rep_endomorphisms(rep)
-    assert built == [tower.reps, (rep,)]
-
-
-def test_search_cache_is_bounded():
-    reps = [translation_rep(1 + i % 4) for i in range(300)]
-    first = [enumerate_rep_endomorphisms(rep) for rep in reps]
-    info = omega._search.cache_info()
-    assert info.currsize == info.maxsize == 256
-    assert enumerate_rep_endomorphisms(reps[0]) == first[0]
-    assert omega._search.cache_info().misses == info.misses + 1  # evicted, built again
-    assert enumerate_rep_endomorphisms(reps[-1]) == first[-1]
-    assert omega._search.cache_info().misses == info.misses + 1
+    assert built == [tower.reps[:1], tower.reps[1:], (rep,)]
+    # towers over searched representations reuse their searches
+    assert enumerate_tower_endomorphisms(Tower([rep])) == [
+        (r,) for r in enumerate_rep_endomorphisms(rep)]
+    assert len(enumerate_tower_endomorphisms(Tower(tower.reps[1:]))) == 9
+    assert len(built) == 3
+    # an equal but distinct representation has a search of its own
+    assert enumerate_rep_endomorphisms(translation_rep(5)) == enumerate_rep_endomorphisms(rep)
+    assert len(built) == 4
 
 
 def test_returned_endomorphisms_are_fresh():
@@ -524,4 +521,5 @@ def test_copies_enumerate_alike(clone):
     rep, tower = translation_rep(6), toy_affine_tower()
     want, want_maps = enumerate_rep_endomorphisms(rep), enumerate_tower_endomorphisms(tower)
     assert enumerate_rep_endomorphisms(clone(rep)) == want
+    assert enumerate_rep_endomorphisms(clone(translation_rep(6))) == want  # not yet searched
     assert enumerate_tower_endomorphisms(clone(tower)) == want_maps
