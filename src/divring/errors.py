@@ -78,12 +78,14 @@ class ZeroDiagonalEntry(DivRingError):
 class NotEndomorphism(DivRingError):
     """An action transformation does not respect the acted algebra's operations."""
 
-    def __init__(self, actor, op, args):
+    def __init__(self, actor, op, arguments):
+        # the witness is not kept in `args`: BaseException owns that field
+        # and its __str__ reads the message from it
         self.actor = actor
         self.op = op
-        self.args = args
+        self.arguments = arguments
         super().__init__(
-            f"transformation of {actor!r} breaks operation {op!r} at {args!r}"
+            f"transformation of {actor!r} breaks operation {op!r} at {arguments!r}"
         )
 
 

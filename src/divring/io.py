@@ -5,6 +5,11 @@ the standard quaternion algebra print in literal syntax ("1/2 - 3i + k");
 every other algebra uses comma-separated coordinate lists.  Vectors of
 elements join components with "; ".  All writers are deterministic so
 repeated runs are byte-identical.
+
+Literals are read and written on integers.  Every number token "p/q" is
+split into the integers p and q; an element's numerators are collected
+over one common denominator and reduced once, and an element prints from
+its integer numerators and denominator with one gcd per coordinate.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
     BUILTIN_ALGEBRAS,
     Element,
+    _reduced,
     quaternion_algebra,
 )
 from .errors import DivRingError, ParseError
@@ -35,27 +42,39 @@ from .affine import AffineMap, Plane
 # rationals
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """The rational p/q, q > 0, as "p" or "p/q" in lowest terms."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
 
 
 _RAT = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def _fraction(text: str) -> Fraction:
-    """A matched literal "p" or "p/q"; q = 0 is a ParseError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+def _split(text: str) -> tuple[int, int]:
+    """The integers p and q > 0 of a matched literal "p" or "p/q"; q = 0
+    is a ParseError."""
+    num, _, den = text.partition("/")
+    p, q = int(num), int(den or 1)
+    if not q:
+        raise ParseError(f"zero denominator in {text!r}")
+    return p, q
 
 
-def parse_rational(text: str) -> Fraction:
+def _rational(text: str) -> tuple[int, int]:
     text = text.strip()
     if not _RAT.match(text):
         raise ParseError(f"not a rational: {text!r}")
-    return _fraction(text)
+    return _split(text)
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(*_rational(text))
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +89,34 @@ _UNIT_NAMES = ("1", "i", "j", "k")
 
 
 def format_element(e: Element) -> str:
+    num, den = e._num, e._den
     if _is_standard_quaternions(e.algebra):
         parts = []
-        for coord, unit in zip(e.coords, _UNIT_NAMES):
-            if not coord:
+        for x, unit in zip(num, _UNIT_NAMES):
+            if not x:
                 continue
-            mag = format_rational(abs(coord))
+            mag = _ratio_text(abs(x), den)
             body = mag if unit == "1" else ("" if mag == "1" else mag) + unit
             if not parts:
-                parts.append(body if coord > 0 else "-" + body)
+                parts.append(body if x > 0 else "-" + body)
             else:
-                parts.append(("+ " if coord > 0 else "- ") + body)
+                parts.append(("+ " if x > 0 else "- ") + body)
         return " ".join(parts) if parts else "0"
-    return ",".join(format_rational(c) for c in e.coords)
+    return ",".join([_ratio_text(x, den) for x in num])
+
+
+def _collect(alg: Algebra, terms) -> Element:
+    """The sum of (p/q) e_idx over the (idx, p, q) terms: the numerators
+    are kept over one common denominator and reduced once."""
+    num = [0] * alg.dim
+    den = 1
+    for idx, p, q in terms:
+        if den % q:
+            scale = q // gcd(den, q)
+            num = [x * scale for x in num]
+            den *= scale
+        num[idx] += p * (den // q)
+    return _reduced(alg, num, den)
 
 
 _QTERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*([ijk1]?)")
@@ -90,7 +124,7 @@ _QTERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*([ijk1]?)")
 
 def parse_quaternion_literal(text: str) -> Element:
     alg = quaternion_algebra()
-    coords = [Fraction(0)] * 4
+    terms = []
     pos = 0
     text = text.strip()
     if not text:
@@ -104,28 +138,26 @@ def parse_quaternion_literal(text: str) -> Element:
         sign, mag, unit = m.groups()
         if not mag and not unit:
             raise ParseError(f"bad quaternion literal near {text[pos:]!r}")
-        value = _fraction(mag) if mag else Fraction(1)
-        if sign == "-":
-            value = -value
-        idx = _UNIT_NAMES.index(unit) if unit else 0
-        coords[idx] += value
+        p, q = _split(mag) if mag else (1, 1)
+        terms.append((_UNIT_NAMES.index(unit) if unit else 0, -p if sign == "-" else p, q))
         pos = m.end()
         while pos < len(text) and text[pos].isspace():
             pos += 1
-    return Element(alg, coords)
+    return _collect(alg, terms)
 
 
 def parse_element(alg: Algebra, text: str) -> Element:
     text = text.strip()
     if "," in text:
-        parts = [parse_rational(p) for p in text.split(",")]
+        parts = [_rational(p) for p in text.split(",")]
         if len(parts) != alg.dim:
             raise ParseError(f"expected {alg.dim} coordinates, got {len(parts)}")
-        return Element(alg, parts)
+        return _collect(alg, [(idx, p, q) for idx, (p, q) in enumerate(parts)])
     if _is_standard_quaternions(alg):
         return parse_quaternion_literal(text)
     if alg.dim == 1:
-        return Element(alg, [parse_rational(text)])
+        p, q = _rational(text)
+        return _reduced(alg, [p], q)
     raise ParseError(f"cannot parse element {text!r} for {alg!r}")
 
 
@@ -204,7 +236,7 @@ def parse_poly(alg: Algebra, nvars: int, text: str) -> NCPoly:
             return NCPoly.var(alg, nvars, idx)
         if kind == "num":
             take()
-            return NCPoly.scalar_const(alg, nvars, _fraction(value))
+            return NCPoly.scalar_const(alg, nvars, Fraction(*_split(value)))
         if kind == "name":
             take()
             if not _is_standard_quaternions(alg):
@@ -396,8 +428,10 @@ def load_plane(source: str) -> tuple[Algebra, Plane]:
 
 
 def _freeze(label):
+    """A JSON value with every list, nested ones too, made a tuple; each
+    list is one comprehension, entered again only for a list inside it."""
     if isinstance(label, list):
-        return tuple(_freeze(x) for x in label)
+        return tuple([_freeze(x) if isinstance(x, list) else x for x in label])
     return label
 
 
@@ -410,7 +444,7 @@ def _positional(what: str, node, carriers: Sequence) -> dict:
         if not all(isinstance(v, list) and len(v) == len(carrier) for v in values):
             raise ValueError(f"{what}: every level must be a list of its carrier's length")
         values = [x for v in values for x in v]
-    return dict(zip(itertools.product(*carriers), map(_freeze, values)))
+    return dict(zip(itertools.product(*carriers), _freeze(values)))
 
 
 def _omega_algebra_from_doc(doc: dict, name=None) -> FiniteOmegaAlgebra:

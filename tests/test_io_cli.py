@@ -12,16 +12,25 @@ from divring.algebra import (
     quaternion_algebra,
     rational_algebra,
 )
+from divring.affine import AffineMap, Plane
+from divring.calculus import Chart
 from divring.cli import main
 from divring.errors import ParseError
+from divring.forms import BilinearMatrix
 from divring.ncpoly import NCPoly
 from divring.io import (
     algebra_payload,
     dump_json,
     format_element,
+    format_poly,
     format_rational,
     format_vector,
+    load_affine_map,
     load_algebra,
+    load_chart,
+    load_element_matrix,
+    load_form,
+    load_plane,
     load_representation,
     load_tower,
     parse_element,
@@ -120,17 +129,113 @@ def test_leading_minus_negates_a_single_term(alg):
     assert parsed > 0
 
 
+# after this basis change the constants are fractional and the unit is no
+# longer a basis vector
+MOVED = change_basis(H, BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]))
+
+
 def test_algebra_payload_round_trip(tmp_path):
-    # after this basis change the constants are fractional and the unit is
-    # no longer a basis vector
-    moved = change_basis(H, BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]]))
-    assert moved.unit_index is None
-    assert any(c.denominator != 1 for plane in moved.constants for row in plane for c in row)
-    for alg in (H, moved):
+    assert MOVED.unit_index is None
+    assert any(c.denominator != 1 for plane in MOVED.constants for row in plane for c in row)
+    from_file = load_algebra(data("quaternion.json"))
+    for alg in (H, complex_algebra(), rational_algebra(), from_file, MOVED):
         path = tmp_path / "alg.json"
         dump_json(str(path), algebra_payload(alg))
         again = load_algebra(str(path))
         assert again == alg
+        assert again.unit_index == alg.unit_index and again.unit_coords == alg.unit_coords
+    assert "unit_coords" in algebra_payload(MOVED) and "unit" not in algebra_payload(MOVED)
+
+
+def big_element(rng, alg, digits=40):
+    """An element whose coordinates have numerators and denominators of up
+    to `digits` digits; one coordinate in four is zero."""
+    top = 10 ** digits
+    return alg.element([Fraction(rng.randint(-top, top), rng.randint(1, top))
+                        if rng.randrange(4) else 0 for _ in range(alg.dim)])
+
+
+@pytest.mark.parametrize("alg", [H, complex_algebra(), rational_algebra(), MOVED],
+                         ids=["quaternion", "complex", "rational", "moved"])
+def test_big_elements_and_vectors_round_trip(alg):
+    rng = random.Random(2500 + alg.dim)
+    digits = set()
+    for _ in range(40):
+        e = big_element(rng, alg)
+        assert parse_element(alg, format_element(e)) == e
+        vec = tuple(big_element(rng, alg) for _ in range(rng.randint(1, 4)))
+        assert parse_vector(alg, format_vector(vec)) == vec
+        digits.update(len(str(abs(n))) for q in e.coords for n in (q.numerator, q.denominator))
+    assert max(digits) >= 40
+
+
+def document_algebra(tmp_path, alg):
+    """The "algebra" entry of a document over alg: a built-in name, or the
+    path of the algebra's payload written beside it."""
+    if alg == H:
+        return "quaternion"
+    path = str(tmp_path / "algebra.json")
+    dump_json(path, algebra_payload(alg))
+    return path
+
+
+def written(tmp_path, alg, **fields):
+    """The path of a document over alg with the given fields."""
+    path = str(tmp_path / "doc.json")
+    dump_json(path, {"algebra": document_algebra(tmp_path, alg), **fields})
+    return path
+
+
+def element_rows(rows):
+    return [[format_element(e) for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("alg", [H, MOVED], ids=["quaternion", "moved"])
+def test_documents_round_trip(tmp_path, alg):
+    rng = random.Random(2600 + (alg is MOVED))
+    for _ in range(3):
+        n = rng.randint(1, 3)
+        grid = [[big_element(rng, alg) for _ in range(n)] for _ in range(n)]
+        form = BilinearMatrix(grid)
+        again = load_form(written(tmp_path, alg, matrix=element_rows(form.entries)))
+        assert again == (alg, form)
+        rows = tuple(tuple(big_element(rng, alg) for _ in range(n + 1)) for _ in range(n))
+        assert load_element_matrix(written(tmp_path, alg, rows=element_rows(rows))) == (alg, rows)
+        shift = [big_element(rng, alg) for _ in range(n)]
+        for hand in ("right", "left"):
+            amap = AffineMap(grid, shift, hand)
+            path = written(tmp_path, alg, linear=element_rows(amap.linear),
+                           shift=[format_element(e) for e in amap.shift])
+            assert load_affine_map(path, hand) == (alg, amap)
+        # n - 1 independent directions in n + 1 coordinates
+        plane = Plane([big_element(rng, alg) for _ in range(n + 1)], [row + [alg.zero] for row in grid[:-1]])
+        path = written(tmp_path, alg, anchor=[format_element(e) for e in plane.anchor],
+                       span=element_rows(plane.span))
+        assert load_plane(path) == (alg, plane)
+
+
+@pytest.mark.parametrize("name", ["chart_mixing.json", "chart_quadratic.json"])
+def test_chart_round_trip(tmp_path, name):
+    chart = load_chart(data(name))
+    path = written(tmp_path, chart.algebra, vars=chart.n,
+                   components=[format_poly(c) for c in chart.components],
+                   inverse=[format_poly(c) for c in chart.inverse])
+    again = load_chart(path)
+    assert (again.algebra, again.n) == (chart.algebra, chart.n)
+    assert again.components == chart.components and again.inverse == chart.inverse
+
+
+def test_complex_chart_with_big_coefficients_round_trips(tmp_path):
+    alg = complex_algebra()
+    rng = random.Random(2700)
+    x1, x2 = (NCPoly.var(alg, 2, v) for v in range(2))
+    c, t = (NCPoly.const(alg, 2, big_element(rng, alg, digits=20)) for _ in range(2))
+    chart = Chart([x1 + t, x2 + x1 * c * x1], [x1 - t, x2 - (x1 - t) * c * (x1 - t)])
+    path = written(tmp_path, alg, vars=2,
+                   components=[format_poly(f) for f in chart.components],
+                   inverse=[format_poly(f) for f in chart.inverse])
+    again = load_chart(path)
+    assert again.components == chart.components and again.inverse == chart.inverse
 
 
 def test_algebra_file_with_malformed_unit_is_parse_error(tmp_path):

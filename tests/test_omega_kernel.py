@@ -472,9 +472,10 @@ def test_non_endomorphic_action_names_the_flat_witness():
             continue
         with pytest.raises(NotEndomorphism) as info:
             Representation(acting, alg, action)
-        assert (info.value.actor, info.value.op) == want[:2]
-        assert str(info.value) == \
-            f"transformation of {want[0]!r} breaks operation {want[1]!r} at {want[2]!r}"
+        assert (info.value.actor, info.value.op, info.value.arguments) == want
+        message = f"transformation of {want[0]!r} breaks operation {want[1]!r} at {want[2]!r}"
+        assert str(info.value) == message
+        assert info.value.args == (message,)
         raised += 1
     assert 10 < raised < 60
 
