@@ -199,11 +199,10 @@ class Algebra:
             return True
         if not isinstance(other, Algebra):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.unit_coords == other.unit_coords
-            and self.constants == other.constants
-        )
+        # the integer form is canonical (numerators over the least common
+        # denominators), so it decides what the Fraction tensors would
+        return (self.dim == other.dim and self._den == other._den
+                and self._unit == other._unit and self._terms == other._terms)
 
     def __hash__(self):
         if self._hash is None:

@@ -329,7 +329,6 @@ class _Node:
     copied or pickled node is rebuilt without them, as ids are per process."""
 
     _id = -1
-    _uses = None
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -377,12 +376,14 @@ class Sub:
     __slots__ = ("body", "level", "_tables", "_id", "_under", "_value")
 
     def __init__(self, body, level, tables):
-        key = [4, level, _word_id(body)]
-        for d, g in _uses(body):
+        uses = _uses(body)  # gives the body its id
+        key = [4, level, body._id]
+        for d, g in uses:
             k = level - 2 - d
             if not (0 <= k < len(tables) and g in tables[k]):
                 raise GeneratorMismatch(f"level {k + 2}: {g!r}")
-            key.append(_word_id(tables[k][g]))
+            i = getattr(tables[k][g], "_id", -1)
+            key.append(i if i >= 0 else _word_id(tables[k][g]))
         self.body, self.level, self._tables = body, level, tables
         self._id, self._under = _intern(tuple(key)), None
 
@@ -397,7 +398,6 @@ class Sub:
         return f"Sub({self.body!r}, level={self.level}, tables={self._tables!r})"
 
 
-Word = object  # Gen | App | Act | Sub
 _WORD_TYPES = (Gen, App, Act, Sub)
 
 # The word memo, shared by every caller in the process: no result depends
@@ -496,12 +496,9 @@ def _substitute(coords: Sequence[Mapping], tables: Sequence[Mapping]) -> tuple:
     for level, table in enumerate(coords, 2):
         known, subs = nodes[level - 2], {}
         for name, word in table.items():
-            try:
-                sub = known.get(word._id)
-            except AttributeError:  # not a word: _word_id raises
-                sub = None
-            if sub is None:
-                sub = known[_word_id(word)] = Sub(word, level, copies)
+            sub = known.get(getattr(word, "_id", -1))
+            if sub is None:  # Sub raises on a non-word, else gives it its id
+                sub = known[word._id] = Sub(word, level, copies)
             subs[name] = sub
         out.append(subs)
     return tuple(out)
@@ -573,7 +570,7 @@ def _value(word, val: _Valuation) -> int:
         return val.images[word.key]
     if kind is Sub and word.level != val.level:
         raise ValueError(f"a level-{word.level} word evaluated at level {val.level}")
-    key = _word_id(word) << 64 | val.id
+    key = (word._id if kind is Sub else _word_id(word)) << 64 | val.id
     value = _MEMO.get(key)
     if value is not None:
         return value
@@ -635,11 +632,11 @@ def word_generators(word) -> set:
 # tower (rep,).  Level 1 is the whole first algebra, fixed by endomorphisms.
 # The engine runs on carrier indices, the flat operation tables and the
 # action rows; labels and words are made only for results.  One semi-naive
-# round loop (_rounds) yields the closure words, the membership trials of
-# basis extraction and the straight-line programs that enumeration builds
-# once per representation, keeps on it (_search) and runs once per
-# candidate, checking it row by row through itemgetter readers.  The
-# public functions here and in towers wrap these routines.
+# round loop (_rounds) yields the closure words, the generation counts and
+# membership trials of basis extraction and the straight-line programs of
+# enumeration (_search); it stops once every carrier element is seen, as
+# no later tuple or actor row can then add a member.  The public functions
+# here and in towers wrap these routines.
 
 
 def _rounds(rep: Representation, actors: Sequence, start: Sequence):
@@ -649,21 +646,23 @@ def _rounds(rep: Representation, actors: Sequence, start: Sequence):
     Yields each round's new members in first-derivation order as steps
     (v, op, args): v is op at the argument indices args, or, with op None
     and args (a, m), actor a's image of m.  A round applies every operation,
-    in signature order, to argument tuples over the members in
-    lexicographic order, then every actor's row to the members.  Semi-naive:
-    tuples of older members gave their values in an earlier round, so only
-    tuples holding a member new in the round before are generated, and
-    actors read only the new members; the first round takes every tuple,
-    the nullary one too.  Rounds and first derivations are the full loop's.
+    in signature order, to argument tuples over the members in lexicographic
+    order, then every actor's row to the members.  Semi-naive: tuples of
+    older members gave their values in an earlier round, so only tuples
+    holding a member new in the round before are generated, and actors read
+    only the new members; the first round takes every tuple, the nullary one
+    too.  Once every carrier index is seen no tuple or row can add a member,
+    so the step that fills the carrier ends the loop and a full start yields
+    nothing.  Rounds and first derivations are the full loop's.
     """
     alg, rows = rep.acted, rep._rows
     n = len(alg.carrier)
     seen = bytearray(n)
     for m in start:
         seen[m] = 1
-    current = new = list(start)
-    first = True
-    while True:
+    left, current = seen.count(0), list(start)
+    new, first = current, True
+    while left:
         chunks, fresh = {}, []
         for op, arity in alg.signature.ops:
             if arity not in chunks:
@@ -676,6 +675,9 @@ def _rounds(rep: Representation, actors: Sequence, start: Sequence):
                         seen[v], pos = 1, base + last
                         args = [pos // n ** k % n for k in range(arity - 1, -1, -1)]
                         fresh.append((v, op, tuple(args)))
+                        if len(fresh) == left:
+                            yield fresh
+                            return
         for a in actors:
             row = rows[a]
             for m in new:
@@ -683,10 +685,13 @@ def _rounds(rep: Representation, actors: Sequence, start: Sequence):
                 if not seen[v]:
                     seen[v] = 1
                     fresh.append((v, None, (a, m)))
+                    if len(fresh) == left:
+                        yield fresh
+                        return
         if not fresh:
             return
         yield fresh
-        new = sorted([v for v, _, _ in fresh])
+        new, left = sorted([v for v, _, _ in fresh]), left - len(fresh)
         current, first = sorted(current + new), False
 
 
@@ -706,26 +711,30 @@ def _chunks(n: int, current: list, new: list, arity: int, first: bool) -> list:
     return out
 
 
+def _starts(reps: Sequence, gens: Sequence) -> list:
+    """Per level, the acted-carrier indices of its generators, ascending."""
+    if len(gens) != len(reps):
+        raise ValueError("need one generator set per level above the first")
+    return [[i for i, x in enumerate(rep.acted.carrier) if x in s]
+            for rep, s in zip(reps, map(set, gens))]
+
+
 def _close(reps: Sequence, gens: Sequence) -> tuple:
     """Layered breadth-first fixpoint; gens[k] generates level k + 2.
 
     Returns the generators, members, word tables and breadth-first levels
     of levels 2..n, each a tuple over the levels.  Level k + 2 runs the
-    rounds of _rounds with the closed level k + 1 as its actors.  The first
-    derivation of an element wins, making the word tables deterministic:
-    generators in carrier order, then each round in derivation order.  An
-    action records its actor as a bare element at level 2 and as a
-    lower-level word above.
+    rounds of _rounds with the closed level k + 1 as its actors, up to the
+    round that fills the level, if one does.  The first derivation of an
+    element wins, making the word tables deterministic: generators in
+    carrier order, then each round in derivation order.  An action records
+    its actor as a bare element at level 2 and as a lower-level word above.
     """
-    if len(gens) != len(reps):
-        raise ValueError("need one generator set per level above the first")
     actors = range(len(reps[0].acting.carrier))
     actor_words = reps[0].acting.carrier
     out = []
-    for rep, level_gens in zip(reps, gens):
+    for rep, start in zip(reps, _starts(reps, gens)):
         carrier = rep.acted.carrier
-        gset = set(level_gens)
-        start = [i for i, x in enumerate(carrier) if x in gset]
         words = [None] * len(carrier)
         word_of, levels = {}, {}
         for i in start:
@@ -746,29 +755,24 @@ def _close(reps: Sequence, gens: Sequence) -> tuple:
     return tuple(zip(*out))
 
 
-def _generates(reps: Sequence, word_tables: Sequence) -> bool:
-    return all([len(w) == len(rep.acted.carrier) for rep, w in zip(reps, word_tables)])
-
-
 def _basis(reps: Sequence, gens: Sequence) -> tuple:
     """Greedy layered minimization of a generating tuple, lowest level first.
 
-    Within a level elements are tried for removal in descending carrier
-    order, so derived elements drop before the primitives that generate
-    them; once an element survives it stays necessary because closures only
-    shrink when the set does.  Removing any single element of the result
-    breaks generation.  Removing x from level k keeps the full levels below,
-    and those above too while level k stays full, i.e. while the rest of
-    level k reaches x: a trial is one set-only closure of level k under all
-    of level k - 1, stopped at the round that reaches x.
+    A level generates when its generators and the members its rounds reach
+    count its carrier.  Within a level elements are tried for removal in
+    descending carrier order, so derived elements drop before the primitives
+    that generate them; once an element survives it stays necessary because
+    closures only shrink when the set does.  Removing any single element of
+    the result breaks generation.  Removing x from level k keeps the full
+    levels below, and those above too while level k stays full, i.e. while
+    the rest of level k reaches x: a trial is one set-only closure of level
+    k under all of level k - 1, stopped at the round that reaches x.
     """
-    keep, _, words, _ = _close(reps, gens)
-    if not _generates(reps, words):
-        raise NotGenerating("the generators do not generate every level")
     out = []
-    for rep, level in zip(reps, keep):
+    for rep, rest in zip(reps, _starts(reps, gens)):
         carrier, actors = rep.acted.carrier, range(len(rep.acting.carrier))
-        rest = [rep.acted._index[x] for x in level]
+        if len(rest) + sum(map(len, _rounds(rep, actors, rest))) < len(carrier):
+            raise NotGenerating("the generators do not generate every level")
         for x in rest[::-1]:
             trial = [y for y in rest if y != x]
             if any(v == x for fresh in _rounds(rep, actors, trial) for v, _, _ in fresh):
@@ -841,7 +845,7 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
                  maps: Sequence, verified: bool) -> tuple:
     """Per level, each generator mapped to the closure word of its image;
     `verified=True` skips the endomorphism check."""
-    if not _generates(reps, word_tables):
+    if any(len(w) < len(rep.acted.carrier) for rep, w in zip(reps, word_tables)):
         raise NotGenerating("the generators do not generate every level")
     if not verified and not _is_endomorphism(reps, maps):
         raise NotRepEndomorphism("maps fail the endomorphism conditions")

@@ -33,7 +33,6 @@ from .omega import (
     _coordinates,
     _endomorphisms,
     _evaluate_at,
-    _generates,
     _is_endomorphism,
     _saturate,
     _substitute,
@@ -113,7 +112,7 @@ class TowerClosure:
 
     @property
     def is_full(self) -> bool:
-        return _generates(self.tower.reps, self.word_of[1:])
+        return all(len(m) == len(a.carrier) for m, a in zip(self.members, self.tower.algebras))
 
     def identity_assignments(self) -> dict:
         return {

@@ -1,9 +1,11 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
 from divring.algebra import (
+    Algebra,
     BasisChange,
     Element,
     build_algebra,
@@ -23,7 +25,10 @@ from divring.errors import (
     UnitViolation,
     ZeroElement,
 )
+from divring.io import load_algebra
 from conftest import random_element
+
+QUATERNION_JSON = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "quaternion.json")
 
 
 def associativity_oracle(constants, dim):
@@ -269,3 +274,70 @@ def test_complex_algebra_is_commutative_field(rng):
         assert mul(a, b) == mul(b, a)
         if not a.is_zero():
             assert mul(a, inverse(a)) == alg.unit
+
+
+# ---------------------------------------------------------------------------
+# equality
+
+
+def fraction_equal(a, b):
+    """The Fraction-tensor comparison that `Algebra.__eq__` made before it
+    compared the integer form."""
+    return a.dim == b.dim and a.unit_coords == b.unit_coords and a.constants == b.constants
+
+
+def quadratic_algebra(d):
+    """Q[x]/(x^2 - d) on the basis 1, x."""
+    c = [[[1, 0], [0, 1]], [[0, 1], [d, 0]]]
+    return build_algebra(2, c)
+
+
+MOVE = BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]])
+
+
+def test_algebras_built_apart_are_equal():
+    H = quaternion_algebra()
+    loaded = load_algebra(QUATERNION_JSON)
+    moved, moved_loaded = change_basis(H, MOVE), change_basis(loaded, MOVE)
+    rebuilt = Algebra(4, [[[str(c) for c in row] for row in plane] for plane in moved.constants],
+                      unit_coords=[str(u) for u in moved.unit_coords])
+    assert moved.unit_index is None  # the unit is no basis vector
+    for a, b in [(loaded, H), (moved_loaded, moved), (rebuilt, moved),
+                 (quadratic_algebra(Fraction(-1, 2)), quadratic_algebra(Fraction(-2, 4)))]:
+        assert a is not b
+        assert a == b and b == a and fraction_equal(a, b)
+        assert hash(a) == hash(b)
+
+
+def test_algebras_that_differ_are_unequal():
+    H = quaternion_algebra()
+    complex_swapped = change_basis(complex_algebra(), BasisChange([[0, 1], [1, 0]]))
+    pairs = [
+        # the same support, one constant apart
+        (quadratic_algebra(-1), quadratic_algebra(-2)),
+        (quadratic_algebra(-1), quadratic_algebra(Fraction(-1, 2))),
+        (quadratic_algebra(2), quadratic_algebra(-2)),
+        # another unit
+        (complex_algebra(), complex_swapped),
+        (change_basis(H, MOVE), change_basis(H, BasisChange([[1, 0, 0, 0], [0, 2, 0, 0],
+                                                              [0, 0, 1, 1], [1, 0, 0, 3]]))),
+        (H, complex_algebra()),
+    ]
+    assert complex_swapped.unit_index == 1
+    for a, b in pairs[3:5]:
+        assert a.unit_coords != b.unit_coords
+    for a, b in pairs:
+        assert a != b and b != a and not fraction_equal(a, b)
+    assert quadratic_algebra(-1)._terms != quadratic_algebra(-2)._terms
+
+
+def test_equality_agrees_with_the_fraction_tensors(rng):
+    algebras = [quaternion_algebra(), load_algebra(QUATERNION_JSON), complex_algebra(),
+                split_complex_algebra(), rational_algebra(),
+                *[quadratic_algebra(d) for d in (-1, 2, Fraction(-1, 2), Fraction(3, 7))]]
+    algebras += [change_basis(alg, random_basis_change(rng, alg.dim))
+                 for alg in algebras for _ in range(3)]
+    for a, b in itertools.product(algebras, repeat=2):
+        assert (a == b) == fraction_equal(a, b)
+        if a == b:
+            assert hash(a) == hash(b)

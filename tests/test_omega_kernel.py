@@ -7,7 +7,9 @@ labels only: the breadth-first label-keyed closure loop, a greedy basis over
 the set-only saturations, and brute force over every carrier map.  The
 row-reader morphism checks are compared with the flat-list checks they
 replaced, on carriers of 0 to 48 elements, and the kept endomorphism
-search with fresh, repeated, copied and pickled representations.
+search with fresh, repeated, copied and pickled representations.  The
+round loop is compared with its full-scan form on carriers of 0 to 12
+elements.
 """
 
 import copy
@@ -236,10 +238,137 @@ def test_closure_of_nullary_and_empty_generators():
 
 
 # ---------------------------------------------------------------------------
+# rounds
+
+
+def full_scan_rounds(rep, actors, start):
+    """The full-scan round loop, the reference for `_rounds`: every round
+    scans all of its argument tuples and actor rows, and the loop ends only
+    at a round that adds nothing."""
+    alg, rows = rep.acted, rep._rows
+    n = len(alg.carrier)
+    seen = bytearray(n)
+    for m in start:
+        seen[m] = 1
+    current = new = list(start)
+    first = True
+    while True:
+        chunks, fresh = {}, []
+        for op, arity in alg.signature.ops:
+            if arity not in chunks:
+                chunks[arity] = full_scan_chunks(n, current, new, arity, first)
+            table = alg._flat[op]
+            for base, lasts in chunks[arity]:
+                for last in lasts:
+                    v = table[base + last]
+                    if not seen[v]:
+                        seen[v], pos = 1, base + last
+                        args = [pos // n ** k % n for k in range(arity - 1, -1, -1)]
+                        fresh.append((v, op, tuple(args)))
+        for a in actors:
+            row = rows[a]
+            for m in new:
+                v = row[m]
+                if not seen[v]:
+                    seen[v] = 1
+                    fresh.append((v, None, (a, m)))
+        if not fresh:
+            return
+        yield fresh
+        new = sorted([v for v, _, _ in fresh])
+        current, first = sorted(current + new), False
+
+
+def full_scan_chunks(n, current, new, arity, first):
+    if arity == 0:
+        return [(0, (0,))] if first else []
+    out, newset = [], set(new)
+    for prefix in itertools.product(current, repeat=arity - 1):
+        base = 0
+        for a in prefix:
+            base = base * n + a
+        out.append((base * n, new if newset.isdisjoint(prefix) else current))
+    return out
+
+
+def index_rep(rng, size):
+    """A representation on the carrier 0..size-1 with operations of arity
+    0-3 (nullary ones only on a nonempty carrier) and 0-3 actors.  Values
+    come from the whole carrier, or, half the time, from a random part of
+    it, so that some closures stop short of the carrier."""
+    carrier = list(range(size))
+    pool = rng.sample(carrier, rng.randint(1, size)) if size and rng.random() < 0.5 else carrier
+    ops = [op for op in OPS if (op[1] or size) and rng.random() < 0.6]
+    tables = {op: {args: rng.choice(pool) for args in itertools.product(carrier, repeat=arity)}
+              for op, arity in ops}
+    acted = FiniteOmegaAlgebra(carrier, Signature(ops), tables)
+    acting = FiniteOmegaAlgebra(range(rng.randint(0, 3)), Signature([]), {})
+    action = {(a, m): rng.choice(pool) for a in acting.carrier for m in carrier}
+    return Representation(acting, acted, action, validate=False)
+
+
+def test_rounds_match_the_full_scan_loop():
+    rng = random.Random(2606)
+    cases = filled = 0
+    for _ in range(400):
+        size = rng.randint(0, 12)
+        rep = index_rep(rng, size)
+        carrier, actors = list(range(size)), range(len(rep.acting.carrier))
+        starts = [[], carrier]
+        if size:
+            starts.append([rng.randrange(size)])
+            starts += [sorted(rng.sample(carrier, rng.randint(1, size))) for _ in range(3)]
+            # all but one element: the round that reaches it fills the carrier
+            starts += [[m for m in carrier if m != x] for x in rng.sample(carrier, min(size, 3))]
+        for start in starts:
+            want = list(full_scan_rounds(rep, actors, start))
+            assert list(omega._rounds(rep, actors, start)) == want
+            cases += 1
+            filled += bool(want) and len(start) + sum(map(len, want)) == size
+    assert cases > 3000 and filled > 1000
+
+
+class CountingTable(tuple):
+    """A flat table or action row that counts the cells read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingTable.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_rounds_stop_reading_once_the_carrier_is_full():
+    c6 = FiniteOmegaAlgebra(range(6), Signature([("s", 1)]),
+                            {"s": {(m,): (m + 1) % 6 for m in range(6)}})
+    rep = Representation(FiniteOmegaAlgebra([0], Signature([]), {}), c6,
+                         {(0, m): m for m in range(6)}, validate=False)
+    rep.acted._flat = {"s": CountingTable(rep.acted._flat["s"])}
+    rep._rows = (CountingTable(rep._rows[0]),)
+    start = [0, 1, 2, 4, 5]
+    CountingTable.reads = 0
+    assert list(full_scan_rounds(rep, [0], start)) == [[(3, "s", (2,))]]
+    assert CountingTable.reads == 5 + 5 + 1 + 1  # two rounds, the second finds nothing
+    CountingTable.reads = 0
+    assert list(omega._rounds(rep, [0], start)) == [[(3, "s", (2,))]]
+    assert CountingTable.reads == 3  # s(0), s(1), s(2) = 3 fills the carrier
+    CountingTable.reads = 0
+    assert list(omega._rounds(rep, [0], range(6))) == []
+    assert CountingTable.reads == 0
+    # two new members a round: s(4) = 5 fills the carrier in round 3
+    rep._rows = (CountingTable((m + 3) % 6 for m in range(6)),)
+    want = [[(1, "s", (0,)), (3, None, (0, 0))], [(2, "s", (1,)), (4, "s", (3,))], [(5, "s", (4,))]]
+    assert list(full_scan_rounds(rep, [0], [0])) == want
+    CountingTable.reads = 0
+    assert list(omega._rounds(rep, [0], [0])) == want
+    assert CountingTable.reads == 2 + 4 + 2
+
+
+# ---------------------------------------------------------------------------
 # basis
 
 
-@pytest.mark.parametrize("height", [2, 3])
+@pytest.mark.parametrize("height", [2, 3, 4])
 def test_basis_matches_greedy_oracle(height):
     for tower, rng in towers(620 + height, 60, height, 6):
         for gens in random_subsets(rng, tower):
@@ -255,6 +384,24 @@ def test_basis_matches_greedy_oracle(height):
                     call()
             else:
                 assert call() == want
+
+
+def test_basis_keeps_its_errors():
+    """A level that is not generated, at level 2 or at level 3, raises
+    NotGenerating, and a wrong number of generator sets ValueError, with
+    the messages they had when generation was read from the word tables."""
+    tower = toy_affine_tower()
+    vectors, points = (alg.carrier for alg in tower.algebras[1:])
+    not_generating = "^the generators do not generate every level$"
+    for gens in ([[(1, 0)], points], [vectors, []], [[(1, 0)], []], [[], points]):
+        with pytest.raises(NotGenerating, match=not_generating):
+            tower_basis(tower, gens)
+    assert tower_basis(tower, [vectors, points]) == (((0, 1), (1, 0)), ((0, 0),))
+    for gens in ([vectors], [vectors, points, points], []):
+        with pytest.raises(ValueError, match="^need one generator set per level above the first$"):
+            tower_basis(tower, gens)
+    with pytest.raises(NotGenerating, match=not_generating):
+        extract_basis(generation_rep(6), [2])
 
 
 # ---------------------------------------------------------------------------
