@@ -205,8 +205,8 @@ class Algebra:
                 and self._unit == other._unit and self._terms == other._terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, self.unit_coords, self.constants))
+        if self._hash is None:  # the integer form that __eq__ compares
+            self._hash = hash((self.dim, self._den, self._unit, self._terms))
         return self._hash
 
     def __repr__(self):
@@ -278,7 +278,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        return hash((self.algebra, self._den, self._num))  # lowest terms: canonical
 
     def __add__(self, other):
         if other.__class__ is not Element:

@@ -22,17 +22,19 @@ terms; `terms`, the public dict of lowest-terms Fractions, is built from
 them on each read.  Every operation reads only the integer form, on
 integer term dicts or on `Element` numerators against the algebra's
 integer tables, and reduces once, at the end.  Substitution, evaluation
-and the two directional derivatives run a straight-line program
-(`_compile`), compiled once per polynomial and derivative order and
-cached on the immutable polynomial.  It computes every prefix
-e_{b0} x_{v1} e_{b1} ... of the monomials read left to right once per
-call, shared by all monomials that start with it; extending a prefix by
-a basis constant is one unreduced call of `algebra._times`, the only
-routine that multiplies two coordinate vectors.  Term dicts extend
-monomials, not vectors, and read the table rows.  The k-th derivative is
-the program of the terms with k ordered distinct variable positions moved
-to k direction slots (`_shifted_terms`), run on the point and the k
-directions laid end to end.
+and the two directional derivatives run one program (`_compile`),
+compiled once per polynomial and derivative order and cached on the
+immutable polynomial.  It groups each monomial as
+(e_{b0} x_{v1}) (e_{b1} x_{v2}) ... (e_{b(m-1)} x_{vm}) e_{bm}: a call
+multiplies each value by each basis constant before it once, forms each
+product of a prefix of these factors once, shared by all monomials that
+start with it, and multiplies each prefix by the sum of the closing
+constants of the monomials that end there.  On Elements each of these is
+one call of `algebra._times`, the only routine that multiplies two
+coordinate vectors; term dicts join monomials through the table rows.
+The k-th derivative is the program of the terms with k ordered distinct
+variable positions moved to k direction slots (`_shifted_terms`), run on
+the point and the k directions laid end to end.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
-from .algebra import Algebra, Element, _element, _reduced, _times, _unit_vectors, mul
+from .algebra import Algebra, Element, _reduced, _times, _unit_vectors, mul
 from .errors import AlgebraMismatch
 
 _ZERO = Fraction(0)
@@ -85,39 +87,40 @@ def _poly(alg: Algebra, nvars: int, num: dict, den: int) -> "NCPoly":
     return p
 
 
-def _compile(items: Iterable) -> tuple:
-    """The straight-line program (firsts, steps, leaves, size) of a term list.
+def _compile(items: Iterable, alg: Algebra) -> tuple:
+    """The program (pairs, steps, tails, consts) of a term list over `alg`.
 
-    `items` yields ((vars, basis), coefficient) pairs.  The program's nodes
-    0 .. size - 1 are the monomial prefixes b0, v1, b1, ... that end in a
-    constant, numbered in the order first met, so each is made before it
-    is used.  `firsts` holds (b, node) for the nodes e_b.  A step
-    (parent, slot, kids) multiplies node `parent` by the value in `slot`
-    once and extends that product by e_b for each (b, node) of `kids`.
-    `leaves` holds (coefficient, node) per item, in item order.
+    `items` yields ((vars, basis), coefficient) pairs.  A monomial
+    e_{b0} x_{v1} e_{b1} ... x_{vm} e_{bm} is read as the factors
+    w = e_b x_v of its pairs (b0, v1) .. (b(m-1), vm), closed by e_{bm}.
+    `pairs` lists the distinct pairs as (b, slot, e_b), e_b an Element;
+    pair p is node ~p, counted from the end of the node list.  The other
+    nodes are the longer prefixes: step i, (parent, q), makes node i as
+    node `parent` times node q, in the order first met, so each node is
+    made before it is used.  `tails` holds (node, t) per node that ends
+    monomials, t the integer vector sum of c e_{bm} over them; `consts`
+    is that vector over the monomials without a variable.
     """
-    roots, firsts, steps, leaves = {}, [], [], []
-    size = 0
+    dim, tails = alg.dim, {}
     for (vars_, bs), c in items:
-        node = roots.get(bs[0])
-        if node is None:
-            # a node is (number, {slot: ({b: node}, the step's kids)})
-            node = roots[bs[0]] = (size, {})
-            firsts.append((bs[0], size))
-            size += 1
-        for pos, v in enumerate(vars_):
-            mid = node[1].get(v)
-            if mid is None:
-                mid = node[1][v] = ({}, [])
-                steps.append((node[0], v, mid[1]))
-            b = bs[pos + 1]
-            node = mid[0].get(b)
+        key = vars_, bs[:-1]
+        t = tails.get(key)
+        if t is None:
+            t = tails[key] = [0] * dim
+        t[bs[-1]] += c
+    consts = tails.pop(((), ()), [0] * dim)
+    pairs, steps, kids, ends = {}, [], {}, []
+    setdefault = pairs.setdefault
+    for (vars_, head), t in tails.items():
+        node = setdefault((head[0], vars_[0]), ~len(pairs))
+        for i in range(1, len(vars_)):
+            key = node, setdefault((head[i], vars_[i]), ~len(pairs))
+            node = kids.get(key)
             if node is None:
-                node = mid[0][b] = (size, {})
-                mid[1].append((b, size))
-                size += 1
-        leaves.append((c, node[0]))
-    return firsts, steps, leaves, size
+                node = kids[key] = len(steps)
+                steps.append(key)
+        ends.append((node, tuple(t)))
+    return tuple((b, s, alg.basis_element(b)) for b, s in pairs), steps, ends, tuple(consts)
 
 
 def _program(f: "NCPoly", k: int) -> tuple:
@@ -125,7 +128,8 @@ def _program(f: "NCPoly", k: int) -> tuple:
     compiled on first use and kept on f."""
     prog = f._programs[k]
     if prog is None:
-        prog = _compile(_shifted_terms(f._num, f.nvars, k) if k else f._num.items())
+        items = _shifted_terms(f._num, f.nvars, k) if k else f._num.items()
+        prog = _compile(items, f.algebra)
         f._programs = f._programs[:k] + (prog,) + f._programs[k + 1:]
     return prog
 
@@ -133,34 +137,28 @@ def _program(f: "NCPoly", k: int) -> tuple:
 def _evaluate(f: "NCPoly", k: int, values: Sequence[Element]) -> Element:
     """Run f's order-k program on Elements; slot s reads values[s].
 
-    A node's value is its numerators over an unreduced denominator, made
-    an Element only to be multiplied.  A prefix times a value is one `mul`,
-    which raises AlgebraMismatch for a value of another algebra; a prefix
-    times e_b is one unreduced compiled product.
-    """
-    firsts, steps, leaves, size = _program(f, k)
+    Each pair's w = e_b values[s] is the program's one `mul`, read from the
+    module on each call, so a rebound `ncpoly.mul` sees them all; it raises
+    AlgebraMismatch for a value of another algebra in a slot that a monomial
+    uses.  Steps and tails are unreduced compiled products, and the sum is
+    reduced once."""
+    pairs, steps, tails, consts = _program(f, k)
     alg = f.algebra
-    tden, times, e_b = alg._den, _times(alg), _unit_vectors(alg.dim)
-    nodes = [None] * size
-    for b, node in firsts:
-        nodes[node] = e_b[b], 1
-    for parent, slot, kids in steps:
-        # `mul` is looked up here on every step, never bound at compile
-        # time: the benchmark's tracer rebinds `ncpoly.mul`, and its traced
-        # calculus run needs `algebra.self_s` > 0 (ROADMAP open item 1)
-        e = mul(_element(alg, *nodes[parent]), values[slot])
-        den = e._den * tden
-        for b, node in kids:
-            nodes[node] = times(e._num, e_b[b]), den
-    den = lcm(*{nodes[node][1] for _, node in leaves})
-    acc = [0] * alg.dim
-    for c, node in leaves:
-        num, d = nodes[node]
-        g = c * (den // d)
-        for j, x in enumerate(num):
-            if x:
-                acc[j] += g * x
-    return _reduced(alg, acc, den * f._den)
+    tden, times = alg._den, _times(alg)
+    nodes = [None] * (len(steps) + len(pairs))
+    for p, (_, s, e) in enumerate(pairs):
+        w = mul(e, values[s])
+        nodes[~p] = w._num, w._den
+    for i, (parent, q) in enumerate(steps):
+        (x, dx), (y, dy) = nodes[parent], nodes[q]
+        nodes[i] = times(x, y), dx * dy * tden
+    ends = [(times(nodes[node][0], t), nodes[node][1]) for node, t in tails]
+    den = lcm(*[d for _, d in ends])
+    acc = [c * den * tden for c in consts]
+    for num, d in ends:
+        g = den // d
+        acc = [a + g * x for a, x in zip(acc, num)]
+    return _reduced(alg, acc, den * tden * f._den)
 
 
 class NCPoly:
@@ -170,8 +168,10 @@ class NCPoly:
     one positive denominator `_den`, with gcd(`_den`, numerators) = 1, so
     the zero polynomial has `_den` 1.  `terms` builds the lowest-terms
     Fraction dict on each read; it is not cached, and changing it leaves
-    the polynomial as it is.  `_programs` caches the compiled programs of
-    derivative orders 0, 1 and 2 (`_program`), each built on first use.
+    the polynomial as it is.  `_programs` caches the programs
+    (`_compile`) of derivative orders 0, 1 and 2, each built on first use
+    by `_program`; `evaluate`, `gateaux`, `gateaux2` and `substitute` run
+    them.
     """
 
     __slots__ = ("algebra", "nvars", "_num", "_den", "_programs")
@@ -332,7 +332,12 @@ class NCPoly:
     def substitute(self, replacements: Sequence["NCPoly"]) -> "NCPoly":
         """Plug a polynomial into every variable slot; replacements live in
         this polynomial's algebra, share one variable count and give it to
-        the result.  Via `_dict_mul`, extending a prefix by e_b was slower."""
+        the result.
+
+        Runs the program of `evaluate` on (term dict, denominator) values:
+        each pair's w = e_b r_v and each step is one `_dict_mul`.  A node's
+        monomials, whose last constant is e_a, are joined to its tail t in
+        one pass over the nonzero entries of e_a t, into one output dict."""
         if len(replacements) != self.nvars:
             raise ValueError("wrong number of replacements")
         alg = self.algebra
@@ -342,36 +347,31 @@ class NCPoly:
                 raise AlgebraMismatch("replacement lives in another algebra")
             if r.nvars != nv:
                 raise ValueError("replacements differ in their number of variables")
-        n, rows, tden = alg.dim, alg._rows, alg._den
-        firsts, steps, leaves, size = _program(self, 0)
-        # the same program as `evaluate`, on (term dict, denominator) values
-        nodes = [None] * size
-        for b, node in firsts:
-            nodes[node] = {((), (b,)): 1}, 1
-        for parent, v, kids in steps:
-            terms, d = nodes[parent]
+        pairs, steps, tails, consts = _program(self, 0)
+        tden, times, e_b = alg._den, _times(alg), _unit_vectors(alg.dim)
+        nodes = [None] * (len(steps) + len(pairs))
+        for p, (b, v, _) in enumerate(pairs):
             r = replacements[v]
-            mid = _dict_mul(alg, terms, r._num)
-            d *= r._den * tden * tden
-            for b, node in kids:
-                # zeros that cancel here drop out of the final sum
-                out = {}
-                get = out.get
-                for (vars_, key_bs), c in mid.items():
-                    head = key_bs[:-1]
-                    for k, x in rows[key_bs[-1] * n + b]:
-                        key = (vars_, head + (k,))
-                        out[key] = get(key, 0) + c * x
-                nodes[node] = out, d
-        den = lcm(*[nodes[node][1] for _, node in leaves])
-        out = {}
+            nodes[~p] = _dict_mul(alg, {((), (b,)): 1}, r._num), r._den * tden
+        for i, (parent, q) in enumerate(steps):
+            (x, dx), (y, dy) = nodes[parent], nodes[q]
+            nodes[i] = _dict_mul(alg, x, y), dx * dy * tden
+        den = lcm(*[nodes[node][1] for node, _ in tails])
+        out = {((), (b,)): c * den * tden for b, c in enumerate(consts) if c}
         get = out.get
-        for c, node in leaves:
+        for node, t in tails:
             terms, d = nodes[node]
-            f = c * (den // d)
-            for key, s in terms.items():
-                out[key] = get(key, 0) + f * s
-        return _poly(alg, nv, {key: s for key, s in out.items() if s}, den * self._den)
+            g, rows = den // d, {}
+            for (vars_, bs), s in terms.items():
+                a = bs[-1]
+                row = rows.get(a)
+                if row is None:
+                    row = rows[a] = [(k, g * x) for k, x in enumerate(times(e_b[a], t)) if x]
+                head = bs[:-1]
+                for k, x in row:
+                    key = (vars_, head + (k,))
+                    out[key] = get(key, 0) + s * x
+        return _poly(alg, nv, {key: s for key, s in out.items() if s}, den * tden * self._den)
 
     def __repr__(self):
         from .io import format_poly

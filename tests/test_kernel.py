@@ -30,6 +30,7 @@ from divring.affine import (
     plane_contains,
 )
 from divring.algebra import (
+    Algebra,
     BasisChange,
     Element,
     build_algebra,
@@ -210,6 +211,24 @@ def test_equal_elements_built_differently_compare_and_hash_equal(alg):
             inv = inverse(a)
             assert mul(a, inv) == unit and mul(inv, a) == unit
             assert hash(mul(inv, a)) == hash(unit)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_equal_elements_of_algebras_built_apart_hash_equal(alg, monkeypatch):
+    # the same table and unit rebuilt from strings: an equal algebra that is
+    # another object
+    other = Algebra(alg.dim, [[[str(c) for c in row] for row in plane] for plane in alg.constants],
+                    unit_coords=[str(u) for u in alg.unit_coords])
+    assert other is not alg and other == alg and hash(other) == hash(alg)
+    # hashing reads the integer form, never the Fraction coordinates
+    monkeypatch.setattr(Element, "coords", property(lambda e: pytest.fail("coords read")))
+    rng = random.Random(4250 + alg.dim)
+    for _ in range(20):
+        x = draw_coords(rng, alg)
+        a, b = Element(alg, x), Element(other, x)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1 and len({a, b, -(-b)}) == 1
+        assert mul(a, a) == mul(b, b) and hash(mul(a, a)) == hash(mul(b, b))
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -41,6 +42,7 @@ from divring.calculus import (
 from divring import ncpoly
 from divring.errors import AlgebraMismatch
 from divring.ncpoly import NCPoly, gateaux, gateaux2, gateaux_poly
+from test_kernel import matrix_algebra
 
 # non-integer constants (table denominator 2) and a composite unit
 MOVED = change_basis(
@@ -49,6 +51,14 @@ MOVED = change_basis(
 )
 ALGEBRAS = [rational_algebra(), complex_algebra(), quaternion_algebra(), MOVED]
 IDS = ["rational", "complex", "quaternion", "moved-quaternion"]
+# the oracle tests also run over a table with all 64 constants nonzero and
+# over M2(Q), which has zero divisors
+DENSE = change_basis(
+    quaternion_algebra(),
+    BasisChange([[1, -1, 3, 2], [-2, 1, 3, 1], [1, 1, -2, 1], [-1, 2, -1, 1]]),
+)
+ORACLE_ALGEBRAS = ALGEBRAS + [DENSE, matrix_algebra()]
+ORACLE_IDS = IDS + ["dense-quaternion", "M2(Q)"]
 
 
 def draw_q(rng):
@@ -146,7 +156,7 @@ def assert_canonical(p):
 # products, evaluation, substitution, derivatives
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_product_matches_table_oracle(alg):
     for rng, nvars, raw in cases(alg, 5100 + alg.dim):
         p = NCPoly(alg, nvars, raw)
@@ -157,7 +167,7 @@ def test_product_matches_table_oracle(alg):
         assert (p * NCPoly.zero(alg, nvars)).is_zero()
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_evaluate_matches_term_by_term_oracle(alg):
     for rng, nvars, raw in cases(alg, 5200 + alg.dim):
         p = NCPoly(alg, nvars, raw)
@@ -166,7 +176,7 @@ def test_evaluate_matches_term_by_term_oracle(alg):
         assert p.constant_term() == oracle_value(alg, raw, [alg.zero] * nvars)
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_substitute_then_evaluate_matches_oracle(alg):
     for rng, nvars, raw in cases(alg, 5300 + alg.dim):
         p = NCPoly(alg, nvars, raw)
@@ -181,7 +191,7 @@ def test_substitute_then_evaluate_matches_oracle(alg):
         assert composed.evaluate(point) == oracle_value(alg, raw, inner)
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_derivatives_match_positional_oracle(alg):
     for rng, nvars, raw in cases(alg, 5400 + alg.dim):
         p = NCPoly(alg, nvars, raw)
@@ -190,7 +200,7 @@ def test_derivatives_match_positional_oracle(alg):
         assert gateaux2(p, x, v, a) == oracle_gateaux2(alg, raw, x, v, a)
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_const_and_var_terms(alg):
     rng = random.Random(5500 + alg.dim)
     u = alg.unit_coords
@@ -248,11 +258,69 @@ def test_errors_are_raised_in_the_same_cases():
     assert (x1 - x1 + 3).evaluate([alien, alien]) == H.scalar(3)
 
 
+def test_dense_table_has_every_constant_nonzero():
+    assert all(c for plane in DENSE.constants for row in plane for c in row)
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_polynomials_without_some_orders_match_oracles(alg):
+    # the zero polynomial, constants only and linear terms only: programs
+    # with no steps, no tails or nothing at all at some order
+    rng = random.Random(6700 + ORACLE_ALGEBRAS.index(alg))
+    for nvars in (1, 2, 3):
+        support = rng.sample(range(alg.dim), rng.randint(1, alg.dim))
+        consts = {((), (b,)): draw_q(rng) or Fraction(1) for b in support}
+        linear = {((rng.randrange(nvars),), (rng.randrange(alg.dim), rng.randrange(alg.dim))):
+                  draw_q(rng) for _ in range(3)}
+        p = NCPoly(alg, nvars, draw_terms(rng, alg, nvars))
+        for raw in ({}, consts, linear, {**consts, **linear}):
+            f = NCPoly(alg, nvars, raw)
+            x, v, a = ([draw_element(rng, alg) for _ in range(nvars)] for _ in range(3))
+            assert f.evaluate(x) == oracle_value(alg, raw, x)
+            assert gateaux(f, x, a) == oracle_gateaux(alg, raw, x, a)
+            assert gateaux2(f, x, v, a) == oracle_gateaux2(alg, raw, x, v, a) == alg.zero
+            reps_raw = [draw_terms(rng, alg, 2, count=3, max_deg=2) for _ in range(nvars)]
+            composed = f.substitute([NCPoly(alg, 2, r) for r in reps_raw])
+            assert_integer_form(composed)
+            point = [draw_element(rng, alg) for _ in range(2)]
+            inner = [oracle_value(alg, r, point) for r in reps_raw]
+            assert composed.evaluate(point) == oracle_value(alg, raw, inner)
+        zero = p - p
+        assert zero.evaluate(x) == gateaux(zero, x, a) == gateaux2(zero, x, v, a) == alg.zero
+        assert zero.substitute([NCPoly.var(alg, 1, 0)] * nvars) == NCPoly.zero(alg, 1)
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_foreign_value_raises_only_in_a_used_slot(alg):
+    alien = (quaternion_algebra() if alg.dim == 2 else complex_algebra()).basis_element(1)
+    rng = random.Random(6800 + ORACLE_ALGEBRAS.index(alg))
+    x0, x1 = NCPoly.var(alg, 3, 0), NCPoly.var(alg, 3, 1)
+    c = NCPoly.const(alg, 3, alg.element([draw_q(rng) or 1 for _ in range(alg.dim)]))
+    p = c * x0 * x1 + x1 * c + 3  # slot 2 is never used
+    point = [draw_element(rng, alg) for _ in range(3)]
+    for slot in (0, 1):
+        bad = point[:slot] + [alien] + point[slot + 1:]
+        with pytest.raises(AlgebraMismatch):
+            p.evaluate(bad)
+        for args in ((bad, point), (point, bad)):
+            with pytest.raises(AlgebraMismatch):
+                gateaux(p, *args)
+        for args in ((point, bad, point), (point, point, bad)):
+            with pytest.raises(AlgebraMismatch):
+                gateaux2(p, *args)
+        # the second derivative of a degree-2 polynomial never reads the point
+        assert gateaux2(p, bad, point, point) == oracle_gateaux2(alg, p.terms, *[point] * 3)
+    bad = point[:2] + [alien]
+    assert p.evaluate(bad) == oracle_value(alg, p.terms, point)
+    assert gateaux(p, bad, bad) == oracle_gateaux(alg, p.terms, point, point)
+    assert gateaux2(p, bad, point, bad) == oracle_gateaux2(alg, p.terms, point, point, point)
+
+
 # ---------------------------------------------------------------------------
 # the compiled programs: cached per order, never stale, never shared
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_interleaved_orders_on_one_polynomial_match_oracles(alg):
     for rng, nvars, raw in cases(alg, 6300 + alg.dim, count=10):
         p = NCPoly(alg, nvars, raw)
@@ -264,7 +332,7 @@ def test_interleaved_orders_on_one_polynomial_match_oracles(alg):
             assert p.evaluate(a) == oracle_value(alg, raw, a)
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
 def test_polynomials_derived_from_a_compiled_one_match_oracles(alg):
     for rng, nvars, raw in cases(alg, 6400 + alg.dim, count=10):
         p = NCPoly(alg, nvars, raw)
@@ -298,10 +366,10 @@ def test_each_order_is_compiled_once(monkeypatch):
     compiled = []
     compile_ = ncpoly._compile
 
-    def counted(items):
+    def counted(items, alg):
         items = list(items)
         compiled.append(items)
-        return compile_(items)
+        return compile_(items, alg)
 
     monkeypatch.setattr(ncpoly, "_compile", counted)
     reps = [NCPoly.var(H, 2, 1), NCPoly.var(H, 2, 0)]
@@ -323,11 +391,10 @@ def test_each_order_is_compiled_once(monkeypatch):
     assert len(compiled) == 4
 
 
-def distinct_variable_prefixes(terms):
-    """The keys (b0, v1, b1, ..., vj) of every monomial prefix ending in a
-    variable: one variable product each."""
-    return {tuple(x for pair in zip(bs, vars_[:j + 1]) for x in pair)
-            for vars_, bs in terms for j in range(len(vars_))}
+def constant_slot_pairs(terms):
+    """The distinct (b, v) of every factor e_b x_v in the monomials
+    e_b0 x_v1 e_b1 ... x_vm e_bm: one product e_b * value each."""
+    return {pair for vars_, bs in terms for pair in zip(bs, vars_)}
 
 
 def test_rebound_mul_sees_every_variable_product(monkeypatch):
@@ -335,26 +402,33 @@ def test_rebound_mul_sees_every_variable_product(monkeypatch):
     rng = random.Random(6600)
     raw = draw_terms(rng, H, 2, count=10)
     p = NCPoly(H, 2, raw)
-    x, a = ([draw_element(rng, H) for _ in range(2)] for _ in range(2))
-    p.evaluate(x), gateaux(p, x, a)  # compiled before the rebinding
+    x, v, a = ([draw_element(rng, H) for _ in range(2)] for _ in range(3))
+    p.evaluate(x), gateaux(p, x, a), gateaux2(p, x, v, a)  # compiled before the rebinding
+    basis = H.basis()
     seen = []
 
     def traced(left, right):
-        seen.append(right)
+        seen.append((basis.index(left), id(right)))
         return mul(left, right)
 
+    def shifted(k):
+        # every term once per ordered k-tuple of distinct positions, the
+        # j-th of them reading slot 2 * j + v
+        return {(tuple(w + 2 * (picks.index(i) + 1 if i in picks else 0)
+                       for i, w in enumerate(vs)), bs)
+                for vs, bs in p._num for picks in permutations(range(len(vs)), k)}
+
     monkeypatch.setattr(ncpoly, "mul", traced)
-    assert p.evaluate(x) == oracle_value(H, raw, x)
-    prefixes = distinct_variable_prefixes(p._num)
-    assert len(seen) == len(prefixes)
-    assert sorted(map(id, seen)) == sorted(id(x[key[-1]]) for key in prefixes)
-    seen.clear()
-    assert gateaux(p, x, a) == oracle_gateaux(H, raw, x, a)
-    # every term once per position, that position reading slot 2 + v, a[v]
-    prefixes = distinct_variable_prefixes(
-        {(tuple(v + 2 * (i == j) for i, v in enumerate(vs)), bs)
-         for vs, bs in p._num for j in range(len(vs))})
-    assert sorted(map(id, seen)) == sorted(id((x + a)[key[-1]]) for key in prefixes)
+    runs = [(lambda: p.evaluate(x), oracle_value(H, raw, x), x),
+            (lambda: gateaux(p, x, a), oracle_gateaux(H, raw, x, a), x + a),
+            (lambda: gateaux2(p, x, v, a), oracle_gateaux2(H, raw, x, v, a), x + v + a)]
+    for k, (run, want, slots) in enumerate(runs):
+        seen.clear()
+        assert run() == want
+        # once per distinct (constant, slot) pair, the slot's value on the right
+        pairs = constant_slot_pairs(shifted(k))
+        assert len(seen) == len(pairs)
+        assert sorted(seen) == sorted((b, id(slots[s])) for b, s in pairs)
 
 
 # ---------------------------------------------------------------------------
