@@ -67,7 +67,7 @@ class Algebra:
     """
 
     __slots__ = ("dim", "constants", "unit_index", "unit_coords", "name",
-                 "_rows", "_terms", "_den", "_unit", "_hash", "_compiled")
+                 "_rows", "_terms", "_den", "_unit", "_hash", "_compiled", "_basis")
 
     def __init__(self, dim, constants, unit_index=0, unit_coords=None, name=None):
         if dim <= 0:
@@ -98,6 +98,7 @@ class Algebra:
         self.name = name
         self._hash = None
         self._compiled = None  # the product, compiled on the first one
+        self._basis = None  # the Elements e_0 .. e_{n-1}, made on the first one
         flat, self._den = ratlin.over_common_denominator(
             [c for plane in tensor for row in plane for c in row]
         )
@@ -168,7 +169,9 @@ class Algebra:
         return Element(self, coords)
 
     def basis_element(self, i: int) -> "Element":
-        return _element(self, _unit_vectors(self.dim)[i], 1)
+        if self._basis is None:  # Elements are immutable, so every caller shares them
+            self._basis = tuple(_element(self, e, 1) for e in _unit_vectors(self.dim))
+        return self._basis[i]
 
     @property
     def zero(self) -> "Element":
@@ -189,9 +192,10 @@ class Algebra:
 
     def __getstate__(self):
         # pickle and copy leave out the compiled product, an exec'd
-        # function; the copy compiles its own on its first product
+        # function, and the basis Elements, which point back at the
+        # algebra; the copy makes its own on first use
         state = {name: getattr(self, name) for name in Algebra.__slots__}
-        state["_compiled"] = None
+        state["_compiled"] = state["_basis"] = None
         return None, state
 
     def __eq__(self, other):

@@ -158,3 +158,21 @@ def test_elements_copy_and_pickle_after_multiplying(alg, clone):
     assert cx.algebra == alg and hash(cx.algebra) == hash(alg)
     assert mul(cx, cy) == xy and mul(cy, cx) == mul(y, x)
     assert clone(alg) == alg and mul(clone(xy), x) == mul(xy, x)
+
+
+@pytest.mark.parametrize("alg", [H, MOVED, WIDE], ids=["quaternion", "moved-quaternion",
+                                                       "wide-quaternion"])
+@pytest.mark.parametrize("clone", [
+    lambda a: pickle.loads(pickle.dumps(a)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_basis_elements_are_made_once_and_rebuilt_by_copies(alg, clone):
+    basis = alg.basis()
+    assert [b._num for b in basis] == [tuple(int(i == j) for i in range(alg.dim))
+                                       for j in range(alg.dim)]
+    assert all(alg.basis_element(i) is b for i, b in enumerate(basis))
+    other = clone(alg)
+    assert other == alg and other._basis is None
+    copied = other.basis()
+    assert copied == basis and all(b.algebra is other for b in copied)
