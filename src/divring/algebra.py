@@ -10,8 +10,8 @@ Arithmetic runs on integers.  An element stores a tuple of integer
 numerators over one positive denominator, in lowest terms, so equal
 elements store equal integers; `Element.coords` is the tuple of
 `fractions.Fraction` coordinates derived from them on each read.  An
-algebra keeps, besides its Fraction tensor `constants`, the same table as
-integer numerators over one common denominator.  A product, sum or
+algebra stores its table and unit the same way, once; `constants` and
+`unit_coords` are Fraction views built on each read.  A product, sum or
 scaling is then integer work with one gcd reduction of the result.
 
 The product (`_times`), the only routine that multiplies two coordinate
@@ -24,8 +24,8 @@ the basis-changed algebras of one support share one compilation and no
 constant is ever formatted into source text.
 
 Normally the unit is a basis vector (`unit_index`); after an arbitrary
-change of basis it becomes a rational combination of basis vectors, which
-is stored as explicit `unit_coords` instead.
+change of basis it becomes a rational combination of basis vectors, given
+by its coordinates, `unit_coords`.
 
 The built-in tables cover the rationals themselves (dim 1), the Gaussian
 rationals (dim 2) and the rational quaternions (dim 4), which are the
@@ -52,9 +52,6 @@ from .errors import (
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class Algebra:
     """An associative unital algebra over Q defined by structural constants.
@@ -63,45 +60,35 @@ class Algebra:
     coefficient of the product e_i e_j.  `unit_index` names the basis
     vector acting as the two-sided unit; when the unit is not a basis
     vector (possible after a basis change) it is None and `unit_coords`
-    holds the unit element's coordinates.
+    holds the unit element's coordinates.  Both are Fraction views of the
+    integer table and unit (`_den`, `_rows`, `_terms`, `_unit`).
     """
 
-    __slots__ = ("dim", "constants", "unit_index", "unit_coords", "name",
+    __slots__ = ("dim", "unit_index", "name",
                  "_rows", "_terms", "_den", "_unit", "_hash", "_compiled", "_basis")
 
     def __init__(self, dim, constants, unit_index=0, unit_coords=None, name=None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        tensor = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane)
-            for plane in constants
-        )
-        if len(tensor) != dim or any(
-            len(p) != dim or any(len(r) != dim for r in p) for p in tensor
-        ):
+        planes = [[list(row) for row in plane] for plane in constants]
+        if len(planes) != dim or any(len(p) != dim or any(len(r) != dim for r in p)
+                                     for p in planes):
             raise ValueError("constants tensor must be dim x dim x dim")
-        self.dim = dim
-        self.constants = tensor
         if unit_coords is None:
             if not 0 <= unit_index < dim:
                 raise ValueError("unit index out of range")
-            unit_coords = tuple(
-                _ONE if i == unit_index else _ZERO for i in range(dim)
-            )
-            self.unit_index = unit_index
-        else:
-            unit_coords = tuple(Fraction(x) for x in unit_coords)
-            if len(unit_coords) != dim:
-                raise ValueError("unit coordinates have wrong length")
-            self.unit_index = _delta_index(unit_coords)
-        self.unit_coords = unit_coords
+            unit_coords = _unit_vectors(dim)[unit_index]
+        u, du = self._unit = _integers(unit_coords)
+        if len(u) != dim:
+            raise ValueError("unit coordinates have wrong length")
+        vectors = _unit_vectors(dim)  # in lowest terms, e_b is over 1
+        self.unit_index = vectors.index(u) if du == 1 and u in vectors else None
+        self.dim = dim
         self.name = name
         self._hash = None
         self._compiled = None  # the product, compiled on the first one
         self._basis = None  # the Elements e_0 .. e_{n-1}, made on the first one
-        flat, self._den = ratlin.over_common_denominator(
-            [c for plane in tensor for row in plane for c in row]
-        )
+        flat, self._den = _integers([c for plane in planes for row in plane for c in row])
         # integer rows over the common denominator: _rows[i * dim + j] holds
         # the pairs (k, C[i][j][k] * _den) over the nonzero constants
         self._rows = tuple(
@@ -116,9 +103,20 @@ class Algebra:
             for j in range(dim)
             for k, c in self._rows[i * dim + j]
         )
-        self._unit = ratlin.over_common_denominator(unit_coords)
         self._validate_unit()
         self._validate_associativity()
+
+    @property
+    def constants(self) -> tuple:
+        """C[i][j][k] as nested tuples of lowest-terms Fractions."""
+        n, den, rows = self.dim, self._den, [dict(pairs) for pairs in self._rows]
+        return tuple(tuple(tuple(Fraction(rows[i * n + j].get(k, 0), den) for k in range(n))
+                           for j in range(n)) for i in range(n))
+
+    @property
+    def unit_coords(self) -> tuple:
+        """The unit's coordinates as a tuple of lowest-terms Fractions."""
+        return tuple(Fraction(x, self._unit[1]) for x in self._unit[0])
 
     # -- validation ----------------------------------------------------------
     # both walk the rows, not `_times`: nothing compiles before a product
@@ -224,11 +222,11 @@ def _unit_vectors(n: int) -> tuple:
     return tuple(tuple(int(i == b) for i in range(n)) for b in range(n))
 
 
-def _delta_index(coords) -> Optional[int]:
-    hits = [i for i, c in enumerate(coords) if c != 0]
-    if len(hits) == 1 and coords[hits[0]] == 1:
-        return hits[0]
-    return None
+def _integers(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator;
+    ints and Fractions are read as they are, anything else by Fraction."""
+    return ratlin.over_common_denominator(
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values])
 
 
 class Element:
@@ -242,12 +240,9 @@ class Element:
     __slots__ = ("algebra", "_num", "_den")
 
     def __init__(self, algebra, coords):
-        # over_common_denominator reads only numerator and denominator, so
-        # ints and Fractions are taken as they are
-        coords = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coords]
-        if len(coords) != algebra.dim:
+        num, den = _integers(coords)
+        if len(num) != algebra.dim:
             raise ValueError("coordinate length does not match algebra dimension")
-        num, den = ratlin.over_common_denominator(coords)
         _set_algebra(self, algebra)
         _set_num(self, num)
         _set_den(self, den)
@@ -333,19 +328,14 @@ class Element:
         return not any(self._num)
 
     def rational_part(self) -> Optional[Fraction]:
-        """The Fraction q with self == q * unit, or None."""
-        alg = self.algebra
-        coords = self.coords
-        for q in set(
-            Fraction(coords[i], alg.unit_coords[i])
-            for i in range(alg.dim)
-            if alg.unit_coords[i]
-        ):
-            if all(
-                coords[i] == q * alg.unit_coords[i] for i in range(alg.dim)
-            ):
-                return q
-        return None
+        """The Fraction q with self == q * unit, or None.  The numerators x
+        of self and u of the unit (never zero) are proportional iff
+        x_k u_i == x_i u_k for every k, at any i with u_i != 0."""
+        (u, du), x = self.algebra._unit, self._num
+        i = next(k for k, y in enumerate(u) if y)
+        if any(a * u[i] != x[i] * b for a, b in zip(x, u)):
+            return None
+        return Fraction(x[i] * du, self._den * u[i])
 
     def inverse(self) -> "Element":
         return inverse(self)
@@ -540,36 +530,52 @@ class BasisChange:
     """An invertible rational basis change.
 
     Row i of `matrix` holds the old-basis coordinates of the new basis
-    vector e'_i.  The inverse matrix is computed once and cached, and both
-    are also kept as integer numerators over one denominator each.
+    vector e'_i.  The matrix and its inverse, computed once, are stored as
+    integer rows over one positive denominator each, in lowest terms;
+    `matrix` and `inverse` build their Fractions on each read.
     """
 
-    __slots__ = ("matrix", "inverse", "_int_matrix", "_int_inverse")
+    __slots__ = ("_int_matrix", "_int_inverse")
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix = [[Fraction(x) for x in row] for row in matrix]
-        if any(len(row) != len(self.matrix) for row in self.matrix):
+        rows = [list(row) for row in matrix]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("basis-change matrix must be square")
-        self.inverse = ratlin.invert(self.matrix)
-        if self.inverse is None:
+        self._int_matrix = (m, dm) = _int_matrix(rows)
+        # E m / d is the identity, so M^-1 = E dm / d
+        ops, pivots, d = ratlin._row_operations(m)
+        if pivots != list(range(n)):
             raise SingularBasisChange("basis-change matrix is singular")
-        self._int_matrix = _int_matrix(self.matrix)
-        self._int_inverse = _int_matrix(self.inverse)
+        self._int_inverse = _int_matrix([[Fraction(x * dm, d) for x in row] for row in ops])
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._int_matrix[0])
+
+    @property
+    def matrix(self) -> list:
+        return _fractions(*self._int_matrix)
+
+    @property
+    def inverse(self) -> list:
+        return _fractions(*self._int_inverse)
 
     def compose(self, other: "BasisChange") -> "BasisChange":
         """First change by self, then by other (stated relative to self's basis)."""
-        return BasisChange(ratlin.mat_mul(other.matrix, self.matrix))
+        (a, da), (b, db) = self._int_matrix, other._int_matrix
+        return BasisChange(_fractions([_row_times(row, a) for row in b], db * da))
 
 
 def _int_matrix(m) -> tuple[list[tuple[int, ...]], int]:
     """A rational matrix as integer rows over one common denominator."""
     n = len(m)
-    flat, den = ratlin.over_common_denominator([x for row in m for x in row])
+    flat, den = _integers([x for row in m for x in row])
     return [flat[r * n:(r + 1) * n] for r in range(n)], den
+
+
+def _fractions(rows, den: int) -> list:
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def _row_times(v, m) -> list:
@@ -625,9 +631,9 @@ def transform_vector(a: Element, bc: BasisChange, target: Optional[Algebra] = No
 
 
 def _table(dim, entries):
-    c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), v in entries.items():
-        c[i][j][k] = Fraction(v)
+        c[i][j][k] = v
     return c
 
 

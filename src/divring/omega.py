@@ -373,7 +373,7 @@ class Sub:
     equal nodes built on different snapshots share their values.
     """
 
-    __slots__ = ("body", "level", "_tables", "_id", "_under", "_value")
+    __slots__ = ("body", "level", "_tables", "_id")
 
     def __init__(self, body, level, tables):
         uses = _uses(body)  # gives the body its id
@@ -385,7 +385,7 @@ class Sub:
             i = getattr(tables[k][g], "_id", -1)
             key.append(i if i >= 0 else _word_id(tables[k][g]))
         self.body, self.level, self._tables = body, level, tables
-        self._id, self._under = _intern(tuple(key)), None
+        self._id = _intern(tuple(key))
 
     @property
     def tables(self) -> tuple:
@@ -410,8 +410,7 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 # Ids are never given twice, so the two are dropped together, at any
 # insertion, when one reaches _MEMO_LIMIT entries.  _LAST keeps the
 # valuations of the last assignments with a copy of them: a sweep under
-# one assignment compares it instead of hashing it, and a Sub node keeps
-# its value under them.
+# one assignment compares it instead of hashing it.
 _MEMO_LIMIT = 1 << 16
 _INTERNED: dict = {}
 _MEMO: dict = {}
@@ -530,17 +529,14 @@ def _valuation(rep: Representation, lower, images: dict) -> _Valuation:
 def _evaluate_at(reps: Sequence, level: int, word, assignments: Mapping):
     """eval_word and eval_tower_word: reps[k] acts level k + 1 on k + 2,
     assignments[k] holds level k's images."""
-    last = _LAST
-    if (type(word) is Sub and word._under is last[2] and word.level == level
-            and last[1] == assignments and last[0] == reps):
-        return word._value
     if type(word) is Gen:  # its image as given
         images = assignments.get(level)
         if images is None or word.key not in images:
             raise MissingGenerator(f"level {level}: {word.key!r}")
         return images[word.key]
-    if level < 2:
-        raise ValueError(f"no level {level} above the first")
+    if not 2 <= level <= len(reps) + 1:
+        raise ValueError(f"no level {level}: words live at levels 2 to {len(reps) + 1}")
+    last = _LAST
     if last[1] != assignments or last[0] != reps:
         val = None
         for k, rep in enumerate(reps, 2):
@@ -553,10 +549,7 @@ def _evaluate_at(reps: Sequence, level: int, word, assignments: Mapping):
             val = _valuation(rep, val, images)
         last[:] = reps, {k: dict(t) for k, t in assignments.items()}, (None, None, *val.chain, val)
     val = last[2][level]
-    value = val.carrier[_value(word, val)]
-    if type(word) is Sub:
-        word._under, word._value = last[2], value
-    return value
+    return val.carrier[_value(word, val)]
 
 
 def _value(word, val: _Valuation) -> int:

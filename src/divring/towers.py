@@ -89,9 +89,8 @@ def eval_tower_word(tower: Tower, level: int, word, assignments: Mapping):
     and the table of ids and valuations are dropped together when one of
     them reaches 2^16 entries (`omega._MEMO_LIMIT`).  The valuations of the
     last assignments are kept with a copy of them, so a sweep under one
-    assignment compares it instead of hashing it, and a Sub node keeps its
-    value under them.  Towers and representations are taken to be
-    immutable.
+    assignment compares it instead of hashing it.  Towers and
+    representations are taken to be immutable.
     """
     return _evaluate_at(tower.reps, level, word, assignments)
 

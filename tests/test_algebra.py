@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -341,3 +342,158 @@ def test_equality_agrees_with_the_fraction_tensors(rng):
         assert (a == b) == fraction_equal(a, b)
         if a == b:
             assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# integer storage: the Fraction views read back the input
+
+
+def quaternion_table():
+    """e_a e_b on 1, i, j, k, written from i^2 = j^2 = k^2 = -1 and ij = k,
+    jk = i, ki = j with their anti-commuting mirrors."""
+    t = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        t[0][a][a] = t[a][0][a] = 1
+    for a in (1, 2, 3):
+        t[a][a][0] = -1
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        t[a][b][c], t[b][a][c] = 1, -1
+    return t
+
+
+def fraction_inverse(m):
+    """Gauss-Jordan over Fractions; StopIteration when m is singular."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if work[r][c])
+        work[c], work[p] = work[p], work[c]
+        top = work[c] = [x / work[c][c] for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], top)]
+    return [row[n:] for row in work]
+
+
+def random_rational_matrix(rng, dim):
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+             for _ in range(dim)]
+        try:
+            fraction_inverse(m)
+        except StopIteration:
+            continue
+        return m
+
+
+def fraction_change_basis(table, unit, m):
+    """C'[i][j][l] = sum m[i][p] m[j][q] C[p][q][k] m^-1[k][l], u' = u m^-1."""
+    n, minv = len(m), fraction_inverse(m)
+    idx = range(n)
+    new = [[[sum(m[i][p] * m[j][q] * table[p][q][k] * minv[k][el]
+                 for p in idx for q in idx for k in idx) for el in idx]
+            for j in idx] for i in idx]
+    return new, [sum(unit[k] * minv[k][el] for k in idx) for el in idx]
+
+
+def seeded_tables(rng):
+    """(dim, table, unit, base, matrix) over Fractions: the rationals, three
+    quadratic fields and the quaternions, each as given (table and base
+    alike, matrix None), and the table of base in the basis of matrix: with
+    its first two basis vectors swapped, its first one doubled, and after
+    seeded rational basis changes, which make the unit composite."""
+    bases = [(1, [[[1]]]), (4, quaternion_table())]
+    bases += [(2, [[[1, 0], [0, 1]], [[0, 1], [d, 0]]]) for d in (-1, 2, Fraction(-3, 5))]
+    out = []
+    for dim, table in bases:
+        table = [[[Fraction(x) for x in row] for row in plane] for plane in table]
+        unit = [Fraction(int(i == 0)) for i in range(dim)]
+        out.append((dim, table, unit, table, None))
+        swap = [[Fraction(int(j == (i ^ 1 if i < 2 and dim > 1 else i))) for j in range(dim)]
+                for i in range(dim)]
+        double = [[Fraction(int(i == j) * (2 if i == 0 else 1)) for j in range(dim)]
+                  for i in range(dim)]
+        for m in [swap, double, *[random_rational_matrix(rng, dim) for _ in range(3)]]:
+            out.append((dim, *fraction_change_basis(table, unit, m), table, m))
+    return out
+
+
+def nested_tuples(table):
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def test_views_read_back_the_input():
+    kinds = set()
+    for dim, table, unit, base, m in seeded_tables(random.Random(2801)):
+        built = [Algebra(dim, table, unit_coords=unit),
+                 Algebra(dim, [[[str(x) for x in row] for row in plane] for plane in table],
+                         unit_coords=[str(x) for x in unit])]
+        if m is None:
+            built.append(Algebra(dim, table))
+        else:
+            built.append(change_basis(Algebra(dim, base), BasisChange(m)))
+        hits = [i for i, c in enumerate(unit) if c]
+        index = hits[0] if len(hits) == 1 and unit[hits[0]] == 1 else None
+        kinds.add(index if index is None else index > 0)
+        for alg in built:
+            assert alg.constants == nested_tuples(table)
+            assert alg.unit_coords == tuple(unit)
+            assert alg.unit_index == index
+            assert type(alg.constants) is tuple and type(alg.unit_coords) is tuple
+            assert all(type(plane) is tuple and type(row) is tuple and type(c) is Fraction
+                       for plane in alg.constants for row in plane for c in row)
+            assert all(type(c) is Fraction for c in alg.unit_coords)
+    assert kinds == {None, False, True}  # composite units and units e_0 and e_1
+
+
+def test_basis_change_views_read_back_the_matrix():
+    rng = random.Random(2802)
+    for dim in (1, 2, 3, 4):
+        for _ in range(6):
+            m = random_rational_matrix(rng, dim)
+            bc = BasisChange([[str(x) for x in row] for row in m])
+            assert bc.matrix == m and bc.dim == dim
+            inv = bc.inverse
+            for got in (bc.matrix, inv):
+                assert type(got) is list and all(type(row) is list for row in got)
+                assert all(type(x) is Fraction for row in got for x in row)
+            for i in range(dim):
+                for j in range(dim):
+                    assert sum(m[i][k] * inv[k][j] for k in range(dim)) == (i == j)
+            other = random_rational_matrix(rng, dim)
+            assert bc.compose(BasisChange(other)).matrix == [
+                [sum(other[i][k] * m[k][j] for k in range(dim)) for j in range(dim)]
+                for i in range(dim)]
+
+
+def fraction_rational_part(a):
+    """The Fraction rule: the q with coords == q * unit_coords, or None."""
+    u = a.algebra.unit_coords
+    i = next(k for k, c in enumerate(u) if c)
+    q = a.coords[i] / u[i]
+    return q if a.coords == tuple(q * c for c in u) else None
+
+
+SCALARS = (0, 1, -1, 12, Fraction(3, 7), Fraction(-22, 5))
+
+
+@pytest.mark.parametrize("alg", [quaternion_algebra(), change_basis(quaternion_algebra(), MOVE)],
+                         ids=["H", "H-moved"])
+def test_rational_part_matches_the_fraction_rule(alg):
+    rng = random.Random(2803)
+    for q in SCALARS:
+        got = alg.element([q * u for u in alg.unit_coords]).rational_part()
+        assert got == q and type(got) is Fraction
+    cases = [alg.scalar(q) + alg.basis_element(b).scale(Fraction(1, 3))
+             for q in SCALARS for b in range(alg.dim)]
+    cases += [alg.scalar(q) for q in SCALARS]
+    cases += [random_element(rng, alg) for _ in range(40)]
+    outcomes = set()
+    for a in cases:
+        want = fraction_rational_part(a)
+        got = a.rational_part()
+        assert got == want and (want is None or type(got) is Fraction)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}

@@ -335,9 +335,11 @@ def test_superpose_missing_generator_is_eager(affine_tower):
 
 
 def test_words_below_level_two_are_rejected(affine_tower):
+    """Also above the top: each level outside 2 .. height is named."""
     ids = {2: {E1: E1, E2: E2}, 3: {P0: P0}}
-    with pytest.raises(ValueError):
-        eval_tower_word(affine_tower, 1, App("add", (Gen(E1), Gen(E2))), ids)
+    for level in (1, affine_tower.height + 1):
+        with pytest.raises(ValueError, match=f"^no level {level}: "):
+            eval_tower_word(affine_tower, level, App("add", (Gen(E1), Gen(E2))), ids)
 
 
 def test_evaluation_memo_is_keyed_by_tower_and_values(affine_tower):
