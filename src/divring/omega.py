@@ -46,18 +46,14 @@ class Signature:
 
     def __init__(self, ops: Iterable):
         ops = tuple((str(name), int(arity)) for name, arity in ops)
-        names = [n for n, _ in ops]
-        if len(set(names)) != len(names):
+        if len(dict(ops)) != len(ops):
             raise ValueError("operation names must be unique")
         if any(a < 0 for _, a in ops):
             raise ValueError("arities must be nonnegative")
         object.__setattr__(self, "ops", ops)
 
     def arity(self, name: str) -> int:
-        for n, a in self.ops:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return dict(self.ops)[name]
 
 
 def _tabulate(what: str, table, carriers: Sequence, index: Mapping) -> tuple:
@@ -370,20 +366,19 @@ class Sub:
     instead of copying the body; `tables` are read-only views of it.  A
     node needs every generator the body reaches (GeneratorMismatch
     otherwise); its word id comes from its level, body and those words, so
-    equal nodes built on different snapshots share their values.
+    equal nodes built on different snapshots share their values, and equal
+    bodies superposed on equal tables share the node (see _substitute).
     """
 
     __slots__ = ("body", "level", "_tables", "_id")
 
     def __init__(self, body, level, tables):
-        uses = _uses(body)  # gives the body its id
-        key = [4, level, body._id]
-        for d, g in uses:
+        key = [4, level, _word_id(body)]
+        for d, g in _uses(body):
             k = level - 2 - d
             if not (0 <= k < len(tables) and g in tables[k]):
                 raise GeneratorMismatch(f"level {k + 2}: {g!r}")
-            i = getattr(tables[k][g], "_id", -1)
-            key.append(i if i >= 0 else _word_id(tables[k][g]))
+            key.append(_word_id(tables[k][g]))
         self.body, self.level, self._tables = body, level, tables
         self._id = _intern(tuple(key))
 
@@ -403,8 +398,10 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 # The word memo, shared by every caller in the process: no result depends
 # on what it holds, only the time it takes.  Words are hash-consed: a node
 # gets the id of its structure on first use and keeps it, so equal words
-# built apart share their values.  Valuations are interned by their images.
-#   _INTERNED  a word's structure -> its id; a valuation's images -> it
+# built apart share their values; labels enter it with their repr and Sub
+# nodes as themselves, so words that print apart never share an id.
+#   _INTERNED  a word's structure -> its id; a valuation's images -> it;
+#              a table tuple's labels and word ids -> its snapshot
 #   _MEMO      word id << 64 | valuation id -> value, a carrier index; it
 #              holds only ints, so the collector skips it
 # Ids are never given twice, so the two are dropped together, at any
@@ -424,12 +421,12 @@ def _room(table: dict) -> None:
         _MEMO.clear()
 
 
-def _intern(key: tuple) -> int:
-    i = _INTERNED.get(key)
-    if i is None:
+def _intern(key: tuple, make=_NEXT_ID.__next__):
+    value = _INTERNED.get(key)
+    if value is None:
         _room(_INTERNED)
-        i = _INTERNED[key] = next(_NEXT_ID)
-    return i
+        value = _INTERNED[key] = make()
+    return value
 
 
 def _word_id(word) -> int:
@@ -440,20 +437,26 @@ def _word_id(word) -> int:
         return i
     kind = type(word)
     if kind is Gen:
-        key, uses = (0, word.key), [(0, word.key)]
+        key, uses = (0, word.key, repr(word.key)), [(0, word.key)]
     elif kind is App:
-        key = (1, word.op, *map(_word_id, word.children))
+        key = (1, word.op, *map(_strict, word.children))
         uses = [u for c in word.children for u in _uses(c)]
     elif kind is not Act:
         raise TypeError(f"not a word: {word!r}")
     elif isinstance(word.actor, _WORD_TYPES):
-        key = (2, _word_id(word.actor), _word_id(word.child))
+        key = (2, _strict(word.actor), _strict(word.child))
         uses = [*_uses(word.child), *[(d + 1, g) for d, g in _uses(word.actor)]]
     else:
-        key, uses = (3, word.actor, _word_id(word.child)), _uses(word.child)
+        key = (3, word.actor, repr(word.actor), _strict(word.child))
+        uses = _uses(word.child)
     object.__setattr__(word, "_uses", tuple(dict.fromkeys(uses)))
     object.__setattr__(word, "_id", _intern(key))
     return word._id
+
+
+def _strict(word):
+    """A word's id, or a Sub node itself, as nodes that print apart share its id."""
+    return word if type(word) is Sub else _word_id(word)
 
 
 def _uses(word) -> tuple:
@@ -469,8 +472,7 @@ def _uses(word) -> tuple:
 
 
 class _Coordinates(dict):
-    """A coordinate table carrying the snapshot superposition took of its
-    family: (tables copied, Sub node per level and body word id)."""
+    """A coordinate table carrying its family's copy and snapshot (see _substitute)."""
 
     __slots__ = ("_snapshot",)
 
@@ -480,24 +482,31 @@ class _Coordinates(dict):
 
 def _substitute(coords: Sequence[Mapping], tables: Sequence[Mapping]) -> tuple:
     """Each level-(k + 2) word of coords[k] as a Sub node on a snapshot of
-    `tables`, the one their coordinate tables carry while unchanged."""
+    `tables` interned by their labels and word ids (private if they hold a
+    non-word), which coordinate tables carry with their own copy to compare."""
     tables = tuple(tables)
     try:
-        copies, nodes = tables[0]._snapshot
+        own, copies, nodes = tables[0]._snapshot
     except (AttributeError, IndexError):  # none taken yet, or no tables
-        copies = None
-    if copies != tables:
-        copies, nodes = tuple(map(dict, tables)), tuple({} for _ in tables)
+        own = None
+    if own != tables:
+        own, nodes = tuple(map(dict, tables)), tuple({} for _ in tables)
+        try:  # the tables copied and a Sub node per level and body
+            copies, nodes = _intern((5, *[tuple([(g, repr(g), _strict(w)) for g, w in t.items()])
+                                          for t in own]), lambda: (own, nodes))
+        except TypeError:  # a non-word value: a private snapshot
+            copies = own
         for t in tables:
             if type(t) is _Coordinates:
-                t._snapshot = copies, nodes
+                t._snapshot = own, copies, nodes
     out = []
     for level, table in enumerate(coords, 2):
         known, subs = nodes[level - 2], {}
         for name, word in table.items():
-            sub = known.get(getattr(word, "_id", -1))
-            if sub is None:  # Sub raises on a non-word, else gives it its id
-                sub = known[word._id] = Sub(word, level, copies)
+            sub = known.get(getattr(word, "_id", -1))  # Sub bodies are kept under themselves
+            if sub is None:  # a new body, a Sub, or one without its id yet; raises on a non-word
+                key = _strict(word)
+                sub = known[key] = known.get(key) or Sub(word, level, copies)
             subs[name] = sub
         out.append(subs)
     return tuple(out)
@@ -518,12 +527,7 @@ class _Valuation:
 
 
 def _valuation(rep: Representation, lower, images: dict) -> _Valuation:
-    key = (rep, lower, tuple(images.items()))
-    val = _INTERNED.get(key)
-    if val is None:
-        _room(_INTERNED)
-        val = _INTERNED[key] = _Valuation(rep, lower, images)
-    return val
+    return _intern((rep, lower, tuple(images.items())), lambda: _Valuation(rep, lower, images))
 
 
 def _evaluate_at(reps: Sequence, level: int, word, assignments: Mapping):
@@ -627,9 +631,8 @@ def word_generators(word) -> set:
 # action rows; labels and words are made only for results.  One semi-naive
 # round loop (_rounds) yields the closure words, the generation counts and
 # membership trials of basis extraction and the straight-line programs of
-# enumeration (_search); it stops once every carrier element is seen, as
-# no later tuple or actor row can then add a member.  The public functions
-# here and in towers wrap these routines.
+# enumeration (_search).  The public functions here and in towers wrap
+# these routines.
 
 
 def _rounds(rep: Representation, actors: Sequence, start: Sequence):
@@ -644,24 +647,27 @@ def _rounds(rep: Representation, actors: Sequence, start: Sequence):
     older members gave their values in an earlier round, so only tuples
     holding a member new in the round before are generated, and actors read
     only the new members; the first round takes every tuple, the nullary one
-    too.  Once every carrier index is seen no tuple or row can add a member,
-    so the step that fills the carrier ends the loop and a full start yields
-    nothing.  Rounds and first derivations are the full loop's.
+    too.  Operations of one arity share the round's walk over argument
+    prefixes, each prefix made when first read.  Once every carrier index is
+    seen no tuple or row can add a member, so the step that fills the
+    carrier ends the loop and a full start yields nothing.  Rounds and first
+    derivations are the full loop's.
     """
     alg, rows = rep.acted, rep._rows
-    n = len(alg.carrier)
+    n, ops = len(alg.carrier), alg.signature.ops
     seen = bytearray(n)
     for m in start:
         seen[m] = 1
     left, current = seen.count(0), list(start)
     new, first = current, True
     while left:
-        chunks, fresh = {}, []
-        for op, arity in alg.signature.ops:
-            if arity not in chunks:
-                chunks[arity] = _chunks(n, current, new, arity, first)
+        walks, fresh = {}, []
+        for op, arity in ops:
+            if arity not in walks:
+                walks[arity] = iter(itertools.tee(_chunks(n, current, new, arity, first),
+                                                  sum(a == arity for _, a in ops)))
             table = alg._flat[op]
-            for base, lasts in chunks[arity]:
+            for base, lasts in next(walks[arity]):
                 for last in lasts:
                     v = table[base + last]
                     if not seen[v]:
@@ -688,20 +694,20 @@ def _rounds(rep: Representation, actors: Sequence, start: Sequence):
         current, first = sorted(current + new), False
 
 
-def _chunks(n: int, current: list, new: list, arity: int, first: bool) -> list:
+def _chunks(n: int, current: list, new: list, arity: int, first: bool):
     """The flat positions of the argument tuples over `current` that hold a
     member of `new`, ascending (lexicographic in the tuples), as pairs
-    (base, lasts) giving base + last, one per prefix of arity - 1 arguments;
-    a prefix without a new member takes its last argument from `new`."""
+    (base, lasts) giving base + last, one per prefix of arity - 1 arguments
+    made as read; a prefix without a new member takes its last from `new`."""
     if arity == 0:
-        return [(0, (0,))] if first else []
-    out, newset = [], set(new)
+        yield from [(0, (0,))] if first else []
+        return
+    newset = set(new)
     for prefix in itertools.product(current, repeat=arity - 1):
         base = 0
         for a in prefix:
             base = base * n + a
-        out.append((base * n, new if newset.isdisjoint(prefix) else current))
-    return out
+        yield base * n, new if newset.isdisjoint(prefix) else current
 
 
 def _starts(reps: Sequence, gens: Sequence) -> list:
@@ -723,8 +729,7 @@ def _close(reps: Sequence, gens: Sequence) -> tuple:
     carrier order, then each round in derivation order.  An action records
     its actor as a bare element at level 2 and as a lower-level word above.
     """
-    actors = range(len(reps[0].acting.carrier))
-    actor_words = reps[0].acting.carrier
+    actors, actor_words = range(len(reps[0].acting.carrier)), reps[0].acting.carrier
     out = []
     for rep, start in zip(reps, _starts(reps, gens)):
         carrier = rep.acted.carrier
@@ -735,14 +740,11 @@ def _close(reps: Sequence, gens: Sequence) -> tuple:
             levels[carrier[i]] = 0
         for depth, fresh in enumerate(_rounds(rep, actors, start), 1):
             for v, op, args in fresh:
-                if op is None:
-                    word = Act(actor_words[args[0]], words[args[1]])
-                else:
-                    word = App(op, tuple([words[i] for i in args]))
+                word = (Act(actor_words[args[0]], words[args[1]]) if op is None
+                        else App(op, tuple([words[i] for i in args])))
                 words[v] = word_of[carrier[v]] = word
                 levels[carrier[v]] = depth
-        actors = [i for i, w in enumerate(words) if w is not None]
-        actor_words = words
+        actors, actor_words = [i for i, w in enumerate(words) if w is not None], words
         out.append((tuple([carrier[i] for i in start]),
                     tuple([carrier[i] for i in actors]), word_of, levels))
     return tuple(zip(*out))
@@ -842,10 +844,8 @@ def _coordinates(reps: Sequence, generators: Sequence, word_tables: Sequence,
         raise NotGenerating("the generators do not generate every level")
     if not verified and not _is_endomorphism(reps, maps):
         raise NotRepEndomorphism("maps fail the endomorphism conditions")
-    return tuple([
-        _Coordinates({x: words[h[x]] for x in gens})
-        for gens, words, h in zip(generators, word_tables, maps)
-    ])
+    return tuple([_Coordinates({x: words[h[x]] for x in gens})
+                  for gens, words, h in zip(generators, word_tables, maps)])
 
 
 def _search(rep: Representation) -> tuple:
@@ -873,22 +873,25 @@ def _endomorphisms(reps: Sequence) -> list:
     into index rows, kept as new dicts when they pass the row checks.
     """
     gens, programs = zip(*[_search(rep) for rep in reps])
+    steps = [[(v, None, args[1:]) if op is None else (v, rep.acted._flat[op], args)
+              for v, op, args in program] for rep, program in zip(reps, programs)]
+    actions = [[(i, v, args[0], args[1:]) for i, (v, op, args) in enumerate(program)
+                if op is None] for program in programs]
     out = []
 
     def extend(k, chosen, lower):
         if k == len(reps):
             out.append(tuple(chosen))
             return
-        rep, level_gens = reps[k], gens[k]
-        carrier, rows, flat = rep.acted.carrier, rep._rows, rep.acted._flat
-        n = len(carrier)
-        steps = [(v, rows[lower[args[0]]], args[1:]) if op is None else (v, flat[op], args)
-                 for v, op, args in programs[k]]
+        rep, level_gens, level_steps = reps[k], gens[k], steps[k]
+        carrier, rows, n = rep.acted.carrier, rep._rows, len(rep.acted.carrier)
+        for i, v, a, slots in actions[k]:  # the row of lower(a), one level down
+            level_steps[i] = v, rows[lower[a]], slots
         for values in itertools.product(range(n), repeat=len(level_gens)):
             h = [0] * n
             for g, x in zip(level_gens, values):
                 h[g] = x
-            for v, table, slots in steps:
+            for v, table, slots in level_steps:
                 p = 0
                 for s in slots:
                     p = p * n + h[s]

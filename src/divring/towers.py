@@ -85,12 +85,14 @@ def eval_tower_word(tower: Tower, level: int, word, assignments: Mapping):
     has one word id, and the generator images of each level one valuation
     id, so a word shared by closure tables, by many superpositions or by
     closures built apart is evaluated once per tuple of generator values.
-    The memo maps (word id, valuation id) to the value's carrier index; it
-    and the table of ids and valuations are dropped together when one of
-    them reaches 2^16 entries (`omega._MEMO_LIMIT`).  The valuations of the
-    last assignments are kept with a copy of them, so a sweep under one
-    assignment compares it instead of hashing it.  Towers and
-    representations are taken to be immutable.
+    Superposition tables with equal labels and word ids, coordinate
+    families built apart included, share one snapshot and so one Sub node
+    per body.  The memo maps (word id, valuation id) to the value's carrier
+    index; it and the table of ids, valuations and snapshots are dropped
+    together when one of them reaches 2^16 entries (`omega._MEMO_LIMIT`).
+    The valuations of the last assignments are kept with a copy of them,
+    so a sweep under one assignment compares it instead of hashing it.
+    Towers and representations are taken to be immutable.
     """
     return _evaluate_at(tower.reps, level, word, assignments)
 
@@ -185,7 +187,8 @@ def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -
     stay fixed because tower endomorphisms are the identity on the first
     algebra.  No tree is copied.  A family made by tower_endo_coordinates
     carries the snapshot taken of it, so superposing onto it again while
-    it is unchanged reuses the snapshot and one node per word.
+    it is unchanged reuses the snapshot and one node per word; families
+    with equal words, built apart, share one snapshot and its nodes.
     GeneratorMismatch is raised here, not at evaluation, when the level
     counts differ or when a generator that a coordinate word reaches, at
     its own level or through an actor word, is missing from its table.

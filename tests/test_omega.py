@@ -364,6 +364,38 @@ def test_nested_sub_prints_unchanged(c6_generation):
     assert eval_word(c6_generation, nested, {1: 1}) == 4  # 4 * 4 mod 6
 
 
+def test_labels_equal_under_eq_print_their_own_words():
+    """Carriers whose labels are equal under == but print apart (0 and
+    False, (1, 0) and (True, 0)): each superposed word prints its own body
+    and tables, whichever carrier came first."""
+    cases = [[0, 1], [False, True], [(0, 0), (1, 0)], [(False, 0), (True, 0)]]
+    for labels in cases + cases[::-1]:
+        zero, one = labels
+        z, o = (str(x).replace(" ", "") for x in labels)
+
+        def add(a, b):
+            return labels[(labels.index(a) + labels.index(b)) % 2]
+
+        group = FiniteOmegaAlgebra(labels, Signature([("add", 2)]), {"add": add})
+        points = FiniteOmegaAlgebra(labels, Signature([]), {})
+        translation = Representation(group, points, add)
+        clo = closure(translation, [zero])
+        moved = endo_coordinates(translation, [zero], {zero: one, one: zero}, clo=clo)
+        sup = superpose(moved, moved)[zero]
+        assert format_word(sup) == f"act[{o}]({z})[{z} := act[{o}]({z})]"
+        assert repr(dict(sup.tables[0])) == repr({zero: Act(one, Gen(zero))})
+        generation = Representation(FiniteOmegaAlgebra([zero], Signature([]), {}), group,
+                                    lambda a, m: m)
+        clo = closure(generation, [one])
+        doubled = endo_coordinates(generation, [one], {one: zero, zero: zero}, clo=clo)
+        sup = superpose(doubled, doubled)[one]
+        assert format_word(sup) == f"add({o}, {o})[{o} := add({o}, {o})]"
+        assert repr(dict(sup.tables[0])) == repr({one: App("add", (Gen(one), Gen(one)))})
+        sub = substitute(clo.word_of[zero], {one: Gen(one)})
+        assert format_word(sub) == f"add({o}, {o})[{o} := {o}]"
+        assert repr(sub.tables) == f"(mappingproxy({{{one!r}: Gen(key={one!r})}}),)"
+
+
 def test_superposition_associativity(c6_generation):
     # evaluating the structural substitution equals evaluating the original
     # words under the assignment by the substituted words' values

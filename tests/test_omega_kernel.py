@@ -42,6 +42,7 @@ from divring.omega import (
 )
 from divring.samples import (
     cyclic_group,
+    f3_field,
     generation_rep,
     point_set,
     toy_affine_tower,
@@ -326,6 +327,16 @@ def test_rounds_match_the_full_scan_loop():
             cases += 1
             filled += bool(want) and len(start) + sum(map(len, want)) == size
     assert cases > 3000 and filled > 1000
+    # two binary operations, so two readers of each round's prefix walk,
+    # under no actor, the identity, and scaling by every element
+    field = f3_field()
+    for actors in ([], [0], [0, 1, 2]):
+        rep = Representation(field, field, {(a, m): a * m % 3 for a in range(3) for m in range(3)},
+                             validate=False)
+        for k in range(4):
+            for start in itertools.combinations(range(3), k):
+                want = list(full_scan_rounds(rep, actors, list(start)))
+                assert list(omega._rounds(rep, actors, list(start))) == want
 
 
 class CountingTable(tuple):
@@ -362,6 +373,28 @@ def test_rounds_stop_reading_once_the_carrier_is_full():
     CountingTable.reads = 0
     assert list(omega._rounds(rep, [0], [0])) == want
     assert CountingTable.reads == 2 + 4 + 2
+
+
+def test_rounds_walk_prefixes_once_a_round_and_only_as_read(monkeypatch):
+    """add and mul of F3 read one walk over the argument prefixes a round,
+    and the round that fills the carrier makes no prefix past the one
+    that fills it."""
+    field = f3_field()
+    rep = Representation(FiniteOmegaAlgebra([0], Signature([]), {}), field,
+                         {(0, m): m for m in range(3)})
+    made, product = [], itertools.product
+
+    def counted(*args, **kwargs):
+        made.append(0)
+        for prefix in product(*args, **kwargs):
+            made[-1] += 1
+            yield prefix
+
+    monkeypatch.setattr(itertools, "product", counted)
+    # round 1 over {1}: add(1, 1) = 2 and mul(1, 1) = 1, both from prefix (1,);
+    # round 2: prefix (1,) with the new 2 gives add(1, 2) = 0, and (2,) is never made
+    assert list(omega._rounds(rep, [0], [1])) == [[(2, "add", (1, 1))], [(0, "add", (1, 2))]]
+    assert made == [1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -539,14 +539,60 @@ def test_superposition_sweep_leaves_no_reference_cycles(affine_tower):
             gc.enable()
 
 
+def test_equal_families_built_apart_share_snapshots_and_nodes(affine_tower, monkeypatch):
+    """Coordinate families built apart with equal words share one snapshot
+    and its Sub nodes: a second sweep adds no interned entry and returns
+    the same nodes."""
+    monkeypatch.setattr(omega, "_INTERNED", {})
+    monkeypatch.setattr(omega, "_MEMO", {})
+    gens = [[E1, E2], [P0]]
+    endos = enumerate_tower_endomorphisms(affine_tower)[::91]
+
+    def sweep():
+        clo = tower_closure(affine_tower, gens)
+        ids = clo.identity_assignments()
+        coords = [tower_endo_coordinates(affine_tower, gens, m, clo=clo, verified=True)
+                  for m in endos]
+        sups = [tower_superpose(ws, wr) for wr in coords for ws in coords]
+        return sups, [eval_tower_word(affine_tower, level, sup[level - 2][x], ids)
+                      for sup in sups for level, x in ((2, E1), (2, E2), (3, P0))]
+
+    first, values = sweep()
+    entries = len(omega._INTERNED)
+    second, again = sweep()
+    assert len(omega._INTERNED) == entries and again == values
+    assert all(a[k][x] is b[k][x] for a, b in zip(first, second) for k in (0, 1) for x in a[k])
+
+
+def test_non_word_values_keep_a_private_snapshot(affine_tower):
+    """A non-word on a generator no body reaches is accepted, on a snapshot
+    of its own; a body that reaches it raises TypeError."""
+    gens = [[E1, E2], [P0]]
+    clo = tower_closure(affine_tower, gens)
+    ids = clo.identity_assignments()
+    endos = enumerate_tower_endomorphisms(affine_tower)
+    wr, ws = (tower_endo_coordinates(affine_tower, gens, endos[i], clo=clo, verified=True)
+              for i in (100, 500))
+    tables = ({**wr[0], "spare": 42}, dict(wr[1]))
+    sups = [tower_superpose(ws, tables) for _ in range(2)]
+    assert sups[0][0][E1] is not sups[1][0][E1]
+    for sup in sups:
+        assert eval_tower_word(affine_tower, 2, sup[0][E1], ids) == \
+            walk_any(affine_tower, 2, tower_superpose(ws, wr)[0][E1], ids)
+    with pytest.raises(TypeError):
+        tower_superpose(({E1: Gen("spare")}, {}), tables)
+
+
 def test_superposition_and_evaluation_follow_changed_inputs(affine_tower):
-    """A coordinate family or an assignment changed in place after use is
-    read afresh; results built before keep the values they had."""
+    """A coordinate family, a plain table or an assignment changed in place
+    after use is read afresh; results built before keep the values they
+    had."""
     gens = [[E1, E2], [P0]]
     clo = tower_closure(affine_tower, gens)
     endos = enumerate_tower_endomorphisms(affine_tower)
     wr, ws, wt = (tower_endo_coordinates(affine_tower, gens, endos[i], clo=clo, verified=True)
                   for i in (100, 500, 600))
+    plain = [dict(t) for t in wr]
     ids = clo.identity_assignments()
 
     def composed(assignments):  # ws evaluated at the images of wr, as labels
@@ -555,14 +601,15 @@ def test_superposition_and_evaluation_follow_changed_inputs(affine_tower):
         return {(level, x): walk(affine_tower, level, w, images)
                 for level in (2, 3) for x, w in ws[level - 2].items()}
 
-    before = tower_superpose(ws, wr)
+    before, plain_before = tower_superpose(ws, wr), tower_superpose(ws, plain)
     want_before = composed(ids)
     assert wt[0][E1] != wr[0][E1]
-    wr[0][E1] = wt[0][E1]
-    after = tower_superpose(ws, wr)
+    wr[0][E1] = plain[0][E1] = wt[0][E1]
+    after, plain_after = tower_superpose(ws, wr), tower_superpose(ws, plain)
     want_after = composed(ids)
     assert want_after != want_before
-    for sup, want in ((before, want_before), (after, want_after)):
+    for sup, want in ((before, want_before), (after, want_after),
+                      (plain_before, want_before), (plain_after, want_after)):
         for (level, x), value in want.items():
             assert eval_tower_word(affine_tower, level, sup[level - 2][x], ids) == value
     ids[2][E1] = (1, 1)
