@@ -15,13 +15,14 @@ left-hand convention.  Every elimination over the ring follows one policy: it
 runs over every column, a nonzero pivot without an inverse raises
 NotDivisionRing, and invert_matrix, the only inversion, raises
 SingularLinearPart below full rank.  An AffineMap and a Plane eliminate once,
-when built, and keep P^-1 or the span's row operations; no product re-checks
-an inverse.
+when built, and keep P^-1 or the span's row operations; a composite or an
+inverse keeps the factors of its P^-1 and eliminates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 from .algebra import Algebra, Element, _mul_add, mul
@@ -186,7 +187,7 @@ class AffineMap:
     The linear part must be invertible, so the maps of either hand form a
     group: construction keeps invert_matrix(P, hand) as P^-1, so a map is
     accepted exactly when invert_matrix inverts P (see the module's
-    quaternion example).
+    quaternion example).  `_inverse` holds matrices whose product in the hand is P^-1.
     """
 
     linear: tuple
@@ -194,7 +195,7 @@ class AffineMap:
     hand: str = "right"
     _inverse: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, linear, shift, hand="right", _checked=False, _inverse=None):
+    def __init__(self, linear, shift, hand="right", _inverse=None):
         linear = tuple(tuple(row) for row in linear)
         shift = tuple(shift)
         n = len(linear)
@@ -205,9 +206,7 @@ class AffineMap:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "hand", hand)
-        if not _checked:
-            _inverse = invert_matrix(linear, hand)
-        object.__setattr__(self, "_inverse", _inverse)
+        object.__setattr__(self, "_inverse", _inverse or (invert_matrix(linear, hand),))
 
     @property
     def n(self) -> int:
@@ -219,8 +218,8 @@ class AffineMap:
 
 
 def identity_map(alg: Algebra, n: int, hand: str = "right") -> AffineMap:
-    return AffineMap(identity_matrix(alg, n),
-                     tuple(alg.zero for _ in range(n)), hand)
+    identity = identity_matrix(alg, n)
+    return AffineMap(identity, tuple(alg.zero for _ in range(n)), hand, (identity,))
 
 
 def apply_linear(m: AffineMap, vector: Vector) -> Vector:
@@ -235,19 +234,20 @@ def apply_affine(m: AffineMap, point: Point) -> Point:
 
 
 def compose_affine(m1: AffineMap, m2: AffineMap) -> AffineMap:
-    """The map acting as m1 followed by m2: (P Q, R Q + S)."""
+    """The map acting as m1 followed by m2: (P Q, R Q + S); (P Q)^-1 = Q^-1 P^-1."""
     if m1.n != m2.n or m1.hand != m2.hand:
         raise DimensionMismatch("maps are not composable")
     linear = matrix_mul(m1.linear, m2.linear, m1.hand)
-    return AffineMap(linear, apply_affine(m2, m1.shift), m1.hand, _checked=True)
+    return AffineMap(linear, apply_affine(m2, m1.shift), m1.hand, m2._inverse + m1._inverse)
 
 
 def inverse_affine(m: AffineMap) -> AffineMap:
-    """The group inverse: composing either way gives the identity.  Only a
-    compose_affine result has no P^-1 yet; the inverse keeps P as its own."""
-    pinv = m._inverse if m._inverse is not None else invert_matrix(m.linear, m.hand)
+    """The group inverse: composing either way gives the identity.  P^-1 is
+    the product of the factors the map keeps, so nothing is eliminated;
+    the inverse keeps P as its own."""
+    pinv = reduce(lambda x, y: matrix_mul(x, y, m.hand), m._inverse)
     back = matrix_mul((tuple(-x for x in m.shift),), pinv, m.hand)[0]
-    return AffineMap(pinv, back, m.hand, _checked=True, _inverse=m.linear)
+    return AffineMap(pinv, back, m.hand, (m.linear,))
 
 
 # ---------------------------------------------------------------------------

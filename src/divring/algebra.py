@@ -282,26 +282,12 @@ class Element:
     def __add__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        self._check(other)
-        da, db = self._den, other._den
-        if da == db:
-            num = [x + y for x, y in zip(self._num, other._num)]
-        else:
-            num = [x * db + y * da for x, y in zip(self._num, other._num)]
-            da *= db
-        return _reduced(self.algebra, num, da)
+        return _mul_add(self, ((1, other, None),))
 
     def __sub__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        self._check(other)
-        da, db = self._den, other._den
-        if da == db:
-            num = [x - y for x, y in zip(self._num, other._num)]
-        else:
-            num = [x * db - y * da for x, y in zip(self._num, other._num)]
-            da *= db
-        return _reduced(self.algebra, num, da)
+        return _mul_add(self, ((-1, other, None),))
 
     def __neg__(self):
         return _element(self.algebra, tuple(-x for x in self._num), self._den)
@@ -455,7 +441,8 @@ def _mul_add(acc: Element, terms) -> Element:
     `mul` without its reduction, the terms are added on integer numerators
     over the least common multiple of their denominators, and the sum is
     reduced once.  Terms with a zero factor are skipped, so acc itself
-    comes back when nothing is added.
+    comes back when nothing is added.  Element `+` and `-` are the single
+    terms (1, other, None) and (-1, other, None).
     """
     alg = acc.algebra
     num, den = acc._num, acc._den
@@ -486,19 +473,38 @@ def _mul_add(acc: Element, terms) -> Element:
     return _reduced(alg, num, den)
 
 
+def _solve(alg: Algebra, rows: list, den: int) -> tuple[Optional[Element], int]:
+    """Solve A x = c / den for the integer rows [A | c] of a system in alg's
+    coordinates, eliminated once, fraction-free, by `ratlin._eliminate`.
+
+    Returns the solution with its free coordinates zero, or None when the
+    system is inconsistent, and the nullity of A either way: a pivot in c's
+    column is not one of A's.
+    """
+    n = alg.dim
+    work, pivots, d = ratlin._eliminate(rows)
+    rank = len(pivots) - (n in pivots)
+    if rank < len(pivots):
+        return None, n - rank
+    sign = -1 if d < 0 else 1  # x_c = work[r][n] / (d den), over a positive denominator
+    num = [0] * n
+    for row, c in zip(work, pivots):
+        num[c] = sign * row[n]
+    return _reduced(alg, num, sign * d * den), n - rank
+
+
 def inverse(a: Element) -> Element:
     """Two-sided inverse of a.
 
-    Solves the left-regular system a*x = unit on integers: column j of
-    the matrix holds the numerators of a*e_j, read off the integer
-    structural constants, and `ratlin._eliminate` reduces the system
-    fraction-free, so the inverse is reduced once, from the final
-    integers.  x*a = unit needs no check, also where the algebra has zero
-    divisors: a pivot in every column makes y -> a*y a bijection of the
-    algebra, and a*(x*a) = (a*x)*a = a*unit, so x*a = unit (a finite-
-    dimensional associative algebra is Dedekind-finite; T. Y. Lam, A First
-    Course in Noncommutative Rings, GTM 131).  The matrix is read off
-    `_terms` in one pass: built by `_times` per column it was slower.
+    Solves the left-regular system a*x = unit on integers by `_solve`:
+    column j of the matrix holds the numerators of a*e_j, read off the
+    integer structural constants.  x*a = unit needs no check, also where
+    the algebra has zero divisors: a pivot in every column makes y -> a*y a
+    bijection of the algebra, and a*(x*a) = (a*x)*a = a*unit, so x*a =
+    unit (a finite-dimensional associative algebra is Dedekind-finite;
+    T. Y. Lam, A First Course in Noncommutative Rings, GTM 131).  The
+    matrix is read off `_terms` in one pass: built by `_times` per column
+    it was slower.
     """
     if a.is_zero():
         raise ZeroElement("zero has no inverse")
@@ -511,11 +517,10 @@ def inverse(a: Element) -> Element:
     rows = [[0] * n + [x * a._den * alg._den] for x in u]
     for i, j, k, c in alg._terms:
         rows[k][j] += num[i] * c * du
-    work, pivots, d = ratlin._eliminate(rows)
-    if pivots != list(range(n)):
+    x, nullity = _solve(alg, rows, 1)
+    if nullity:
         raise NotInvertible("left-regular matrix is singular")
-    sign = -1 if d < 0 else 1  # x_r = work[r][n] / d, over a positive denominator
-    return _reduced(alg, [sign * row[n] for row in work], sign * d)
+    return x
 
 
 def is_central(a: Element) -> bool:

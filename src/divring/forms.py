@@ -19,8 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import ratlin
-from .algebra import Algebra, Element, _mul_add, mul
+from .algebra import Algebra, Element, _mul_add, _solve, mul
 from .errors import (
     DimensionMismatch,
     PivotConditionFailed,
@@ -242,14 +241,13 @@ def solve_axxa(a: Element, b: Element) -> SylvesterSolution:
     A "none" outcome is a legitimate classification, not an error.
     """
     a._check(b)
-    alg = a.algebra
     s, den = _two_sided_rows(a)
+    # (s / den) x = b: b's denominator is cleared once, for the whole column;
     # the nullity is that of the homogeneous equation, whatever the outcome
-    x, nullity = ratlin._solve(s, [den * y for y in b.coords])
+    x, nullity = _solve(a.algebra, [row + [den * y] for row, y in zip(s, b._num)], b._den)
     if x is None:
         return SylvesterSolution("none", None, nullity)
-    kind = "unique" if nullity == 0 else "infinite"
-    return SylvesterSolution(kind, Element(alg, x), nullity)
+    return SylvesterSolution("unique" if nullity == 0 else "infinite", x, nullity)
 
 
 # ---------------------------------------------------------------------------

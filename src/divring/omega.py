@@ -171,8 +171,9 @@ def _first_break(lhs: Sequence, rhs: Sequence, *carriers) -> tuple:
 class Representation:
     """An algebra A acting on an algebra M by endomorphisms.
 
-    handedness only affects printing (left actions read a*m, right ones
-    m*a).  The action is a mapping from pairs (a, m) to acted elements or
+    handedness ("left" reads a*m, "right" m*a) is read from a document's
+    "hand", carried over by `induced_two_level` and read by no routine.
+    The action is a mapping from pairs (a, m) to acted elements or
     a callable of a and m; construction raises ValueError naming the first
     pair, in carrier order, that a mapping misses or whose value is not an
     acted element, else its first other key.  It is kept as one image row

@@ -123,19 +123,12 @@ def solve(a: Matrix, b: Vector) -> Optional[tuple[Vector, int]]:
     least common denominator of its entries in a, so a large denominator
     shared by b does not enter every row.
     """
-    x, nullity = _solve(a, b)
-    return None if x is None else (x, nullity)
-
-
-def _solve(a: Matrix, b: Vector) -> tuple[Optional[Vector], int]:
-    """`solve`'s solution or None, and the nullity of a either way: the
-    pivots of [a | b] left of b's column are those of a."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     nums, den = over_common_denominator(b)
     work, pivots, d = _eliminate(_integer_rows([a[i][:] + [nums[i]] for i in range(rows)]))
     if cols in pivots:
-        return None, cols - len(pivots) + 1
+        return None
     x = [_ZERO] * cols
     for r, c in enumerate(pivots):
         x[c] = Fraction(work[r][cols], d * den)

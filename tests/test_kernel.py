@@ -23,6 +23,7 @@ from divring.affine import (
     AffineMap,
     Plane,
     compose_affine,
+    identity_map,
     invert_matrix,
     inverse_affine,
     matrix_mul,
@@ -42,6 +43,7 @@ from divring.algebra import (
     rational_algebra,
 )
 from divring.errors import (
+    AlgebraMismatch,
     DimensionMismatch,
     DivRingError,
     NotDivisionRing,
@@ -187,6 +189,26 @@ def test_element_arithmetic_matches_fraction_oracle(alg):
         assert (a + b).is_zero() == (not any(u + v for u, v in zip(x, y)))
         if any(x):
             assert_coords(inverse(a), oracle_inverse(alg, x))
+    # unequal large denominators: the sum runs over their lcm
+    zero = alg.zero
+    for _ in range(10):
+        x, y = ([Fraction(rng.randint(-10 ** 20, 10 ** 20), den) for _ in range(alg.dim)]
+                for den in (7 ** 40, 3 * 10 ** 30))
+        a, b = alg.element(x), alg.element(y)
+        assert_coords(a + b, [u + v for u, v in zip(x, y)])
+        assert_coords(a - b, [u - v for u, v in zip(x, y)])
+        assert_coords(b - a, [v - u for u, v in zip(x, y)])
+        for e, c in ((a, x), (b, y)):
+            assert_coords(e + zero, c)
+            assert_coords(zero + e, c)
+            assert_coords(e - zero, c)
+            assert_coords(zero - e, [-u for u in c])
+    alien = (quaternion_algebra() if alg.dim == 2 else complex_algebra()).unit
+    for combine in (lambda: a + alien, lambda: a - alien, lambda: alien + a, lambda: alien - a):
+        with pytest.raises(AlgebraMismatch):
+            combine()
+    for foreign in (1, Fraction(1, 2), None, (1,) * alg.dim):
+        assert a.__add__(foreign) is NotImplemented and a.__sub__(foreign) is NotImplemented
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -333,7 +355,10 @@ def test_solve_several_right_hand_sides_and_singular_inverts():
 def test_solve_with_shared_large_denominator_matches_gauss_oracle():
     """A right-hand side over one large denominator is cleared once for the
     whole column; the solutions stay those of the reduced form, and so do
-    the results of solve_axxa, which solves the two-sided system."""
+    the results of solve_axxa, which solves the two-sided system.  Over the
+    rings with zero divisors every outcome occurs: half of the right-hand
+    sides are two-sided images x z + z x, so consistent singular systems
+    come out "infinite"."""
     rng = random.Random(4450)
     dens = [7 ** 40, 10 ** 30 * 3, 2 ** 61 - 1, 1]
     for _ in range(200):
@@ -342,21 +367,27 @@ def test_solve_with_shared_large_denominator_matches_gauss_oracle():
         den = rng.choice(dens)
         b = [Fraction(rng.randint(-10 ** 20, 10 ** 20), den) for _ in range(rows)]
         assert ratlin.solve(a, b) == gauss_solution(a, b)
-    for alg in ALGEBRAS + [SPLIT]:
+    for alg in ALGEBRAS + [SPLIT, M2]:
+        seen = Counter()
         for _ in range(25):
-            x = alg.element(draw_coords(rng, alg))
+            x = draw_affine_entry(rng, alg)
             den = rng.choice(dens)
-            y = alg.element([Fraction(rng.randint(-10 ** 20, 10 ** 20), den)
-                             for _ in range(alg.dim)])
+            z = [Fraction(rng.randint(-10 ** 20, 10 ** 20), den) for _ in range(alg.dim)]
+            if rng.randrange(2):
+                z = oadd(oracle_mul(alg, x, z), oracle_mul(alg, z, x))
+            x, y = alg.element(x), alg.element(z)
             s = two_sided_matrix(x)
             want = gauss_solution([list(row) for row in s], list(y.coords))
             got = solve_axxa(x, y)
             got = got.kind, got.witness, got.nullspace_dim
+            seen[got[0]] += 1
             if want is None:
                 assert got == ("none", None, alg.dim - len(gauss(s)[1]))
             else:
                 kind = "unique" if want[1] == 0 else "infinite"
                 assert got == (kind, alg.element(want[0]), want[1])
+        if alg is SPLIT or alg is M2:
+            assert seen["unique"] and seen["infinite"] and seen["none"]
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +667,8 @@ def test_inverses_are_two_sided_by_oracle(alg, hand):
 @pytest.mark.parametrize("hand", ["right", "left"])
 def test_inverting_twice_eliminates_nothing(monkeypatch, hand):
     """An AffineMap eliminates once, when built, and its inverse keeps P as
-    P^-1's inverse; only a composite eliminates, once, when inverted."""
+    P^-1's inverse; a composite keeps Q^-1 P^-1 as factors and eliminates
+    nothing when inverted."""
     alg = quaternion_algebra()
     calls = Counter()
     eliminate = affine._forward_eliminate
@@ -654,8 +686,29 @@ def test_inverting_twice_eliminates_nothing(monkeypatch, hand):
     assert back.linear == m.linear and back.shift == m.shift
     composite = compose_affine(m, m)
     back = inverse_affine(inverse_affine(composite))
-    assert calls["eliminate"] == 2
+    assert calls["eliminate"] == 1
     assert back.linear == composite.linear and back.shift == composite.shift
+
+
+@pytest.mark.parametrize("hand", ["right", "left"])
+def test_every_composite_of_accepted_maps_inverts(hand):
+    """A composite keeps Q^-1 P^-1 as factors, so it inverts without an
+    elimination that could stop at a rank-one pivot: over M2(Q), eliminating
+    P Q failed for 3 of these 900 composites under either hand."""
+    rng = random.Random(7)
+    maps = []
+    while len(maps) < 30:
+        m = draw_affine_matrix(rng, M2, 2, hand)
+        shift = [tuple(draw_entry(rng, M2)) for _ in range(2)]
+        kind, amap = outcome(lambda: AffineMap(elements(M2, m), elements(M2, [shift])[0], hand))
+        if kind == "ok":
+            maps.append(amap)
+    identity = identity_map(M2, 2, hand)
+    for a in maps:
+        for b in maps:
+            composite = compose_affine(a, b)
+            back = inverse_affine(composite)
+            assert compose_affine(composite, back) == identity == compose_affine(back, composite)
 
 
 @pytest.mark.parametrize("alg", RINGS + [M2], ids=RING_IDS + ["M2(Q)"])
