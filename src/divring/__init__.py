@@ -1,13 +1,16 @@
 """Exact computer algebra over finite-dimensional division rings.
 
-Subpackages by theme:
+Modules by theme:
 
 - algebra: rational scalars, structural-constant algebras, basis changes
+- ratlin: exact linear algebra over Q, fraction-free elimination
 - forms: bilinear/quadratic maps, the two-sided equation, diagonalization
 - omega: finite universal algebras, representations, closures, words
 - towers: chained representations, layered closure and bases
 - affine: points, affine maps, planes, scalar products over the ring
 - ncpoly / calculus: noncommutative polynomials, charts, connections
+- samples: ready-made finite groups, point sets and towers for demos and tests
+- errors: the exception hierarchy, domain errors and ParseError
 - io / cli: text formats and the batch command-line tool
 """
 
@@ -16,7 +19,6 @@ from .algebra import (
     BasisChange,
     Element,
     Rational,
-    build_algebra,
     change_basis,
     complex_algebra,
     inverse,
@@ -32,7 +34,6 @@ __all__ = [
     "BasisChange",
     "Element",
     "Rational",
-    "build_algebra",
     "change_basis",
     "complex_algebra",
     "inverse",

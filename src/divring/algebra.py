@@ -353,15 +353,6 @@ def _reduced(algebra: Algebra, num: list, den: int) -> Element:
     return _element(algebra, tuple(num), den)
 
 
-def build_algebra(dim, constants, unit_index=0, name=None) -> Algebra:
-    """Validate a structural-constant table and return the algebra.
-
-    Raises AssociativityViolation or UnitViolation when the table is not a
-    valid unital associative algebra.
-    """
-    return Algebra(dim, constants, unit_index, name=name)
-
-
 def _product(a: Element, b: Element) -> tuple:
     """Unreduced numerators of a*b over a._den * b._den * algebra._den."""
     f = a.algebra._compiled  # `_times` inlined: the hottest path

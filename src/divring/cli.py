@@ -3,14 +3,16 @@
 Every command reads files or literals, calls the library and prints a
 canonical deterministic result: no timestamps, no unordered iteration.
 Exit codes: 0 success, 1 malformed input, 2 domain errors (a "none"
-outcome of the two-sided equation is a result, not an error).
+outcome of the two-sided equation is a result, not an error).  A usage
+error (unknown verb, missing required option, bad `--hand`) also exits 2,
+with argparse's `divring ...: error:` line, not the program's `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from . import affine as aff
@@ -249,9 +251,9 @@ def _cmd_calc_connection(args) -> int:
     return 0
 
 
-def _cmd_calc_field(args) -> int:
-    """`calc parallel` and `calc covariant`: `args.op` names the calculus
-    function, looked up when called, and `args.label` the output line."""
+def _cmd_calc_field(op, label, args) -> int:
+    """`calc parallel` and `calc covariant`: `op` names the calculus
+    function, looked up when called, and `label` the output line."""
     chart = dio.load_chart(args.chart)
     gamma = calc.chart_connection(chart)
     field = [
@@ -260,9 +262,9 @@ def _cmd_calc_field(args) -> int:
     ]
     point = dio.parse_vector(chart.algebra, args.point)
     direction = dio.parse_vector(chart.algebra, args.direction)
-    res = getattr(calc, args.op)(gamma, field, point, direction,
-                                 sign=args.sign_convention)
-    print(f"{args.label}: {dio.format_vector(res)}")
+    res = getattr(calc, op)(gamma, field, point, direction,
+                            sign=args.sign_convention)
+    print(f"{label}: {dio.format_vector(res)}")
     return 0
 
 
@@ -283,6 +285,35 @@ def _cmd_calc_geodesic(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# One row (group, verb, handler, arguments) per verb, in help order.  An argument
+# is a positional name, "--x" for a required option, or (name, add_argument keywords).
+_MAX_PRODUCT = ("--max-product", {"type": int, "default": 10_000})
+_FIELD = ("--chart", "--field", "--point", "--direction")
+_VERBS = (
+    ("algebra", "check", _cmd_algebra_check, ("source",)),
+    ("form", "diagonalize", _cmd_form_diagonalize,
+     ("source", ("--try-all-pivots", {"action": "store_true"}))),
+    ("form", "solve-axxa", _cmd_form_solve_axxa,
+     (("--algebra", {"default": "quaternion"}), "--a", "--b")),
+    ("rep", "closure", _cmd_rep_closure,
+     ("source", "--gens", ("--words", {"action": "store_true"}))),
+    ("rep", "basis", _cmd_rep_basis, ("source", "--gens")),
+    ("rep", "classify", _cmd_rep_classify, ("source",)),
+    ("tower", "closure", _cmd_tower_closure, ("source", "--gens", _MAX_PRODUCT)),
+    ("tower", "basis", _cmd_tower_basis, ("source", "--gens", _MAX_PRODUCT)),
+    ("tower", "classify", _cmd_tower_classify, ("source", _MAX_PRODUCT)),
+    ("affine", "compose", _cmd_affine_compose, ("--m1", "--m2")),
+    ("affine", "plane-contains", _cmd_affine_plane_contains, ("--plane", "--point")),
+    ("affine", "rank", _cmd_affine_rank, ("source",)),
+    ("calc", "pushforward", _cmd_calc_pushforward, ("--chart", "--point", "--vector")),
+    ("calc", "connection", _cmd_calc_connection, ("--chart", "--point", "--v", "--a")),
+    ("calc", "parallel",
+     partial(_cmd_calc_field, "parallel_residual", "residual"), _FIELD),
+    ("calc", "covariant",
+     partial(_cmd_calc_field, "covariant_derivative", "derivative"), _FIELD),
+    ("calc", "geodesic", _cmd_calc_geodesic, ("--chart", "--path", "--t0", "--dt")),
+)
+
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -298,91 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
                         default="8.2", dest="sign_convention",
                         help="sign relating connections to transport equations")
     top = parser.add_subparsers(dest="group", required=True)
-
-    alg = top.add_parser("algebra").add_subparsers(dest="verb", required=True)
-    p = alg.add_parser("check")
-    p.add_argument("source")
-    p.set_defaults(func=_cmd_algebra_check)
-
-    form = top.add_parser("form").add_subparsers(dest="verb", required=True)
-    p = form.add_parser("diagonalize")
-    p.add_argument("source")
-    p.add_argument("--try-all-pivots", action="store_true")
-    p.set_defaults(func=_cmd_form_diagonalize)
-    p = form.add_parser("solve-axxa")
-    p.add_argument("--algebra", default="quaternion")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_form_solve_axxa)
-
-    rep = top.add_parser("rep").add_subparsers(dest="verb", required=True)
-    p = rep.add_parser("closure")
-    p.add_argument("source")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--words", action="store_true")
-    p.set_defaults(func=_cmd_rep_closure)
-    p = rep.add_parser("basis")
-    p.add_argument("source")
-    p.add_argument("--gens", required=True)
-    p.set_defaults(func=_cmd_rep_basis)
-    p = rep.add_parser("classify")
-    p.add_argument("source")
-    p.set_defaults(func=_cmd_rep_classify)
-
-    tower = top.add_parser("tower").add_subparsers(dest="verb", required=True)
-    for verb, fn, needs_gens in (
-        ("closure", _cmd_tower_closure, True),
-        ("basis", _cmd_tower_basis, True),
-        ("classify", _cmd_tower_classify, False),
-    ):
-        p = tower.add_parser(verb)
-        p.add_argument("source")
-        if needs_gens:
-            p.add_argument("--gens", required=True)
-        p.add_argument("--max-product", type=int, default=10_000)
-        p.set_defaults(func=fn)
-
-    affp = top.add_parser("affine").add_subparsers(dest="verb", required=True)
-    p = affp.add_parser("compose")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.set_defaults(func=_cmd_affine_compose)
-    p = affp.add_parser("plane-contains")
-    p.add_argument("--plane", required=True)
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_affine_plane_contains)
-    p = affp.add_parser("rank")
-    p.add_argument("source")
-    p.set_defaults(func=_cmd_affine_rank)
-
-    calcp = top.add_parser("calc").add_subparsers(dest="verb", required=True)
-    p = calcp.add_parser("pushforward")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(func=_cmd_calc_pushforward)
-    p = calcp.add_parser("connection")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--a", required=True)
-    p.set_defaults(func=_cmd_calc_connection)
-    for verb, op, label in (
-        ("parallel", "parallel_residual", "residual"),
-        ("covariant", "covariant_derivative", "derivative"),
-    ):
-        p = calcp.add_parser(verb)
-        p.add_argument("--chart", required=True)
-        p.add_argument("--field", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--direction", required=True)
-        p.set_defaults(func=_cmd_calc_field, op=op, label=label)
-    p = calcp.add_parser("geodesic")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--path", required=True)
-    p.add_argument("--t0", required=True)
-    p.add_argument("--dt", required=True)
-    p.set_defaults(func=_cmd_calc_geodesic)
+    groups = {g: top.add_parser(g).add_subparsers(dest="verb", required=True)
+              for g in dict.fromkeys(row[0] for row in _VERBS)}
+    for group, verb, handler, arguments in _VERBS:
+        p = groups[group].add_parser(verb)
+        for arg in arguments:
+            if isinstance(arg, str):
+                arg = (arg, {"required": True} if arg.startswith("--") else {})
+            p.add_argument(arg[0], **arg[1])
+        p.set_defaults(func=handler)
 
     return parser
 

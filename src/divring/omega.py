@@ -278,12 +278,6 @@ class Representation:
         return f"Representation({label})"
 
 
-def build_representation(acting, acted, action, rep_kind="raw",
-                         handedness="left", name=None) -> Representation:
-    """Validated construction; see Representation for the checked laws."""
-    return Representation(acting, acted, action, rep_kind, handedness, name)
-
-
 @dataclass(frozen=True)
 class RepClassification:
     effective: bool
@@ -364,11 +358,10 @@ class Sub:
     The body is a word of level `level`: its own generators come from
     tables[level - 2], those of its actor words from the tables below.
     Superposition builds one node per body on a snapshot of the tables
-    instead of copying the body; `tables` are read-only views of it.  A
-    node needs every generator the body reaches (GeneratorMismatch
-    otherwise); its word id comes from its level, body and those words, so
-    equal nodes built on different snapshots share their values, and equal
-    bodies superposed on equal tables share the node (see _substitute).
+    instead of copying the body; `tables` are read-only views of it.
+    Raises GeneratorMismatch unless the tables hold every generator the
+    body reaches.  How nodes share ids, values and snapshots: the word memo
+    comment below.
     """
 
     __slots__ = ("body", "level", "_tables", "_id")
@@ -405,6 +398,10 @@ _WORD_TYPES = (Gen, App, Act, Sub)
 #              a table tuple's labels and word ids -> its snapshot
 #   _MEMO      word id << 64 | valuation id -> value, a carrier index; it
 #              holds only ints, so the collector skips it
+# A Sub node's id comes from its level, body and the words it reaches, so
+# equal nodes on different snapshots share their values; a snapshot holds
+# one Sub node per level and body, and a coordinate family carries the one
+# taken of it, so superposing onto it unchanged reuses both (_substitute).
 # Ids are never given twice, so the two are dropped together, at any
 # insertion, when one reaches _MEMO_LIMIT entries.  _LAST keeps the
 # valuations of the last assignments with a copy of them: a sweep under

@@ -64,10 +64,6 @@ class Tower:
         return f"Tower({' -> '.join(repr(a) for a in self.algebras)})"
 
 
-def build_tower(reps: Sequence[Representation]) -> Tower:
-    return Tower(reps)
-
-
 # ---------------------------------------------------------------------------
 # tower words
 
@@ -79,19 +75,8 @@ def eval_tower_word(tower: Tower, level: int, word, assignments: Mapping):
     action nodes are bare level-1 elements at level 2 and lower-level words
     above that.  A generator that the word reaches and its level's
     assignment lacks raises MissingGenerator, whatever the memo holds.
-
-    Evaluation is by value, through one memo shared by every caller.  Words
-    are hash-consed: every structurally distinct word, Sub nodes included,
-    has one word id, and the generator images of each level one valuation
-    id, so a word shared by closure tables, by many superpositions or by
-    closures built apart is evaluated once per tuple of generator values.
-    Superposition tables with equal labels and word ids, coordinate
-    families built apart included, share one snapshot and so one Sub node
-    per body.  The memo maps (word id, valuation id) to the value's carrier
-    index; it and the table of ids, valuations and snapshots are dropped
-    together when one of them reaches 2^16 entries (`omega._MEMO_LIMIT`).
-    The valuations of the last assignments are kept with a copy of them,
-    so a sweep under one assignment compares it instead of hashing it.
+    Values are memoized by word and generator values; the word memo
+    comment in omega says how.
     Towers and representations are taken to be immutable.
     """
     return _evaluate_at(tower.reps, level, word, assignments)
@@ -185,13 +170,10 @@ def tower_superpose(coords: Sequence[Mapping], endo_coords: Sequence[Mapping]) -
     snapshot of `endo_coords`, whose table L serves the word's own
     generators and the lower tables its actor words; bare level-1 actors
     stay fixed because tower endomorphisms are the identity on the first
-    algebra.  No tree is copied.  A family made by tower_endo_coordinates
-    carries the snapshot taken of it, so superposing onto it again while
-    it is unchanged reuses the snapshot and one node per word; families
-    with equal words, built apart, share one snapshot and its nodes.
-    GeneratorMismatch is raised here, not at evaluation, when the level
-    counts differ or when a generator that a coordinate word reaches, at
-    its own level or through an actor word, is missing from its table.
+    algebra.  How snapshots and nodes are shared: the word memo comment in
+    omega.  GeneratorMismatch is raised here, not at evaluation, when the
+    level counts differ or when a generator that a coordinate word reaches,
+    at its own level or through an actor word, is missing from its table.
     """
     if len(coords) != len(endo_coords):
         raise GeneratorMismatch("coordinate families span different level counts")

@@ -25,8 +25,8 @@ from divring.affine import (
     vec_between,
 )
 from divring.algebra import (
+    Algebra,
     BasisChange,
-    build_algebra,
     change_basis,
     inverse,
     mul,
@@ -120,11 +120,11 @@ def test_criterion_1_quaternion_table_validation():
             assert left == right
             checked += 1
         assert checked == 256
-        build_algebra(4, constants, 0)
+        Algebra(4, constants, 0)
         corrupted = [ [ [c for c in row] for row in plane] for plane in constants]
         corrupted[1][2][3] = Fraction(-1)
         with pytest.raises(AssociativityViolation):
-            build_algebra(4, corrupted, 0)
+            Algebra(4, corrupted, 0)
     report(1, "256-tuple table check passes; corruption detected", b)
 
 

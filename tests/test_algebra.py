@@ -9,7 +9,6 @@ from divring.algebra import (
     Algebra,
     BasisChange,
     Element,
-    build_algebra,
     change_basis,
     complex_algebra,
     inverse,
@@ -58,7 +57,7 @@ def split_complex_algebra():
     c[0][1][1] = 1
     c[1][0][1] = 1
     c[1][1][0] = 1
-    return build_algebra(2, c)
+    return Algebra(2, c)
 
 
 def random_basis_change(rng, dim, span=3):
@@ -97,14 +96,14 @@ def test_corrupted_constant_detected():
     constants[1][2][3] = Fraction(-1)  # flips ij away from k
     assert associativity_oracle(constants, 4) != []
     with pytest.raises(AssociativityViolation):
-        build_algebra(4, constants)
+        Algebra(4, constants)
 
 
 def test_unit_violation_detected():
     constants = quaternion_constants()
     constants[0][1][1] = Fraction(2)
     with pytest.raises(UnitViolation):
-        build_algebra(4, constants)
+        Algebra(4, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def fraction_equal(a, b):
 def quadratic_algebra(d):
     """Q[x]/(x^2 - d) on the basis 1, x."""
     c = [[[1, 0], [0, 1]], [[0, 1], [d, 0]]]
-    return build_algebra(2, c)
+    return Algebra(2, c)
 
 
 MOVE = BasisChange([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 3]])

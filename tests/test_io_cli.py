@@ -14,7 +14,7 @@ from divring.algebra import (
 )
 from divring.affine import AffineMap, Plane
 from divring.calculus import Chart
-from divring.cli import main
+from divring.cli import _VERBS, main
 from divring.errors import ParseError
 from divring.forms import BilinearMatrix
 from divring.ncpoly import NCPoly
@@ -345,6 +345,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+VERB_ARGUMENTS = {f"{group} {verb}": arguments for group, verb, _, arguments in _VERBS}
+with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden", "cli.json"),
+          encoding="utf-8") as fh:
+    GOLDEN_VERBS = {job["verb"] for job in json.load(fh)["transcript"]}
+
+
+@pytest.mark.parametrize(
+    "verb", [*VERB_ARGUMENTS, *sorted(GOLDEN_VERBS - VERB_ARGUMENTS.keys())])
+def test_every_verb_has_help_and_a_golden_line(capsys, verb):
+    # a verb of the table or of the golden transcript must be in both, and
+    # its help must name each of the row's arguments
+    assert verb in VERB_ARGUMENTS and verb in GOLDEN_VERBS
+    with pytest.raises(SystemExit) as exc:
+        main([*verb.split(), "--help"])
+    assert exc.value.code == 0
+    words = set(capsys.readouterr().out.replace("[", " ").replace("]", " ").split())
+    for arg in VERB_ARGUMENTS[verb]:
+        assert (arg if isinstance(arg, str) else arg[0]) in words
 
 
 def test_algebra_check(capsys):

@@ -34,7 +34,6 @@ from divring.algebra import (
     Algebra,
     BasisChange,
     Element,
-    build_algebra,
     change_basis,
     complex_algebra,
     inverse,
@@ -594,7 +593,7 @@ def matrix_algebra():
         c[0][i][i] = c[i][0][i] = Fraction(1)
     c[1][1][1] = c[1][2][2] = c[2][3][1] = c[3][1][3] = c[3][2][0] = Fraction(1)
     c[3][2][1] = Fraction(-1)
-    return build_algebra(4, c)
+    return Algebra(4, c)
 
 
 M2 = matrix_algebra()

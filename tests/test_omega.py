@@ -18,7 +18,6 @@ from divring.omega import (
     Gen,
     Representation,
     Signature,
-    build_representation,
     check_morphism,
     classify,
     closure,
@@ -84,7 +83,7 @@ def test_f3_scalars_are_valid_ring_action():
 
 def test_constant_map_rejected_on_group_carrier():
     with pytest.raises(NotEndomorphism):
-        build_representation(
+        Representation(
             trivial_monoid(), cyclic_group(6, "add"), lambda a, m: 3, "raw"
         )
 
@@ -94,15 +93,15 @@ def test_monoid_law_violation_detected():
     pts = point_set(6)
     # a(m) = a^2 + m keeps the unit law but breaks f(a)f(b) = f(ab)
     with pytest.raises(LawViolation):
-        build_representation(c6, pts, lambda a, m: (a * a + m) % 6,
-                             "monoid-action")
+        Representation(c6, pts, lambda a, m: (a * a + m) % 6,
+                       "monoid-action")
 
 
 def test_ring_action_requires_named_operations():
     c6 = cyclic_group(6)
     with pytest.raises(LawViolation):
-        build_representation(c6, point_set(6), lambda a, m: (a + m) % 6,
-                             "ring-on-abelian-group")
+        Representation(c6, point_set(6), lambda a, m: (a + m) % 6,
+                       "ring-on-abelian-group")
 
 
 @pytest.mark.parametrize("value", [{}, [0], {0}], ids=["dict", "list", "set"])
@@ -152,8 +151,8 @@ def test_translation_is_single_transitive(c6_translation):
 def test_reduced_action_is_transitive_not_effective():
     c6 = cyclic_group(6)
     pts3 = point_set(3)
-    rep = build_representation(c6, pts3, lambda a, m: (a % 3 + m) % 3,
-                               "monoid-action")
+    rep = Representation(c6, pts3, lambda a, m: (a % 3 + m) % 3,
+                         "monoid-action")
     flags = classify(rep)
     assert flags.transitive and not flags.effective
     assert not flags.single_transitive

@@ -47,7 +47,6 @@ from divring.samples import (
 )
 from divring.towers import (
     Tower,
-    build_tower,
     check_tower_morphism,
     compose_tower_morphisms,
     effectiveness_chain,
@@ -105,14 +104,14 @@ def test_toy_tower_builds(affine_tower):
 
 
 def test_single_representation_tower(c6_translation):
-    t = build_tower([c6_translation])
+    t = Tower([c6_translation])
     assert t.height == 2
 
 
 def test_chain_mismatch_detected(c6_translation):
     other = translation_rep(3)
     with pytest.raises(ChainMismatch):
-        build_tower([c6_translation, other])
+        Tower([c6_translation, other])
 
 
 # ---------------------------------------------------------------------------
